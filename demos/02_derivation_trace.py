@@ -1,11 +1,14 @@
 """Search for a derivation of a target word and replay it step by step.
 
-``find_derivation`` runs the same bounded closure as the enumerator but keeps
-parent pointers, so a successful search returns a trace: which component was
-activated, which rule was applied at which position, and the resulting form.
+``find_derivation`` searches over the same component activations as the
+enumerator and keeps a parent pointer per form. Once the target is reached
+it rebuilds the rule applications of the activations on the found path only,
+so a successful search returns a trace: which component was activated,
+which rule was applied at which position, and the resulting form.
 ``replay_trace`` re-executes every application independently and raises if
 any recorded step is inconsistent, so a trace doubles as a checkable
-certificate.
+certificate. ``None`` means the search within the bounds was exhaustive; a
+search cut by a budget raises ``BudgetExceeded`` instead.
 """
 
 import pathlib

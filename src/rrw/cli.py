@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (or: languages equal, word derivable); 1 languages
-differ or word not derivable; 2 parse/validation/usage errors; 3 budget
-exhaustion or otherwise incomplete results.
+differ or word not derivable (after an exhaustive search); 2
+parse/validation/usage errors; 3 budget exhaustion or otherwise incomplete
+results.
 
 ``--json`` output is deterministic: identical inputs and flags produce
 byte-identical documents (timing is therefore reported as null and, in

@@ -1,19 +1,53 @@
 """Exact derivation semantics: per-component steps, the five cooperation
-modes, entry conditions, priorities, graph control, and bounded language
-enumeration.
+modes, entry conditions, priorities, graph control, bounded language
+enumeration and derivation search.
 
-Two evaluation paths coexist:
+One component activation ⇒_i^m is computed on one of two paths:
 
-* a naive layered closure (``mode_apply``), the reference semantics for a
-  single component activation;
-* a positionwise product path used by :func:`enumerate_language` for
-  components whose rule applicability reduces to symbol presence. For such
-  components a derivation decomposes into independent per-position
-  derivations whose step counts add up, which avoids materializing the
-  exponentially many interleavings of independent rewrites.
+* the naive layered closure (``_naive_mode``, public as ``mode_apply``), the
+  reference semantics. It materializes every interleaving of the rewrites,
+  so n independent rewrites cost 2^n forms;
+* the positionwise product path (``_product_results``). When applicability
+  reduces to lhs presence, a derivation decomposes into independent
+  per-position derivations whose step counts add up, and the results are
+  assembled from per-symbol reachability layers.
 
-Both paths are exact on complete runs and are differentially tested against
-each other.
+Which path runs where:
+
+* unregulated components take the product path in every mode;
+* ordered and random-context components take it in mode t when their
+  regulation cannot change during the activation. Applicability depends
+  only on a form's support (its symbol set), so the abstract graph of
+  supports reachable from the form's support decides this
+  (:func:`_support_graph`): if every rule's regulation test gives the same
+  answer on every reachable support that contains its lhs, the activation
+  equals that of the unregulated component made of the always-enabled
+  rules. The graph is capped (``_SUPPORT_CAP``) and memoised per
+  (component, support); past the cap, when a test changes, or when the form
+  has fewer than ``_PRODUCT_MIN_SITES`` rewritable positions (too few
+  interleavings to pay for the product path), the activation stays naive;
+* in modes =k, <=k, * and >=k regulated components stay naive. Those
+  activations are short (at most k steps, or a closure that the search
+  never repeats for the same component), and on small forms a product
+  activation costs about ten times a naive one there.
+
+The same graph also prunes the search in mode t: a form is dropped when
+no component can end a t-activation on it (no stuck support is reachable).
+In the closed modes (*, >=k, t) a form is also dropped when its producer is
+the only component with an applicable rule, because the search never
+re-activates the producer.
+
+Both paths are exact on complete runs, and ``tests/test_engine.py`` checks
+one against the other on every corpus component and mode. The one known
+difference: the product path bounds each position's subform by the
+workspace, not the whole intermediate form. When a workspace truncation cuts
+the naive path, the product path may therefore return a strict superset:
+real results whose every derivation passes through a form longer than the
+workspace (for example on ``cf_star``, which has an erasing rule).
+
+:func:`find_derivation` searches over the same activations as
+:func:`enumerate_language` and rebuilds rule applications only for the
+activations on the path it finds; :func:`replay_trace` re-checks every one.
 """
 
 from __future__ import annotations
@@ -21,7 +55,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Mode, System, format_word
+from .core import Component, Mode, format_word
 from .errors import BudgetExceeded, UnknownLabel
 
 
@@ -30,8 +64,9 @@ class StepBounds:
     """Resource bounds making closure computations finite.
 
     workspace: maximum sentential-form length explored;
-    step_budget: maximum rule applications per mode_apply / activation;
-    form_budget: maximum distinct forms per enumeration.
+    step_budget: maximum rule applications per activation (in mode_apply,
+        in enumeration, and in derivation search and its trace rebuild);
+    form_budget: maximum distinct forms per enumeration or search.
     """
 
     workspace: int
@@ -172,9 +207,8 @@ def _has_applicable(conds, form):
     )
 
 
-def _naive_mode(component, form, mode, workspace, budget):
+def _naive_mode(component, conds, form, mode, workspace, budget):
     """Exact ⇒_i^m result set. Returns (frozenset, truncated)."""
-    conds = component.effective_conditions()
     truncated = False
     if mode.variant == "t":
         if not _has_applicable(conds, form):
@@ -216,7 +250,10 @@ def mode_apply(component, form, mode, bounds):
     step budget runs out before the closure is exhausted.
     """
     budget = _Budget(bounds.step_budget, bounds.form_budget)
-    result, _ = _naive_mode(component, form, mode, bounds.workspace, budget)
+    result, _ = _naive_mode(
+        component, component.effective_conditions(), form, mode,
+        bounds.workspace, budget,
+    )
     if budget.exhausted:
         raise BudgetExceeded(
             f"step budget exhausted in mode_apply({mode})", partial=result
@@ -225,10 +262,14 @@ def mode_apply(component, form, mode, bounds):
 
 
 # ---------------------------------------------------------------------------
-# positionwise product path (used by enumeration)
+# positionwise product path (used by enumeration and derivation search)
 # ---------------------------------------------------------------------------
 
 _LAYER_CAP = 200  # max layers computed per symbol before giving up on a cycle
+_SUPPORT_CAP = 64  # max supports explored per abstract support graph
+# Fewest rewritable positions for which a regulated component is specialised:
+# below it the naive closure has few interleavings and is cheaper.
+_PRODUCT_MIN_SITES = 4
 
 
 class _SymbolLayers:
@@ -239,7 +280,8 @@ class _SymbolLayers:
     (cycle_start/cycle_end) so unions over unbounded step counts are finite.
     """
 
-    __slots__ = ("layers", "cycle_start", "cycle_end", "truncated", "stuck")
+    __slots__ = ("layers", "cycle_start", "cycle_end", "truncated", "stuck",
+                 "workspace", "_choices")
 
     def __init__(self, component, conds, symbol, workspace, budget):
         lhs_set = {lhs for (lhs, _p, _f) in conds}
@@ -248,6 +290,8 @@ class _SymbolLayers:
         self.truncated = False
         self.cycle_start = None
         self.cycle_end = None
+        self.workspace = workspace
+        self._choices = {}
         while True:
             nxt, trunc = _step_layer(component, conds, seq[-1], workspace, budget)
             self.truncated = self.truncated or trunc
@@ -291,68 +335,126 @@ class _SymbolLayers:
                 out |= self.layers[i]
         return frozenset(out)
 
+    def choices(self, mode, kcap):
+        """Cached :func:`_position_choices` table for this mode and kcap."""
+        key = "t" if mode.variant == "t" else (mode.variant in (">=", "*"), kcap)
+        if key not in self._choices:
+            self._choices[key] = _position_choices(self, mode, kcap)
+        return self._choices[key]
+
 
 _GE = -1  # sentinel step value: "more than K steps achievable"
 
 
-def _position_choices(info, mode, kcap, workspace):
+def _position_choices(info, mode, kcap):
     """Per-position (subform -> step-value set) table for the product path.
 
     Step values are exact counts 0..kcap, plus _GE meaning "> kcap achievable".
-    Returns None if the layer data is too incomplete to be exact.
+    In mode t the table holds the stuck subforms (step value 0). Returns None
+    if the layer data is too incomplete to be exact.
     """
+    if mode.variant == "t":
+        if info.cycle_start is None:
+            return None
+        return {f: (0,) for f in info.stuck}
     choices = {}
     for j in range(kcap + 1):
         layer = info.exact(j)
         if layer is None:
             return None
         for f in layer:
-            if len(f) <= workspace:
+            if len(f) <= info.workspace:
                 choices.setdefault(f, set()).add(j)
     if mode.variant in (">=", "*"):
         beyond = info.union_from(kcap + 1)
         if beyond is None:
             return None
         for f in beyond:
-            if len(f) <= workspace:
+            if len(f) <= info.workspace:
                 choices.setdefault(f, set()).add(_GE)
     return choices
 
 
-def _product_results(enum, component, form, mode, budget):
+def _support_graph(component, conds, support):
+    """Walk the abstract t-mode graph of supports reachable from ``support``.
+
+    Applying an enabled rule X -> w moves a support S to S ∪ alph(w), and
+    also to (S ∪ alph(w)) ∖ {X} when X ∉ w (other occurrences of X may or
+    may not remain). Every support that a real derivation passes through is
+    a node. Yields, per node, the (rule index, regulation test) pairs of the
+    rules whose lhs the node contains; yields None once the walk has seen
+    more than ``_SUPPORT_CAP`` nodes.
+    """
+    seen = {support}
+    stack = [support]
+    while stack:
+        s = stack.pop()
+        tests = []
+        for i, (lhs, permit, forbid) in enumerate(conds):
+            if lhs not in s:
+                continue
+            ok = permit <= s and not (forbid & s)
+            tests.append((i, ok))
+            if ok:
+                rhs = component.rules[i].rhs
+                grown = s.union(rhs)
+                for nxt in (grown,) if lhs in rhs else (grown, grown - {lhs}):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+        yield tests
+        if len(seen) > _SUPPORT_CAP:
+            yield None
+            return
+
+
+def _reaches_stuck(component, conds, support):
+    """False proves every t-activation from ``support`` empty: no reachable
+    support disables all rules."""
+    for tests in _support_graph(component, conds, support):
+        if tests is None or not any(ok for _i, ok in tests):
+            return True
+    return False
+
+
+def _stable_rules(component, conds, support):
+    """The rules enabled throughout any activation from ``support``, or None.
+
+    Defined when every rule's regulation test gives one answer on every
+    reachable support that contains its lhs; the result is the set of rules
+    whose answer is yes. The regulation then never changes.
+    """
+    verdicts = {}
+    for tests in _support_graph(component, conds, support):
+        if tests is None:
+            return None
+        for i, ok in tests:
+            if verdicts.setdefault(i, ok) != ok:
+                return None
+    return frozenset(i for i, ok in verdicts.items() if ok)
+
+
+def _product_results(enum, component, form, mode, budget, producer):
     """Activation results via positionwise decomposition (unregulated only).
 
     Exact: without per-rule conditions, any interleaving of per-position
-    derivations is valid and step counts add up across positions.
+    derivations is valid and step counts add up across positions. Returns
+    (None, truncated) when the layer data is too incomplete to be exact.
     """
-    workspace = enum.bounds.workspace
-    if mode.variant == "t":
-        conds = enum.conds(component)
-        if not _has_applicable(conds, form):
-            return frozenset(), False
-        tables = []
-        truncated = False
-        for s in form:
-            info = enum.symbol_layers(component, s, budget)
-            truncated = truncated or info.truncated
-            if info.cycle_start is None:
-                return None, truncated  # fall back to the naive path
-            tables.append({f: {0} for f in info.stuck})
-        results, trunc2 = _assemble(enum, tables, mode, 0, workspace, budget)
-        return results, truncated or trunc2
-
-    kcap = 1 if mode.variant == "*" else mode.k
+    kcap = 0 if mode.variant == "t" else (1 if mode.variant == "*" else mode.k)
     tables = []
     truncated = False
     for s in form:
         info = enum.symbol_layers(component, s, budget)
         truncated = truncated or info.truncated
-        table = _position_choices(info, mode, kcap, workspace)
+        table = info.choices(mode, kcap)
         if table is None:
             return None, truncated
         tables.append(table)
-    results, trunc2 = _assemble(enum, tables, mode, kcap, workspace, budget)
-    return results, truncated or trunc2
+    results, trunc = _assemble(
+        enum, tables, mode, kcap, enum.bounds.workspace, budget, producer
+    )
+    return results, truncated or trunc
 
 
 def _sum_feasible(sums, mode, kcap):
@@ -360,60 +462,64 @@ def _sum_feasible(sums, mode, kcap):
         return kcap in sums
     if mode.variant == "<=":
         return any(1 <= s <= kcap for s in sums)
-    # ">=" and "*": need total >= kcap (kcap = 1 for "*")
+    # ">=", "*" and "t": need total >= kcap (kcap = 1 for "*", 0 for "t")
     return any(s >= kcap for s in sums)
 
 
-def _assemble(enum, tables, mode, kcap, workspace, budget):
-    """DFS over per-position choices with support, length and step pruning."""
+def _assemble(enum, tables, mode, kcap, workspace, budget, producer):
+    """DFS over per-position choices with support, length and step pruning.
+
+    With a ``producer`` (see :meth:`_Enumeration.useful`), partial choices
+    whose every completion has a useless support are cut; None keeps every
+    result.
+    """
     n = len(tables)
+    if not all(tables):
+        return frozenset(), False  # some position has no valid yield
     # minimal total length of positions i..n-1
     min_tail = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        min_tail[i] = min_tail[i + 1] + (
-            min(len(f) for f in tables[i]) if tables[i] else 0
-        )
-        if not tables[i]:
-            return frozenset(), False  # some position has no valid yield
+        min_tail[i] = min_tail[i + 1] + min(len(f) for f in tables[i])
     # achievable support unions of positions i..n-1 (None = too many to track)
     tail_sups = [None] * (n + 1)
-    tail_sups[n] = {frozenset()}
-    for i in range(n - 1, -1, -1):
-        if tail_sups[i + 1] is None:
-            continue
-        sups = set()
-        for f in tables[i]:
-            fs = frozenset(f)
-            for t in tail_sups[i + 1]:
-                sups.add(fs | t)
+    if producer is not None:
+        tail_sups[n] = {frozenset()}
+        for i in range(n - 1, -1, -1):
+            if tail_sups[i + 1] is None:
+                break
+            sups = set()
+            for f in tables[i]:
+                fs = frozenset(f)
+                sups.update(fs | t for t in tail_sups[i + 1])
                 if len(sups) > 64:
                     sups = None
                     break
-            if sups is None:
-                break
-        tail_sups[i] = sups
+            tail_sups[i] = sups
 
     saturate = kcap + 1
     results = set()
     truncated = False
-
-    def rec(i, prefix, length, support, sums):
-        nonlocal truncated
-        if budget.exhausted:
-            truncated = True
-            return
+    stack = [(0, (), 0, frozenset(), {0})]
+    while stack:
+        i, prefix, length, support, sums = stack.pop()
         if i == n:
-            if _sum_feasible(sums, mode, kcap) and enum.useful(support):
+            if _sum_feasible(sums, mode, kcap) and (
+                producer is None or enum.useful(support, producer)
+            ):
                 if budget.spend_form():
                     results.add(prefix)
-            return
+                else:
+                    truncated = True
+                    break
+            continue
         if tail_sups[i] is not None and not any(
-            enum.useful(support | t) for t in tail_sups[i]
+            enum.useful(support | t, producer) for t in tail_sups[i]
         ):
-            return
+            continue
         for f, values in tables[i].items():
             new_len = length + len(f)
             if new_len + min_tail[i + 1] > workspace:
+                truncated = True
                 continue
             new_sums = set()
             for a in sums:
@@ -426,10 +532,11 @@ def _assemble(enum, tables, mode, kcap, workspace, budget):
                 continue
             if not budget.spend_steps():
                 truncated = True
-                return
-            rec(i + 1, prefix + f, new_len, support | frozenset(f), new_sums)
-
-    rec(0, (), 0, frozenset(), {0})
+                stack.clear()
+                break
+            stack.append(
+                (i + 1, prefix + f, new_len, support | frozenset(f), new_sums)
+            )
     return frozenset(results), truncated
 
 
@@ -442,15 +549,17 @@ def _entry_ok(component, support):
 
 
 class _Enumeration:
-    """Shared caches and counters for one bounded enumeration."""
+    """Shared caches and counters for one search under one mode."""
 
-    def __init__(self, system, bounds, prune=True):
+    def __init__(self, system, bounds, mode):
         self.system = system
         self.bounds = bounds
-        self.prune = prune
+        self.mode = mode
         self._conds = {}
         self._layers = {}
-        self._useful = {}
+        self._stable = {}
+        self._restricted = {}
+        self._acting = {}
         self.truncated = False
         self.exhausted = False
         self._eff = [
@@ -477,41 +586,85 @@ class _Enumeration:
             )
         return self._layers[key]
 
-    def useful(self, support):
-        """True if a form with this symbol support can still matter: it is a
-        terminal word, or some component has an applicable rule on it."""
-        if not self.prune:
-            return True
-        if support in self._useful:
-            return self._useful[support]
-        res = support <= self.system.terminals
-        if not res:
-            for comp, conds in self._eff:
-                if not _entry_ok(comp, support):
-                    continue
-                for (lhs, permit, forbid) in conds:
-                    if lhs in support and permit <= support \
-                            and not (forbid & support):
-                        res = True
-                        break
-                if res:
-                    break
-        self._useful[support] = res
-        return res
+    def keep(self, support):
+        """Never prune forms with this support (a derivation target)."""
+        self._acting[support] = True
 
-    def activation(self, component, form, mode):
-        """Exact ⇒_i^m results within bounds, fast path where possible."""
-        budget = _Budget(self.bounds.step_budget, self.bounds.form_budget)
-        if component.unregulated:
-            results, trunc = _product_results(self, component, form, mode, budget)
-            if results is not None:
-                self.truncated = self.truncated or trunc
-                if budget.exhausted:
-                    self.exhausted = True
-                return results
-        results, trunc = _naive_mode(
-            component, form, mode, self.bounds.workspace, budget
+    def useful(self, support, producer):
+        """True if a form with this support can still matter: it is a
+        terminal word, or a component other than ``producer`` (-1 for none)
+        can act on it; in mode t, act and also end its activation."""
+        acting = self._acting.get(support)
+        if acting is None:
+            acting = self._acting[support] = self._acting_on(support)
+        return acting is True or len(acting) > 1 or (
+            bool(acting) and acting[0] != producer
         )
+
+    def _acting_on(self, support):
+        """True for a terminal support; otherwise up to two indices of the
+        components that can act on it, which decides ``useful`` for every
+        producer."""
+        if support <= self.system.terminals:
+            return True
+        maximal = self.mode.variant == "t"
+        acting = []
+        for i, (comp, conds) in enumerate(self._eff):
+            if not _entry_ok(comp, support):
+                continue
+            for (lhs, permit, forbid) in conds:
+                if lhs in support and permit <= support \
+                        and not (forbid & support):
+                    if not maximal or _reaches_stuck(comp, conds, support):
+                        acting.append(i)
+                    break
+            if len(acting) == 2:
+                break
+        return acting
+
+    def product_component(self, component, form, mode):
+        """The unregulated component whose product path computes this
+        activation exactly, or None when only the naive path does."""
+        if component.unregulated:
+            return component
+        lhs_set = component.lhs_set
+        if mode.variant != "t" or \
+                sum(s in lhs_set for s in form) < _PRODUCT_MIN_SITES:
+            return None
+        key = (id(component), frozenset(form))
+        if key not in self._stable:
+            self._stable[key] = _stable_rules(
+                component, self.conds(component), key[1]
+            )
+        enabled = self._stable[key]
+        if enabled is None:
+            return None
+        key = (id(component), enabled)
+        if key not in self._restricted:
+            self._restricted[key] = Component(
+                component.name,
+                tuple(component.rules[i] for i in sorted(enabled)),
+            )
+        return self._restricted[key]
+
+    def activation(self, component, form, mode, producer=None):
+        """Exact ⇒_i^m results within bounds, on the product path where that
+        is exact. With a ``producer`` the product path drops results that
+        :meth:`useful` rejects; None returns the whole relation."""
+        conds = self.conds(component)
+        budget = _Budget(self.bounds.step_budget, self.bounds.form_budget)
+        results = None
+        product = self.product_component(component, form, mode)
+        if product is not None:
+            if not _has_applicable(conds, form):
+                return frozenset()
+            results, trunc = _product_results(
+                self, product, form, mode, budget, producer
+            )
+        if results is None:
+            results, trunc = _naive_mode(
+                component, conds, form, mode, self.bounds.workspace, budget
+            )
         self.truncated = self.truncated or trunc
         if budget.exhausted:
             self.exhausted = True
@@ -549,11 +702,66 @@ class _Enumeration:
 
         return [i for i in live if not blocked(i)]
 
+    def exhaustive(self, length):
+        """True if the search was exhaustive for forms of this length: no
+        budget ran out, and no workspace truncation can hide such a form."""
+        return not self.exhausted and (
+            not self.truncated
+            or (self.system.non_erasing and self.bounds.workspace >= length)
+        )
+
+
+def _search(enum, mode, target=None):
+    """Breadth-first search over activations from the start form.
+
+    Returns (parents, words): each form reached maps to (the form it came
+    from, the index of the activated component), the start to None; words
+    are the terminal forms reached. Stops as soon as ``target`` is reached.
+    """
+    system = enum.system
+    start = (system.start,)
+    parents = {start: None}
+    words = []
+    if start == target:
+        return parents, words
+    queue = deque([(start, -1)])
+    forms_left = enum.bounds.form_budget
+    # Re-activating the producing component is redundant for transitively
+    # closed modes: two consecutive >=k (or *, or t) activations of one
+    # component compose into a single one, so the results were already
+    # emitted when the parent form was expanded.
+    closed_mode = mode.variant in ("*", ">=", "t")
+    while queue and not enum.exhausted:
+        form, producer = queue.popleft()
+        support = frozenset(form)
+        if support <= system.terminals:
+            words.append(form)
+            continue
+        for i in enum.allowed_components(form, mode, support):
+            if i == producer:
+                continue
+            mark = i if closed_mode else -1
+            comp = system.components[i]
+            for res in enum.activation(comp, form, mode, mark):
+                if res in parents or not enum.useful(frozenset(res), mark):
+                    continue
+                forms_left -= 1
+                if forms_left < 0:
+                    enum.exhausted = True
+                    break
+                parents[res] = (form, i)
+                if res == target:
+                    return parents, words
+                queue.append((res, mark))
+            if enum.exhausted:
+                break
+    return parents, words
+
 
 def system_successors(system, form, mode, bounds):
     """Union over components of mode_apply, filtered by entry conditions and
     priorities. Returns a set of (component name, form) pairs."""
-    enum = _Enumeration(system, bounds, prune=False)
+    enum = _Enumeration(system, bounds, mode)
     support = frozenset(form)
     out = set()
     for i in enum.allowed_components(form, mode, support):
@@ -631,161 +839,135 @@ def enumerate_language(system, mode, max_len, bounds):
         raise ValueError("max_len exceeds workspace")
     if system.kind == "gc":
         return _enumerate_gc(system, mode, max_len, bounds)
-    enum = _Enumeration(system, bounds)
-    start = (system.start,)
-    visited = {start}
-    queue = deque([(start, -1)])
-    words = set()
-    forms_left = bounds.form_budget
-    # Re-activating the producing component is redundant for transitively
-    # closed modes: two consecutive >=k (or *, or t) activations of one
-    # component compose into a single one, so the results were already
-    # emitted when the parent form was expanded.
-    closed_mode = mode.variant in ("*", ">=", "t")
-    while queue and not enum.exhausted:
-        form, producer = queue.popleft()
-        support = frozenset(form)
-        if support <= system.terminals:
-            if len(form) <= max_len:
-                words.add(form)
-            continue
-        for i in enum.allowed_components(form, mode, support):
-            if i == producer:
-                continue
-            comp = system.components[i]
-            for res in enum.activation(comp, form, mode):
-                if res in visited:
-                    continue
-                if not enum.useful(frozenset(res)):
-                    continue
-                forms_left -= 1
-                if forms_left < 0:
-                    enum.exhausted = True
-                    break
-                visited.add(res)
-                queue.append((res, i if closed_mode else -1))
-            if enum.exhausted:
-                break
-    complete = not enum.exhausted and (
-        not enum.truncated
-        or (system.non_erasing and bounds.workspace >= max_len)
-    )
-    return BoundedLanguage(frozenset(words), max_len, complete)
+    enum = _Enumeration(system, bounds, mode)
+    _parents, words = _search(enum, mode)
+    words = frozenset(w for w in words if len(w) <= max_len)
+    return BoundedLanguage(words, max_len, enum.exhaustive(max_len))
 
 
 # ---------------------------------------------------------------------------
 # derivation search and trace replay
 # ---------------------------------------------------------------------------
 
-def _traced_step(component, conds, layer, workspace, budget):
-    """One ⇒ layer over {form: path}; keeps the first path per form."""
-    out = {}
-    for form, path in layer.items():
-        support = set(form)
-        for i, (lhs, permit, forbid) in enumerate(conds):
-            if lhs in support and permit <= support and not (forbid & support):
-                rhs = component.rules[i].rhs
-                if len(form) - 1 + len(rhs) > workspace:
-                    continue
-                for pos, s in enumerate(form):
-                    if s == lhs:
-                        if not budget.spend_steps():
-                            return out
-                        nf = form[:pos] + rhs + form[pos + 1:]
-                        if nf not in out:
-                            out[nf] = path + ((i, pos),)
-    return out
-
-
-def _traced_closure(component, conds, seeds, workspace, budget):
-    visited = dict(seeds)
-    frontier = dict(seeds)
-    while frontier and not budget.exhausted:
-        nxt = _traced_step(component, conds, frontier, workspace, budget)
-        frontier = {f: p for f, p in nxt.items() if f not in visited}
-        visited.update(frontier)
-    return visited
-
-
-def _traced_mode(component, form, mode, workspace, budget):
-    """{result form: application path} witnesses for one activation."""
-    conds = component.effective_conditions()
-    if mode.variant == "t":
-        if not _has_applicable(conds, form):
-            return {}
-        visited = _traced_closure(component, conds, {form: ()}, workspace, budget)
-        return {
-            f: p for f, p in visited.items() if not _has_applicable(conds, f)
-        }
-    if mode.variant == "*":
-        layer = _traced_step(component, conds, {form: ()}, workspace, budget)
-        return _traced_closure(component, conds, layer, workspace, budget)
-    k = mode.k
-    layer = {form: ()}
-    collected = {}
-    for j in range(k):
-        layer = _traced_step(component, conds, layer, workspace, budget)
-        if mode.variant == "<=":
-            for f, p in layer.items():
-                collected.setdefault(f, p)
-        if not layer:
-            break
-    if mode.variant == "<=":
-        return collected
-    if mode.variant == "=":
-        return layer  # empty when the k-th layer was unreachable
-    # ">="
-    return _traced_closure(component, conds, layer, workspace, budget)
-
-
 def find_derivation(system, mode, target, bounds):
-    """A replayable trace deriving ``target``, or None within the bounds."""
+    """A replayable trace deriving ``target``, or None when the search was
+    exhaustive within the bounds and did not reach it.
+
+    Raises :class:`BudgetExceeded` when a budget, or a workspace truncation
+    that the non-erasing guarantee does not cover, cut the search.
+    """
     target = tuple(target)
     if system.kind == "gc":
         return _find_derivation_gc(system, target, bounds)
-    enum = _Enumeration(system, bounds)
-    start = (system.start,)
-    if start == target:
-        return DerivationTrace(start, ())
-    parents = {start: None}
-    queue = deque([(start, -1)])
-    budget = _Budget(bounds.step_budget, bounds.form_budget)
-    # same redundancy skip as in enumerate_language: consecutive activations
-    # of one component compose for transitively closed modes
-    closed_mode = mode.variant in ("*", ">=", "t")
-    while queue:
-        form, producer = queue.popleft()
-        support = frozenset(form)
-        if support <= system.terminals:
-            continue
-        for i in enum.allowed_components(form, mode, support):
-            if i == producer:
-                continue
-            comp = system.components[i]
-            witnesses = _traced_mode(
-                comp, form, mode, bounds.workspace, budget
-            )
-            for res, apps in witnesses.items():
-                if res in parents or not enum.useful(frozenset(res)):
-                    continue
-                parents[res] = (form, comp.name, apps)
-                if res == target:
-                    return _build_trace(start, target, parents, mode)
-                queue.append((res, i if closed_mode else -1))
-            if budget.exhausted:
-                return None
+    enum = _Enumeration(system, bounds, mode)
+    enum.keep(frozenset(target))
+    parents, _words = _search(enum, mode, target)
+    if target in parents:
+        return _build_trace(enum, mode, target, parents)
+    if not enum.exhaustive(len(target)):
+        raise BudgetExceeded(
+            f"derivation search for {format_word(target)} was cut by the "
+            "bounds"
+        )
     return None
 
 
-def _build_trace(start, target, parents, mode):
+def _build_trace(enum, mode, target, parents):
+    """Rebuild the rule applications of each activation on the found path."""
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]][0])
+    path.reverse()
     steps = []
-    cur = target
-    while parents[cur] is not None:
-        prev, comp_name, apps = parents[cur]
-        steps.append(TraceStep(comp_name, mode, tuple(apps), cur))
-        cur = prev
-    steps.reverse()
-    return DerivationTrace(start, tuple(steps))
+    for form, result in zip(path, path[1:]):
+        comp = enum.system.components[parents[result][1]]
+        apps = _activation_witness(enum, comp, form, result, mode)
+        steps.append(TraceStep(comp.name, mode, apps, result))
+    return DerivationTrace(path[0], tuple(steps))
+
+
+def _activation_witness(enum, component, form, result, mode):
+    """Rule applications of one activation turning ``form`` into ``result``.
+
+    A product-path activation decomposes into per-position derivations, so
+    it has a leftmost witness, which is searched first; a naive-path one
+    gets the unrestricted search. Intermediate forms are bounded by
+    ``len(result)`` for non-erasing rules; otherwise by the length that
+    rewriting the positions one after another can reach.
+    """
+    conds = enum.conds(component)
+    workspace = enum.bounds.workspace
+    if all(r.rhs for r in component.rules):
+        limit = len(result)
+    else:
+        limit = len(form) + len(result) + workspace
+    searches = (False,)
+    if enum.product_component(component, form, mode) is not None:
+        searches = (True, False)
+    for leftmost in searches:
+        budget = _Budget(enum.bounds.step_budget, enum.bounds.form_budget)
+        apps = _witness(component, conds, form, result, mode, leftmost, limit,
+                        budget)
+        if apps is not None:
+            return apps
+        if budget.exhausted:
+            break
+    raise BudgetExceeded(
+        f"could not rebuild the {component.name} activation "
+        f"{format_word(form)} => {format_word(result)} within the bounds"
+    )
+
+
+def _witness(component, conds, form, result, mode, leftmost, limit, budget):
+    """Breadth-first search over (form, frozen prefix, step count) states.
+
+    In a ``leftmost`` search each rewrite is at or right of the previous
+    one, and everything left of it must already equal ``result``. Step
+    counts saturate at k (at 1 for * and t); =k and <=k never exceed k.
+    Returns the applications, or None.
+    """
+    cap = mode.k or 1
+    exact = mode.variant in ("=", "<=")
+    start = (form, 0, 0)
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        cur, frozen, n = state
+        steps = n + 1 if exact else min(n + 1, cap)
+        if steps > cap:
+            continue
+        done = steps == cap or mode.variant == "<="
+        support = set(cur)
+        for i, (lhs, permit, forbid) in enumerate(conds):
+            if lhs not in support or not permit <= support or forbid & support:
+                continue
+            rhs = component.rules[i].rhs
+            if len(cur) - 1 + len(rhs) > limit:
+                continue
+            for pos in range(frozen, len(cur)):
+                if cur[pos] == lhs:
+                    nxt = (cur[:pos] + rhs + cur[pos + 1:],
+                           pos if leftmost else 0, steps)
+                    if nxt not in parents:
+                        if not budget.spend_steps():
+                            return None
+                        parents[nxt] = (state, (i, pos))
+                        if done and nxt[0] == result:
+                            return _applications(parents, nxt)
+                        queue.append(nxt)
+                # a leftmost rewrite further right freezes cur[pos]
+                if leftmost and cur[pos:pos + 1] != result[pos:pos + 1]:
+                    break
+    return None
+
+
+def _applications(parents, state):
+    apps = []
+    while parents[state] is not None:
+        state, app = parents[state]
+        apps.append(app)
+    return tuple(reversed(apps))
 
 
 def _find_derivation_gc(system, target, bounds):
@@ -795,15 +977,21 @@ def _find_derivation_gc(system, target, bounds):
     initial = [GcConfig(start, l) for l in sorted(system.init_labels)]
     parents = {c: None for c in initial}
     queue = deque(initial)
+    truncated = False
     while queue:
         cfg = queue.popleft()
         for nxt in sorted(
             gc_successors(system, cfg), key=lambda c: (c.label, c.form)
         ):
-            if len(nxt.form) > bounds.workspace or nxt in parents:
+            if len(nxt.form) > bounds.workspace:
+                truncated = True
+                continue
+            if nxt in parents:
                 continue
             if not budget.spend_steps():
-                return None
+                raise BudgetExceeded(
+                    "step budget exhausted in the derivation search"
+                )
             # record the applied position, if any, for replay
             idx = by_label[cfg.label]
             rule = system.gc_rules[idx].rule
@@ -815,7 +1003,7 @@ def _find_derivation_gc(system, target, bounds):
                             cfg.form[:pos] + rule.rhs + cfg.form[pos + 1:] == nxt.form:
                         apps = ((idx, pos),)
                         break
-            parents[nxt] = (cfg, nxt.label, apps)
+            parents[nxt] = (cfg, cfg.label, apps)
             if nxt.form == target and nxt.label in system.final_labels:
                 steps = []
                 cur = nxt
@@ -826,6 +1014,10 @@ def _find_derivation_gc(system, target, bounds):
                 steps.reverse()
                 return DerivationTrace(start, tuple(steps))
             queue.append(nxt)
+    if truncated and not (
+        system.non_erasing and bounds.workspace >= len(target)
+    ):
+        raise BudgetExceeded("workspace truncation cut the derivation search")
     return None
 
 
@@ -844,6 +1036,9 @@ def replay_trace(system, trace):
                 if form[pos] != g.rule.lhs:
                     raise ValueError("replay mismatch: lhs not at position")
                 form = form[:pos] + g.rule.rhs + form[pos + 1:]
+            elif g.rule.lhs in form:
+                raise ValueError("replay mismatch: failure branch taken on "
+                                 "an applicable rule")
             if form != step.result:
                 raise ValueError("replay mismatch: form differs from record")
             continue

@@ -468,12 +468,36 @@ def _fmt_set(ids) -> str:
     return "{ " + " ".join(sorted(ids)) + " }" if ids else "{ }"
 
 
-def _fmt_rule(rule: Rule, index: int, context, gc: GcRule | None) -> str:
+def _written_labels(rules) -> list:
+    """The label each rule is written and re-read under.
+
+    The parser gives an unlabelled rule at index i the label r<i+1>. When
+    another rule already carries that label explicitly, the unlabelled rule
+    is written with a fresh label instead, so the document parses.
+    """
+    taken = {r.label for r in rules if r.label is not None}
+    out = []
+    for i, rule in enumerate(rules):
+        label = rule.label
+        if label is None:
+            label = f"r{i + 1}"
+            n = 0
+            while label in taken:
+                n += 1
+                label = f"r{i + 1}_{n}"
+            taken.add(label)
+        out.append(label)
+    return out
+
+
+def _fmt_rule(rule: Rule, index: int, context, gc: GcRule | None,
+              label: str | None = None) -> str:
     parts = []
-    if rule.label is not None and rule.label != f"r{index + 1}":
-        parts.append(f"{rule.label}:")
+    label = rule.label if label is None else label
+    if label is not None and label != f"r{index + 1}":
+        parts.append(f"{label}:")
     elif gc is not None:
-        parts.append(f"{rule.label}:")
+        parts.append(f"{label}:")
     parts.append(rule.lhs)
     parts.append("->")
     parts.append(" ".join(rule.rhs) if rule.rhs else "eps")
@@ -519,14 +543,13 @@ def serialize_system(system: System) -> str:
                 header += " permit " + _fmt_set(comp.entry.permit)
         header += " {"
         out.append(header)
+        labels = _written_labels(comp.rules)
         for i, rule in enumerate(comp.rules):
             ctx = comp.contexts[i] if comp.contexts is not None else None
-            out.append("  " + _fmt_rule(rule, i, ctx, None))
+            out.append("  " + _fmt_rule(rule, i, ctx, None, labels[i]))
         if comp.order is not None:
-            def _lbl(idx):
-                return comp.rules[idx].label or f"r{idx + 1}"
             for (g, l) in sorted(comp.order.pairs):
-                out.append(f"  order: {_lbl(g)} > {_lbl(l)}")
+                out.append(f"  order: {labels[g]} > {labels[l]}")
         out.append("}")
     out.append("")
     return "\n".join(out)

@@ -21,7 +21,7 @@ from rrw import (
     system_successors,
 )
 
-from conftest import load_corpus
+from conftest import CORPUS_DIR, CORPUS_FILES, load_corpus
 
 BOUNDS = StepBounds(workspace=16)
 
@@ -310,3 +310,165 @@ def test_replay_trace_rejects_tampering(example1):
     bad = replace(trace, steps=(bad_step,) + trace.steps[1:])
     with pytest.raises(ValueError):
         replay_trace(example1, bad)
+
+
+def test_long_forms_do_not_recurse(example1):
+    lang = enumerate_language(example1, T, 1024, StepBounds(1024))
+    assert lang.complete
+    assert lang.words == {("a",) * (1 << n) for n in range(11)}
+
+
+# ---------------------------------------------------------------------------
+# product path vs naive path
+# ---------------------------------------------------------------------------
+
+CRITERION_4_MODES = ("t", "*", "=1", "=2", "=3", "<=2", ">=1", ">=2")
+
+
+def _random_forms(symbols, rng, count, lengths):
+    return [tuple(rng.choice(symbols) for _ in range(rng.randint(*lengths)))
+            for _ in range(count)]
+
+
+def test_product_path_matches_naive_path():
+    """``_Enumeration.activation`` against the naive closure on every non-gc
+    corpus component, criterion-4 mode and seeded random form.
+
+    Equal whenever the naive path is not truncated. When it is, the product
+    path may return a strict superset (it bounds subforms, not whole forms,
+    by the workspace); ``cf_star``, with its erasing rule, shows this.
+    """
+    import random
+
+    from rrw.engine import _Budget, _Enumeration, _naive_mode
+
+    rng = random.Random(20260417)
+    bounds = StepBounds(10)
+    compared = specialised = supersets = 0
+    for name in CORPUS_FILES:
+        system = load_corpus(name)
+        if system.kind == "gc":
+            continue
+        nonterminals = sorted(system.nonterminals)
+        forms = _random_forms(
+            nonterminals + sorted(system.terminals), rng, 12, (1, 6))
+        # long nonterminal forms give regulated components enough rewritable
+        # positions to be specialised in mode t
+        t_forms = forms + _random_forms(nonterminals, rng, 24, (4, 6))
+        for text in CRITERION_4_MODES:
+            mode = Mode.parse(text)
+            enum = _Enumeration(system, bounds, mode)
+            for comp in system.components:
+                conds = comp.effective_conditions()
+                for form in t_forms if text == "t" else forms:
+                    fast = enum.activation(comp, form, mode)
+                    budget = _Budget(bounds.step_budget, bounds.form_budget)
+                    slow, truncated = _naive_mode(
+                        comp, conds, form, mode, bounds.workspace, budget)
+                    assert not budget.exhausted and not enum.exhausted
+                    where = (name, comp.name, text, form)
+                    if truncated:
+                        assert fast >= slow, where
+                        supersets += fast != slow
+                    else:
+                        assert fast == slow, where
+                    compared += 1
+                    if not comp.unregulated and \
+                            enum.product_component(comp, form, mode):
+                        specialised += 1
+    assert compared > 2000
+    assert specialised > 20  # regulated components on the product path
+    assert supersets > 0  # the documented cf_star difference still shows
+
+
+def test_regulation_that_changes_during_a_t_activation_stays_naive():
+    from rrw import RcCondition
+    from rrw.engine import _Enumeration
+
+    # each rule needs the other's lhs present: whichever symbol is rewritten
+    # last gets stuck, so no t-result rewrites both kinds
+    comp = Component(
+        "P", (Rule("X", ("a",)), Rule("Y", ("c",))),
+        contexts=(RcCondition(permit={"Y"}), RcCondition(permit={"X"})),
+    )
+    system = System(
+        kind="rccdgs", name="swap", nonterminals={"X", "Y"},
+        terminals={"a", "c"}, start="X", components=(comp,),
+    )
+    form = ("X", "X", "Y", "Y")
+    enum = _Enumeration(system, BOUNDS, T)
+    assert enum.product_component(comp, form, T) is None
+    result = enum.activation(comp, form, T)
+    assert result == mode_apply(comp, form, T, BOUNDS)
+    assert result and ("a", "a", "c", "c") not in result
+
+
+def test_stable_regulation_takes_the_product_path(example1):
+    from rrw.engine import _Enumeration
+
+    p2 = example1.component_named("P2")
+    enum = _Enumeration(example1, BOUNDS, T)
+    form = ("B",) * 6
+    assert enum.product_component(p2, form, T) is not None
+    assert enum.activation(p2, form, T) == {("A",) * 12}
+    assert enum.product_component(p2, form + ("C",), T) is not None
+    assert enum.activation(p2, form + ("C",), T) == set()
+
+
+def test_unregulated_results_cut_by_workspace_mark_truncation():
+    from rrw.engine import _Enumeration
+
+    comp = Component("P", (Rule("A", ("a", "a", "a")),))
+    system = System(
+        kind="cf", name="wide", nonterminals={"A"}, terminals={"a"},
+        start="A", components=(comp,),
+    )
+    eq2 = Mode.parse("=2")
+    enum = _Enumeration(system, StepBounds(5), eq2)
+    assert enum.activation(comp, ("A", "A"), eq2) == set()
+    assert enum.truncated
+
+
+# ---------------------------------------------------------------------------
+# derivation search on the enumeration's activations
+# ---------------------------------------------------------------------------
+
+def test_every_enumerated_doubling_word_derives_and_replays(example1):
+    bounds = StepBounds(32)
+    lang = enumerate_language(example1, T, 32, bounds)
+    assert lang.complete and len(lang.words) == 6
+    for word in lang.words:
+        trace = find_derivation(example1, T, word, bounds)
+        assert trace is not None, word
+        assert replay_trace(example1, trace) == word
+
+
+def test_non_powers_are_absent_after_an_exhaustive_search(example1):
+    for n in (6, 7):
+        # returns instead of raising: no budget ran out
+        assert find_derivation(example1, T, ("a",) * n, StepBounds(16)) is None
+
+
+def test_starved_derivation_raises_budget_exceeded(example1):
+    from rrw import BudgetExceeded
+    from rrw.cli import main
+
+    starved = StepBounds(36, step_budget=10)
+    with pytest.raises(BudgetExceeded):
+        find_derivation(example1, T, ("a",) * 16, starved)
+    path = str(CORPUS_DIR / "ocdgs_example1.rrw")
+    assert main(["derive", path, "--mode", "t", "--word", "a" * 16,
+                 "--step-budget", "10"]) == 3
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_enumerated_words_derive_and_replay(name):
+    system = load_corpus(name)
+    bounds = StepBounds(6 if name == "ocdgs_example1.rrw" else 10)
+    modes = ("*",) if system.kind == "gc" else CRITERION_4_MODES
+    for text in modes:
+        mode = Mode.parse(text)
+        for word in enumerate_language(system, mode, 6, bounds).words:
+            trace = find_derivation(system, mode, word, bounds)
+            assert trace is not None, (text, word)
+            assert replay_trace(system, trace) == word, (text, word)

@@ -129,3 +129,38 @@ def test_comments_are_ignored():
         "start: A", "start: A  # trailing comment"
     )
     assert parse_system(doc) == parse_system(EXAMPLE1_DOC)
+
+
+def test_unlabelled_rule_does_not_collide_with_explicit_positional_label():
+    from rrw import Component, Rule, System
+
+    system = System(
+        kind="cf", name="clash", nonterminals={"A"}, terminals={"a"},
+        start="A",
+        components=(Component("P", (Rule("A", ("a",)), Rule("A", ("a", "a")),
+                                    Rule("A", ("A",), label="r2"))),),
+    )
+    text = serialize_system(system)
+    again = parse_system(text)
+    assert [r.label for r in again.components[0].rules] == ["r1", "r2_1", "r2"]
+    assert serialize_system(again) == text
+
+
+def test_construction_outputs_round_trip_to_a_fixed_point():
+    from rrw import apply_construction
+    from test_acceptance import _DIFF_CASES
+
+    for cname, stems, triples in _DIFF_CASES:
+        for stem in stems:
+            source = load_corpus(stem + ".rrw")
+            for mode_arg in sorted({t[0] for t in triples}, key=str):
+                for compact in (False, True) if cname == "gc-to-ocdgs" \
+                        else (False,):
+                    out, _ = apply_construction(
+                        cname, source,
+                        mode=None if mode_arg is None else Mode.parse(mode_arg),
+                        compact=compact,
+                    )
+                    text = serialize_system(out)
+                    assert serialize_system(parse_system(text)) == text, \
+                        (cname, stem, mode_arg, compact)
