@@ -64,11 +64,16 @@ def _load(path: str):
 
 
 def _mode_for(system, text, flag="--mode"):
-    if text is not None:
-        return Mode.parse(text)
-    if system.default_mode is not None:
-        return system.default_mode
-    raise ValueError(f"{flag} is required (the document declares no default)")
+    """The mode to run ``system`` in; None for graph control, which has no
+    modes (a given mode is still parsed, and then ignored)."""
+    mode = Mode.parse(text) if text is not None else system.default_mode
+    if system.kind == "gc":
+        return None
+    if mode is None:
+        raise ValueError(
+            f"{flag} is required (the document declares no default)"
+        )
+    return mode
 
 
 def _parse_word(text: str, system):
@@ -168,9 +173,7 @@ def _cmd_enum(config: RunConfig) -> int:
 def _cmd_derive(config: RunConfig) -> int:
     system = _load(config.inputs[0])
     target = _parse_word(config.word, system)
-    mode = None
-    if system.kind != "gc":
-        mode = _mode_for(system, config.modes[0] if config.modes else None)
+    mode = _mode_for(system, config.modes[0] if config.modes else None)
     workspace = config.workspace
     if workspace is None:
         workspace = 2 * max(len(target), 1) + 4

@@ -45,9 +45,13 @@ the naive path, the product path may therefore return a strict superset:
 real results whose every derivation passes through a form longer than the
 workspace (for example on ``cf_star``, which has an erasing rule).
 
-:func:`find_derivation` searches over the same activations as
-:func:`enumerate_language` and rebuilds rule applications only for the
-activations on the path it finds; :func:`replay_trace` re-checks every one.
+:func:`enumerate_language` and :func:`find_derivation` share one breadth-first
+search (:func:`_search`) over configurations: forms, whose moves are component
+activations, or for graph control (form, label) pairs (:class:`GcConfig`),
+whose moves apply the rule at the label once or take its failure branch.
+Successors are visited in sorted order, so a trace does not depend on the
+string hash seed. Rule applications are rebuilt only for the moves on the
+found path; :func:`replay_trace` re-checks every one.
 """
 
 from __future__ import annotations
@@ -65,8 +69,10 @@ class StepBounds:
 
     workspace: maximum sentential-form length explored;
     step_budget: maximum rule applications per activation (in mode_apply,
-        in enumeration, and in derivation search and its trace rebuild);
-    form_budget: maximum distinct forms per enumeration or search.
+        enumeration, derivation search and its trace rebuild); a graph
+        control move is one application, so there it never binds;
+    form_budget: maximum configurations stored per enumeration or search,
+        and results assembled per product-path activation.
     """
 
     workspace: int
@@ -90,7 +96,7 @@ class BoundedLanguage:
         return sorted(self.words, key=lambda w: (len(w), w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GcConfig:
     form: tuple
     label: str
@@ -549,7 +555,9 @@ def _entry_ok(component, support):
 
 
 class _Enumeration:
-    """Shared caches and counters for one search under one mode."""
+    """Shared caches and counters for one search under one mode, and the
+    moves of that search: configurations are forms, a move is a component
+    activation. :class:`_GcEnumeration` overrides the four moves."""
 
     def __init__(self, system, bounds, mode):
         self.system = system
@@ -710,52 +718,128 @@ class _Enumeration:
             or (self.system.non_erasing and self.bounds.workspace >= length)
         )
 
+    # -- the moves of the search --------------------------------------------
 
-def _search(enum, mode, target=None):
-    """Breadth-first search over activations from the start form.
+    def starts(self):
+        """The configurations the search starts from."""
+        return ((self.system.start,),)
 
-    Returns (parents, words): each form reached maps to (the form it came
-    from, the index of the activated component), the start to None; words
-    are the terminal forms reached. Stops as soon as ``target`` is reached.
-    """
-    system = enum.system
-    start = (system.start,)
-    parents = {start: None}
-    words = []
-    if start == target:
-        return parents, words
-    queue = deque([(start, -1)])
-    forms_left = enum.bounds.form_budget
-    # Re-activating the producing component is redundant for transitively
-    # closed modes: two consecutive >=k (or *, or t) activations of one
-    # component compose into a single one, so the results were already
-    # emitted when the parent form was expanded.
-    closed_mode = mode.variant in ("*", ">=", "t")
-    while queue and not enum.exhausted:
-        form, producer = queue.popleft()
-        support = frozenset(form)
-        if support <= system.terminals:
-            words.append(form)
-            continue
-        for i in enum.allowed_components(form, mode, support):
+    def final_form(self, config):
+        """The form a derivation may end with at ``config``, or None."""
+        return config
+
+    def successors(self, form, producer):
+        """(configuration, move, producer mark) triples one move away, in a
+        fixed order: allowed components by index, each activation's results
+        sorted. The move is the activated component's index; the mark is
+        the producer that the successor's own expansion skips."""
+        mode = self.mode
+        # Re-activating the producing component is redundant for
+        # transitively closed modes: two consecutive >=k (or *, or t)
+        # activations of one component compose into a single one, so the
+        # results were already emitted when the parent form was expanded.
+        closed = mode.variant in ("*", ">=", "t")
+        for i in self.allowed_components(form, mode, frozenset(form)):
             if i == producer:
                 continue
-            mark = i if closed_mode else -1
-            comp = system.components[i]
-            for res in enum.activation(comp, form, mode, mark):
-                if res in parents or not enum.useful(frozenset(res), mark):
-                    continue
-                forms_left -= 1
-                if forms_left < 0:
-                    enum.exhausted = True
-                    break
-                parents[res] = (form, i)
-                if res == target:
-                    return parents, words
-                queue.append((res, mark))
-            if enum.exhausted:
+            mark = i if closed else -1
+            results = self.activation(self.system.components[i], form, mode,
+                                      mark)
+            for res in sorted(results):
+                if self.useful(frozenset(res), mark):
+                    yield res, i, mark
+            if self.exhausted:
+                return
+
+    def trace_step(self, form, move, result):
+        """The :class:`TraceStep` of one move on the found path."""
+        comp = self.system.components[move]
+        apps = _activation_witness(self, comp, form, result, self.mode)
+        return TraceStep(comp.name, self.mode, apps, result)
+
+
+class _GcEnumeration(_Enumeration):
+    """Graph control: configurations are :class:`GcConfig` pairs, and a move
+    applies the rule at the label once or takes its failure branch. The mode
+    plays no part."""
+
+    def starts(self):
+        start = (self.system.start,)
+        labels = sorted(self.system.init_labels)
+        return tuple(GcConfig(start, l) for l in labels)
+
+    def final_form(self, config):
+        return config.form if config.label in self.system.final_labels \
+            else None
+
+    def successors(self, config, producer):
+        """(configuration, applied label, None) triples, sorted;
+        configurations longer than the workspace are cut."""
+        for nxt in sorted(gc_successors(self.system, config)):
+            if len(nxt.form) > self.bounds.workspace:
+                self.truncated = True
+            else:
+                yield nxt, config.label, None
+
+    def trace_step(self, config, move, result):
+        """One application at the first position that yields the result's
+        form; none when the failure branch was taken."""
+        idx = next(i for i, g in enumerate(self.system.gc_rules)
+                   if g.label == move)
+        rule = self.system.gc_rules[idx].rule
+        form = config.form
+        apps = ()
+        for pos, s in enumerate(form):
+            if s == rule.lhs and \
+                    form[:pos] + rule.rhs + form[pos + 1:] == result.form:
+                apps = ((idx, pos),)
                 break
-    return parents, words
+        return TraceStep(move, Mode("*"), apps, result.form)
+
+
+def _enumeration(system, bounds, mode):
+    """The search state for ``system``: over (form, label) configurations
+    for graph control, over forms for every other kind."""
+    cls = _GcEnumeration if system.kind == "gc" else _Enumeration
+    return cls(system, bounds, mode)
+
+
+def _search(enum, target=None):
+    """Breadth-first search over configurations from the start ones.
+
+    Returns (parents, words, hit): each configuration reached maps to (the
+    configuration it came from, the move), the starts to None; words are
+    the terminal forms reached; hit is the configuration ending with
+    ``target``, at which the search stops (None if not reached).
+    """
+    terminals = enum.system.terminals
+    starts = enum.starts()
+    parents = dict.fromkeys(starts)
+    words = []
+    if target is not None:
+        for config in starts:
+            if enum.final_form(config) == target:
+                return parents, words, config
+    queue = deque((config, -1) for config in starts)
+    forms_left = enum.bounds.form_budget
+    while queue and not enum.exhausted:
+        config, producer = queue.popleft()
+        form = enum.final_form(config)
+        if form is not None and terminals.issuperset(form):
+            words.append(form)
+            continue
+        for nxt, move, mark in enum.successors(config, producer):
+            if nxt in parents:
+                continue
+            forms_left -= 1
+            if forms_left < 0:
+                enum.exhausted = True
+                break
+            parents[nxt] = (config, move)
+            if target is not None and enum.final_form(nxt) == target:
+                return parents, words, nxt
+            queue.append((nxt, mark))
+    return parents, words, None
 
 
 def system_successors(system, form, mode, bounds):
@@ -794,41 +878,6 @@ def gc_successors(system, config):
     return out
 
 
-def _enumerate_gc(system, mode, max_len, bounds):
-    budget = _Budget(bounds.step_budget, bounds.form_budget)
-    truncated = False
-    start = (system.start,)
-    initial = {GcConfig(start, l) for l in system.init_labels}
-    visited = set(initial)
-    queue = deque(initial)
-    words = set()
-    while queue:
-        cfg = queue.popleft()
-        for nxt in gc_successors(system, cfg):
-            if len(nxt.form) > bounds.workspace:
-                truncated = True
-                continue
-            if not budget.spend_steps():
-                break
-            if nxt in visited:
-                continue
-            if not budget.spend_form():
-                break
-            visited.add(nxt)
-            queue.append(nxt)
-            if nxt.label in system.final_labels and \
-                    set(nxt.form) <= system.terminals and \
-                    len(nxt.form) <= max_len:
-                words.add(nxt.form)
-        if budget.exhausted:
-            break
-    complete = not budget.exhausted and (
-        not truncated
-        or (system.non_erasing and bounds.workspace >= max_len)
-    )
-    return BoundedLanguage(frozenset(words), max_len, complete)
-
-
 def enumerate_language(system, mode, max_len, bounds):
     """Breadth-first bounded language computation.
 
@@ -837,10 +886,8 @@ def enumerate_language(system, mode, max_len, bounds):
     """
     if max_len > bounds.workspace:
         raise ValueError("max_len exceeds workspace")
-    if system.kind == "gc":
-        return _enumerate_gc(system, mode, max_len, bounds)
-    enum = _Enumeration(system, bounds, mode)
-    _parents, words = _search(enum, mode)
+    enum = _enumeration(system, bounds, mode)
+    _parents, words, _hit = _search(enum)
     words = frozenset(w for w in words if len(w) <= max_len)
     return BoundedLanguage(words, max_len, enum.exhaustive(max_len))
 
@@ -857,13 +904,11 @@ def find_derivation(system, mode, target, bounds):
     that the non-erasing guarantee does not cover, cut the search.
     """
     target = tuple(target)
-    if system.kind == "gc":
-        return _find_derivation_gc(system, target, bounds)
-    enum = _Enumeration(system, bounds, mode)
+    enum = _enumeration(system, bounds, mode)
     enum.keep(frozenset(target))
-    parents, _words = _search(enum, mode, target)
-    if target in parents:
-        return _build_trace(enum, mode, target, parents)
+    parents, _words, hit = _search(enum, target)
+    if hit is not None:
+        return _build_trace(enum, hit, parents)
     if not enum.exhaustive(len(target)):
         raise BudgetExceeded(
             f"derivation search for {format_word(target)} was cut by the "
@@ -872,18 +917,17 @@ def find_derivation(system, mode, target, bounds):
     return None
 
 
-def _build_trace(enum, mode, target, parents):
-    """Rebuild the rule applications of each activation on the found path."""
-    path = [target]
+def _build_trace(enum, hit, parents):
+    """Rebuild the rule applications of each move on the found path."""
+    path = [hit]
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]][0])
     path.reverse()
-    steps = []
-    for form, result in zip(path, path[1:]):
-        comp = enum.system.components[parents[result][1]]
-        apps = _activation_witness(enum, comp, form, result, mode)
-        steps.append(TraceStep(comp.name, mode, apps, result))
-    return DerivationTrace(path[0], tuple(steps))
+    steps = tuple(
+        enum.trace_step(config, parents[nxt][1], nxt)
+        for config, nxt in zip(path, path[1:])
+    )
+    return DerivationTrace((enum.system.start,), steps)
 
 
 def _activation_witness(enum, component, form, result, mode):
@@ -968,57 +1012,6 @@ def _applications(parents, state):
         state, app = parents[state]
         apps.append(app)
     return tuple(reversed(apps))
-
-
-def _find_derivation_gc(system, target, bounds):
-    start = (system.start,)
-    budget = _Budget(bounds.step_budget, bounds.form_budget)
-    by_label = {g.label: i for i, g in enumerate(system.gc_rules)}
-    initial = [GcConfig(start, l) for l in sorted(system.init_labels)]
-    parents = {c: None for c in initial}
-    queue = deque(initial)
-    truncated = False
-    while queue:
-        cfg = queue.popleft()
-        for nxt in sorted(
-            gc_successors(system, cfg), key=lambda c: (c.label, c.form)
-        ):
-            if len(nxt.form) > bounds.workspace:
-                truncated = True
-                continue
-            if nxt in parents:
-                continue
-            if not budget.spend_steps():
-                raise BudgetExceeded(
-                    "step budget exhausted in the derivation search"
-                )
-            # record the applied position, if any, for replay
-            idx = by_label[cfg.label]
-            rule = system.gc_rules[idx].rule
-            apps = ()
-            if nxt.form != cfg.form or rule.lhs in cfg.form:
-                # locate a position turning cfg.form into nxt.form
-                for pos, s in enumerate(cfg.form):
-                    if s == rule.lhs and \
-                            cfg.form[:pos] + rule.rhs + cfg.form[pos + 1:] == nxt.form:
-                        apps = ((idx, pos),)
-                        break
-            parents[nxt] = (cfg, cfg.label, apps)
-            if nxt.form == target and nxt.label in system.final_labels:
-                steps = []
-                cur = nxt
-                while parents[cur] is not None:
-                    prev, label, apps = parents[cur]
-                    steps.append(TraceStep(label, Mode("*"), apps, cur.form))
-                    cur = prev
-                steps.reverse()
-                return DerivationTrace(start, tuple(steps))
-            queue.append(nxt)
-    if truncated and not (
-        system.non_erasing and bounds.workspace >= len(target)
-    ):
-        raise BudgetExceeded("workspace truncation cut the derivation search")
-    return None
 
 
 def replay_trace(system, trace):

@@ -1,9 +1,14 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rrw
 from rrw.cli import main
 
 from conftest import CORPUS_DIR
@@ -12,6 +17,8 @@ EXAMPLE1 = str(CORPUS_DIR / "ocdgs_example1.rrw")
 WITNESS = str(CORPUS_DIR / "entry_witness.rrw")
 FRCCD = str(CORPUS_DIR / "frccd_small.rrw")
 PCD = str(CORPUS_DIR / "pcd_chain.rrw")
+GC_CHOICE = str(CORPUS_DIR / "gc_choice.rrw")
+GC_FIN = str(CORPUS_DIR / "gc_fin.rrw")
 
 
 def run_cli(capsys, *argv):
@@ -134,3 +141,54 @@ def test_json_schema_fields(capsys):
     assert set(doc) == {"command", "params", "verdict", "complete",
                         "elapsed_ms"}
     assert doc["verdict"]["equal"] is True
+
+
+def test_derive_trace_json_ignores_the_hash_seed():
+    src = str(pathlib.Path(rrw.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "rrw.cli", "derive",
+            str(CORPUS_DIR / "cdgs_pair.rrw"), "--mode", "=1", "--word", "aa",
+            "--trace", "--json"]
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(argv, env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["verdict"]["derivable"] is True
+
+
+def test_gc_derive_starved_form_budget_exits_3(capsys):
+    status, _, err = run_cli(capsys, "derive", GC_CHOICE, "--word", "aa",
+                             "--form-budget", "1")
+    assert status == 3
+    assert "error:" in err
+    status, _, _ = run_cli(capsys, "enum", GC_CHOICE, "--max-len", "4",
+                           "--form-budget", "1")
+    assert status == 3
+
+
+def test_gc_derive_non_member_exits_1(capsys):
+    status, out, _ = run_cli(capsys, "derive", GC_CHOICE, "--word", "ab")
+    assert status == 1
+    assert "not derivable" in out
+    status, _, _ = run_cli(capsys, "derive", GC_CHOICE, "--word", "bb")
+    assert status == 0
+
+
+def test_gc_enum_needs_no_mode(capsys):
+    status, out, _ = run_cli(capsys, "enum", GC_FIN, "--max-len", "4",
+                             "--json")
+    assert status == 0
+    assert json.loads(out)["words"] == ["aa"]
+    # a given mode is still accepted, and ignored
+    status, out, _ = run_cli(capsys, "enum", GC_FIN, "--mode", "*",
+                             "--max-len", "4", "--json")
+    assert status == 0
+    assert json.loads(out)["words"] == ["aa"]
+
+
+def test_gc_equiv_needs_no_mode(capsys):
+    status, out, _ = run_cli(capsys, "equiv", GC_FIN, GC_CHOICE,
+                             "--max-len", "4")
+    assert status == 1
+    assert "only in B" in out

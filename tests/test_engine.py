@@ -245,6 +245,21 @@ def test_gc_enumeration():
     assert lang.complete
 
 
+def test_gc_starved_form_budget_is_undecided():
+    from rrw import BudgetExceeded
+
+    system = load_corpus("gc_choice.rrw")
+    starved = StepBounds(8, form_budget=1)
+    assert not enumerate_language(system, STAR, 4, starved).complete
+    with pytest.raises(BudgetExceeded):
+        find_derivation(system, None, ("a", "a"), starved)
+
+
+def test_gc_non_member_is_absent_after_an_exhaustive_search():
+    system = load_corpus("gc_choice.rrw")
+    assert find_derivation(system, None, ("a", "b"), StepBounds(8)) is None
+
+
 # ---------------------------------------------------------------------------
 # enumeration and derivation search
 # ---------------------------------------------------------------------------
