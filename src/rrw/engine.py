@@ -14,7 +14,10 @@ One component activation ⇒_i^m is computed on one of two paths:
 
 Which path runs where:
 
-* unregulated components take the product path in every mode;
+* a form with fewer than ``_PRODUCT_MIN_SITES`` rewritable positions (too
+  few interleavings to pay for the product path) stays naive, for every
+  component in every mode;
+* otherwise unregulated components take the product path in every mode;
 * ordered and random-context components take it in mode t when their
   regulation cannot change during the activation. Applicability depends
   only on a form's support (its symbol set), so the abstract graph of
@@ -23,9 +26,8 @@ Which path runs where:
   answer on every reachable support that contains its lhs, the activation
   equals that of the unregulated component made of the always-enabled
   rules. The graph is capped (``_SUPPORT_CAP``) and memoised per
-  (component, support); past the cap, when a test changes, or when the form
-  has fewer than ``_PRODUCT_MIN_SITES`` rewritable positions (too few
-  interleavings to pay for the product path), the activation stays naive;
+  (component, support); past the cap, or when a test changes, the
+  activation stays naive;
 * in modes =k, <=k, * and >=k regulated components stay naive. Those
   activations are short (at most k steps, or a closure that the search
   never repeats for the same component), and on small forms a product
@@ -273,8 +275,8 @@ def mode_apply(component, form, mode, bounds):
 
 _LAYER_CAP = 200  # max layers computed per symbol before giving up on a cycle
 _SUPPORT_CAP = 64  # max supports explored per abstract support graph
-# Fewest rewritable positions for which a regulated component is specialised:
-# below it the naive closure has few interleavings and is cheaper.
+# Fewest rewritable positions for which any component takes the product
+# path: below it the naive closure has few interleavings and is cheaper.
 _PRODUCT_MIN_SITES = 4
 
 
@@ -632,12 +634,15 @@ class _Enumeration:
 
     def product_component(self, component, form, mode):
         """The unregulated component whose product path computes this
-        activation exactly, or None when only the naive path does."""
+        activation exactly, or None when the naive path runs (fewer than
+        ``_PRODUCT_MIN_SITES`` rewritable positions, or regulation that may
+        change)."""
+        lhs_set = component.lhs_set
+        if sum(s in lhs_set for s in form) < _PRODUCT_MIN_SITES:
+            return None
         if component.unregulated:
             return component
-        lhs_set = component.lhs_set
-        if mode.variant != "t" or \
-                sum(s in lhs_set for s in form) < _PRODUCT_MIN_SITES:
+        if mode.variant != "t":
             return None
         key = (id(component), frozenset(form))
         if key not in self._stable:

@@ -31,8 +31,10 @@ from rrw import (
     ocdgs_t_to_ordered,
     ord_to_frc,
     ordered_to_frc_component,
+    parse_system,
     pcd_to_cdfrc,
     rule_applicable,
+    serialize_system,
     validate,
 )
 
@@ -227,6 +229,15 @@ def test_ocdgs_t_to_ordered_single_component():
     assert validate(out) == []
     verdict = bounded_equiv(single, T, out, T, 4, StepBounds(10))
     assert verdict.equal, verdict.summary()
+
+
+def test_ocdgs_t_to_ordered_large_order_round_trips():
+    out, _ = ocdgs_t_to_ordered(load_corpus("cdgs_phases.rrw"))
+    (comp,) = out.components
+    assert len(comp.rules) == 168
+    assert len(comp.order.pairs) == 4_320
+    text = serialize_system(out)
+    assert serialize_system(parse_system(text)) == text
 
 
 def test_frccd_merge_unions_rules():

@@ -10,6 +10,7 @@ from rrw import (
     Mode,
     RcCondition,
     Rule,
+    StrictOrder,
     System,
     close_order,
     format_word,
@@ -61,6 +62,88 @@ def test_close_order_idempotent(pairs):
     except CycleError:
         return
     assert close_order(first.pairs).pairs == first.pairs
+
+
+# Reference closure and checker, written here so that they share no code
+# with rrw.core.
+
+def _warshall(pairs, nodes):
+    reach = set(pairs)
+    for k in nodes:
+        for i in nodes:
+            if (i, k) in reach:
+                reach.update((i, j) for j in nodes if (k, j) in reach)
+    return reach
+
+
+def _reference_violations(pairs, size, where):
+    found = set()
+    for (g, l) in pairs:
+        if not (0 <= g < size and 0 <= l < size):
+            found.add(f"{where}: order pair ({g},{l}) out of range")
+        if g == l:
+            found.add(f"{where}: order is not irreflexive at {g}")
+        if (l, g) in pairs:
+            found.add(f"{where}: order is not asymmetric on ({g},{l})")
+    for (a, b) in pairs:
+        for (c, d) in pairs:
+            if b == c and (a, d) not in pairs:
+                found.add(f"{where}: order is not transitively closed "
+                          f"at ({a},{d})")
+    return found
+
+
+def _ordered_system(size, order):
+    comp = Component("P", tuple(Rule("S", ("a",)) for _ in range(size)),
+                     order=order)
+    return System(kind="ordered", name="o", nonterminals={"S"},
+                  terminals={"a"}, start="S", components=(comp,))
+
+
+ORDER_PAIRS = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      max_size=16)
+
+
+@given(ORDER_PAIRS, st.none() | st.integers(1, 8))
+def test_close_order_matches_warshall(pairs, size):
+    reference = _warshall(pairs, range(8))
+    out_of_range = size is not None and any(
+        g >= size or l >= size for (g, l) in pairs)
+    if out_of_range:
+        with pytest.raises(IndexError):
+            close_order(pairs, size=size)
+    elif any(a == b for (a, b) in reference):
+        with pytest.raises(CycleError):
+            close_order(pairs, size=size)
+    else:
+        assert close_order(pairs, size=size).pairs == reference
+
+
+@given(ORDER_PAIRS, st.integers(1, 8))
+def test_validate_reports_each_order_violation_once(pairs, size):
+    violations = validate(_ordered_system(size, StrictOrder(pairs)))
+    assert len(violations) == len(set(violations))
+    assert set(violations) == _reference_violations(pairs, size, "component P")
+    unclosed = [v for v in violations if "transitively closed" in v]
+    assert unclosed == sorted(unclosed, key=lambda v: tuple(
+        int(x) for x in v[v.rindex("(") + 1:-1].split(",")))
+
+
+def test_missing_transitive_pair_reported_once():
+    order = StrictOrder({(0, 1), (0, 2), (1, 3), (2, 3)})
+    assert validate(_ordered_system(4, order)) == [
+        "component P: order is not transitively closed at (0,3)"]
+
+
+def test_long_chain_closes_and_validates():
+    # the pairwise fixpoint took minutes here; reachability takes well under
+    # a second
+    n = 300
+    order = close_order({(i, i + 1) for i in range(n - 1)}, size=n)
+    assert len(order.pairs) == n * (n - 1) // 2 == 44_850
+    assert order.greater_than(n - 1) == frozenset(range(n - 1))
+    assert order.greater_than(0) == frozenset()
+    assert validate(_ordered_system(n, order)) == []
 
 
 # ---------------------------------------------------------------------------

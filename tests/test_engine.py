@@ -430,6 +430,26 @@ def test_stable_regulation_takes_the_product_path(example1):
     assert enum.activation(p2, form + ("C",), T) == set()
 
 
+def test_every_component_needs_four_sites_for_the_product_path(example1):
+    """The site gate applies first, to unregulated components too, in every
+    mode; both paths give the naive closure's results."""
+    from rrw.engine import _Budget, _Enumeration, _naive_mode
+
+    p1 = example1.component_named("P1")
+    assert p1.unregulated
+    conds = p1.effective_conditions()
+    for text in CRITERION_4_MODES:
+        mode = Mode.parse(text)
+        enum = _Enumeration(example1, BOUNDS, mode)
+        for sites, product in ((3, None), (4, p1)):
+            form = ("A",) * sites
+            assert enum.product_component(p1, form, mode) is product, text
+            budget = _Budget(BOUNDS.step_budget, BOUNDS.form_budget)
+            naive, _ = _naive_mode(p1, conds, form, mode, BOUNDS.workspace,
+                                   budget)
+            assert enum.activation(p1, form, mode) == naive, (text, sites)
+
+
 def test_unregulated_results_cut_by_workspace_mark_truncation():
     from rrw.engine import _Enumeration
 
