@@ -52,7 +52,7 @@ from .equivalence import (
     useful_nonterminals,
 )
 from .constructions import (
-    CONSTRUCTION_NAMES,
+    CONSTRUCTIONS,
     ConstructionReport,
     FreshNameScheme,
     apply_construction,

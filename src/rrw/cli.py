@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .constructions import CONSTRUCTION_NAMES, apply_construction
+from .constructions import CONSTRUCTIONS, apply_construction
 from .core import Mode, format_word
 from .engine import StepBounds, enumerate_language, find_derivation
 from .equivalence import bounded_equiv, useful_nonterminals
@@ -337,7 +337,7 @@ def _build_parser():
     p = sub.add_parser("transform", help="apply a construction")
     p.add_argument("file")
     p.add_argument("--construction", required=True,
-                   choices=sorted(CONSTRUCTION_NAMES))
+                   choices=sorted(CONSTRUCTIONS))
     p.add_argument("--mode", default=None)
     p.add_argument("--compact", action="store_true",
                    help="erasing single-component success simulation "

@@ -5,11 +5,17 @@ Every public function takes an immutable :class:`~rrw.core.System` (or
 together with a :class:`ConstructionReport`. Fresh symbols come from a
 :class:`FreshNameScheme` and never collide with input symbols. All functions
 are pure; inputs are never mutated.
+
+Each construction's contract (input kinds, accepted modes, the mode pair it
+preserves, its entry point) is declared once, in :data:`CONSTRUCTIONS`;
+the functions check their input against it and take their reports' modes
+from it, and :func:`apply_construction`, the CLI and the tests read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     Component,
@@ -69,40 +75,10 @@ class ConstructionReport:
         return "\n".join(lines)
 
 
-def _report(name, inp, out, input_mode, output_mode, notes=()):
-    fresh = len(out.nonterminals - inp.nonterminals - inp.terminals)
-    return ConstructionReport(
-        name=name,
-        input_kind=inp.kind,
-        output_kind=out.kind,
-        input_mode=None if input_mode is None else str(input_mode),
-        output_mode=None if output_mode is None else str(output_mode),
-        fresh_nonterminals=fresh,
-        components=len(out.components),
-        notes=tuple(notes),
-    )
-
-
 def _erasing_note(out):
     if not out.non_erasing:
         return ["output contains erasing rules"]
     return []
-
-
-def _require_kind(system, kinds, name):
-    if system.kind not in kinds:
-        raise KindError(
-            f"{name} expects kind in {sorted(kinds)}, got {system.kind}"
-        )
-
-
-def _require_frc_entry(system, name):
-    for comp in system.components:
-        if comp.entry is not None and comp.entry.permit:
-            raise PermitPresent(
-                f"{name}: component {comp.name} has entry permit symbols; "
-                "only forbid-style entry conditions are supported"
-            )
 
 
 def _layered_component(name, top, middle, bottom):
@@ -188,7 +164,7 @@ def ordered_to_frc_component(component: Component) -> Component:
 
 def frc_to_ord(system: System):
     """System-level forbid-to-order conversion (one shared dead symbol)."""
-    _require_kind(system, {"frccdgs"}, "frc-to-ord")
+    contract = CONSTRUCTIONS["frc-to-ord"].check(system)
     scheme = FreshNameScheme(system.alphabet)
     dead = scheme.fresh("X_f")
     comps = []
@@ -217,12 +193,12 @@ def frc_to_ord(system: System):
         components=tuple(comps),
     ))
     notes = ["maximal-derivation mode is outside this conversion's guarantee"]
-    return out, _report("frc-to-ord", system, out, None, None, notes)
+    return out, contract.report(system, out, None, notes)
 
 
 def ord_to_frc(system: System):
     """System-level order-to-forbid conversion; exact on every mode."""
-    _require_kind(system, {"ordered", "ocdgs", "cdgs"}, "ord-to-frc")
+    contract = CONSTRUCTIONS["ord-to-frc"].check(system)
     comps = tuple(
         ordered_to_frc_component(comp) for comp in system.components
     )
@@ -234,15 +210,12 @@ def ord_to_frc(system: System):
         start=system.start,
         components=comps,
     ))
-    return out, _report("ord-to-frc", system, out, None, None)
+    return out, contract.report(system, out, None)
 
 
 # ---------------------------------------------------------------------------
 # graph control -> ordered cooperation
 # ---------------------------------------------------------------------------
-
-_GC_MODES = ("=", ">=")
-
 
 def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
     """Compile a graph-controlled grammar into an ordered cooperating system.
@@ -252,11 +225,7 @@ def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
     success components or, with ``compact_erasing``, a single erasing one.
     Works for the modes =k and >=k with k >= 2.
     """
-    _require_kind(system, {"gc"}, "gc-to-ocdgs")
-    if mode.variant not in _GC_MODES or mode.k is None or mode.k < 2:
-        raise ModeError(
-            f"gc-to-ocdgs supports =k and >=k with k >= 2, got {mode}"
-        )
+    contract = CONSTRUCTIONS["gc-to-ocdgs"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     gc_rules = system.gc_rules
     labels = [g.label for g in gc_rules]
@@ -379,7 +348,7 @@ def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
         components=tuple(comps),
     ))
     notes = _erasing_note(out)
-    return out, _report("gc-to-ocdgs", system, out, mode, mode, notes)
+    return out, contract.report(system, out, mode, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +365,7 @@ def ocdgs_t_to_ordered(system: System):
     no applicable rule left. Compare the input in maximal mode against the
     output's plain closure.
     """
-    _require_kind(system, {"ocdgs", "cdgs", "ordered"}, "ocdgs-t-to-ord")
+    contract = CONSTRUCTIONS["ocdgs-t-to-ord"].check(system)
     n = len(system.components)
     nts = sorted(system.nonterminals)
     scheme = FreshNameScheme(system.alphabet)
@@ -509,22 +478,12 @@ def ocdgs_t_to_ordered(system: System):
         start=system.start,
         components=(comp,),
     ))
-    return out, _report("ocdgs-t-to-ord", system, out, Mode("t"), Mode("*"))
+    return out, contract.report(system, out, None)
 
 
 # ---------------------------------------------------------------------------
 # forbid-regulated cooperation: collapse, step-count conversions
 # ---------------------------------------------------------------------------
-
-def _merge_modes_ok(mode):
-    if mode.variant in ("*",):
-        return True
-    if mode.variant == "<=":
-        return True
-    if mode.variant in ("=", ">=") and mode.k == 1:
-        return True
-    return False
-
 
 def frccd_collapse_to_single(system: System, mode: Mode):
     """Merge all components of a forbid-regulated system into one.
@@ -533,11 +492,7 @@ def frccd_collapse_to_single(system: System, mode: Mode):
     other modes are rejected because the merged component could mix rules
     from different components inside one activation.
     """
-    _require_kind(system, {"frccdgs"}, "frccd-merge")
-    if not _merge_modes_ok(mode):
-        raise ModeError(
-            f"frccd-merge is only sound for <=k, *, =1 and >=1, got {mode}"
-        )
+    contract = CONSTRUCTIONS["frccd-merge"].check(system, mode)
     rules = []
     contexts = []
     for comp in system.components:
@@ -554,7 +509,7 @@ def frccd_collapse_to_single(system: System, mode: Mode):
             Component("P", tuple(rules), contexts=tuple(contexts)),
         ),
     ))
-    return out, _report("frccd-merge", system, out, mode, mode)
+    return out, contract.report(system, out, mode)
 
 
 def frccd_to_eq2(system: System, input_mode: Mode):
@@ -565,13 +520,7 @@ def frccd_to_eq2(system: System, input_mode: Mode):
     symbol tracks which component is active and how far its activation has
     progressed.
     """
-    _require_kind(system, {"frccdgs"}, "frccd-to-eq2")
-    if input_mode.variant not in ("=", ">=") or input_mode.k is None \
-            or input_mode.k < 2:
-        raise ModeError(
-            f"frccd-to-eq2 expects input mode =k or >=k with k >= 2, "
-            f"got {input_mode}"
-        )
+    contract = CONSTRUCTIONS["frccd-to-eq2"].check(system, input_mode)
     k = input_mode.k
     scheme = FreshNameScheme(system.alphabet)
     n = len(system.components)
@@ -661,8 +610,7 @@ def frccd_to_eq2(system: System, input_mode: Mode):
         components=tuple(comps),
     ))
     notes = _erasing_note(out)
-    return out, _report("frccd-to-eq2", system, out, input_mode, Mode("=", 2),
-                        notes)
+    return out, contract.report(system, out, input_mode, notes)
 
 
 def frccd_eq2_to_k(system: System, k: int, output_mode: Mode):
@@ -674,13 +622,10 @@ def frccd_eq2_to_k(system: System, k: int, output_mode: Mode):
     the first produced symbol, and a reset component unwinds the marks in
     exactly k steps.
     """
-    _require_kind(system, {"frccdgs"}, "frccd-eq2-to-k")
-    if k < 3:
-        raise ModeError(f"frccd-eq2-to-k needs k >= 3, got {k}")
-    if output_mode.variant not in ("=", ">=") or output_mode.k != k:
+    contract = CONSTRUCTIONS["frccd-eq2-to-k"].check(system, output_mode)
+    if output_mode.k != k:
         raise ModeError(
-            f"frccd-eq2-to-k output mode must be =({k}) or >=({k}), "
-            f"got {output_mode}"
+            f"frccd-eq2-to-k output mode must have k = {k}, got {output_mode}"
         )
     scheme = FreshNameScheme(system.alphabet)
 
@@ -776,8 +721,7 @@ def frccd_eq2_to_k(system: System, k: int, output_mode: Mode):
     if output_mode.variant == ">=":
         notes.append("at-least-k padding realized as self-rewriting reset "
                      "marker rules")
-    return out, _report("frccd-eq2-to-k", system, out, Mode("=", 2),
-                        output_mode, notes)
+    return out, contract.report(system, out, output_mode, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -799,12 +743,7 @@ def cdfrc_to_frccd(system: System, mode: Mode):
     the merged step count is wrong and the output over-generates, so those
     modes are rejected.
     """
-    _require_kind(system, {"entry-cdgs"}, "cdfrc-to-frccd")
-    _require_frc_entry(system, "cdfrc-to-frccd")
-    if mode.variant not in ("t", "*", ">="):
-        raise ModeError(
-            f"cdfrc-to-frccd supports modes t, * and >=k, got {mode}"
-        )
+    contract = CONSTRUCTIONS["cdfrc-to-frccd"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     n = len(system.components)
     start = scheme.fresh(system.start + "'")
@@ -859,7 +798,7 @@ def cdfrc_to_frccd(system: System, mode: Mode):
         components=tuple(comps),
     ))
     notes = _erasing_note(out)
-    return out, _report("cdfrc-to-frccd", system, out, mode, mode, notes)
+    return out, contract.report(system, out, mode, notes)
 
 
 def _pairs_compatible(p, p2):
@@ -889,7 +828,7 @@ def frccd_eq2_to_cdfrc(system: System):
     and nested components handle a second application inside the first rule's
     output. All context checks move to entry forbid sets.
     """
-    _require_kind(system, {"frccdgs"}, "frccd-eq2-to-cdfrc")
+    contract = CONSTRUCTIONS["frccd-eq2-to-cdfrc"].check(system)
     scheme = FreshNameScheme(system.alphabet)
     sharp = scheme.fresh("sharp")
 
@@ -992,8 +931,7 @@ def frccd_eq2_to_cdfrc(system: System):
         start=system.start,
         components=tuple(comps),
     ))
-    return out, _report("frccd-eq2-to-cdfrc", system, out, Mode("=", 2),
-                        Mode("=", 2), _erasing_note(out))
+    return out, contract.report(system, out, None, _erasing_note(out))
 
 
 def cdfrc_eq2_to_eqk(system: System, k: int):
@@ -1006,10 +944,8 @@ def cdfrc_eq2_to_eqk(system: System, k: int):
     marker gadget, lexicographically first rule otherwise) is a documented
     heuristic; outputs are flagged accordingly.
     """
-    _require_kind(system, {"entry-cdgs"}, "cdfrc-eq2-to-eqk")
-    _require_frc_entry(system, "cdfrc-eq2-to-eqk")
-    if k < 3:
-        raise ModeError(f"cdfrc-eq2-to-eqk needs k >= 3, got {k}")
+    mode = Mode("=", k)
+    contract = CONSTRUCTIONS["cdfrc-eq2-to-eqk"].check(system, mode)
     for comp in system.components:
         if len(comp.rules) > 2:
             raise KindError(
@@ -1108,8 +1044,7 @@ def cdfrc_eq2_to_eqk(system: System, k: int):
     ))
     notes = ["prolongation rule choice is a documented heuristic"]
     notes += _erasing_note(out)
-    return out, _report("cdfrc-eq2-to-eqk", system, out, Mode("=", 2),
-                        Mode("=", k), notes)
+    return out, contract.report(system, out, mode, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,8 +1058,7 @@ def cdfrc_to_pcd(system: System, mode: Mode):
     original: it can act (loop or derail into a dead symbol) exactly when a
     forbidden symbol is present, which blocks the original via priority.
     """
-    _require_kind(system, {"entry-cdgs"}, "cdfrc-to-pcd")
-    _require_frc_entry(system, "cdfrc-to-pcd")
+    contract = CONSTRUCTIONS["cdfrc-to-pcd"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     dead = scheme.fresh("X_f")
     comps = [
@@ -1156,10 +1090,7 @@ def cdfrc_to_pcd(system: System, mode: Mode):
         components=tuple(comps),
         component_order=close_order(pairs, size=len(comps)),
     ))
-    return out, _report("cdfrc-to-pcd", system, out, mode, mode)
-
-
-_PCD_MODES_NOTE = "supported modes: <=k, *, =1, >=1, t"
+    return out, contract.report(system, out, mode)
 
 
 def pcd_to_cdfrc(system: System, mode: Mode):
@@ -1170,12 +1101,7 @@ def pcd_to_cdfrc(system: System, mode: Mode):
     condition forbids those symbols. In maximal mode only left-hand sides
     whose component sub-language is nonempty can block and are included.
     """
-    _require_kind(system, {"pcdgs"}, "pcd-to-cdfrc")
-    ok = mode.variant in ("*", "t") or mode.variant == "<=" or (
-        mode.variant in ("=", ">=") and mode.k == 1
-    )
-    if not ok:
-        raise ModeError(f"pcd-to-cdfrc rejects mode {mode}; {_PCD_MODES_NOTE}")
+    contract = CONSTRUCTIONS["pcd-to-cdfrc"].check(system, mode)
 
     def blocking_lhs(comp):
         if mode.variant != "t":
@@ -1205,7 +1131,7 @@ def pcd_to_cdfrc(system: System, mode: Mode):
         start=system.start,
         components=tuple(comps),
     ))
-    return out, _report("pcd-to-cdfrc", system, out, mode, mode)
+    return out, contract.report(system, out, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,10 +1146,8 @@ def cdfrc_geqk_to_geq2(system: System, k: int):
     per-component counter symbol; counting components force at least one
     original step per counter level before the counter resets.
     """
-    _require_kind(system, {"entry-cdgs"}, "cdfrc-geqk-to-geq2")
-    _require_frc_entry(system, "cdfrc-geqk-to-geq2")
-    if k < 2:
-        raise ModeError(f"cdfrc-geqk-to-geq2 needs k >= 2, got {k}")
+    mode = Mode(">=", k)
+    contract = CONSTRUCTIONS["cdfrc-geqk-to-geq2"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     n = len(system.components)
     start = scheme.fresh(system.start + "'")
@@ -1286,77 +1210,152 @@ def cdfrc_geqk_to_geq2(system: System, k: int):
         components=tuple(comps),
     ))
     notes = _erasing_note(out)
-    return out, _report("cdfrc-geqk-to-geq2", system, out, Mode(">=", k),
-                        Mode(">=", 2), notes)
+    return out, contract.report(system, out, mode, notes)
 
 
 # ---------------------------------------------------------------------------
-# registry
+# contracts
 # ---------------------------------------------------------------------------
 
-CONSTRUCTION_NAMES = (
-    "frc-to-ord",
-    "ord-to-frc",
-    "gc-to-ocdgs",
-    "ocdgs-t-to-ord",
-    "frccd-merge",
-    "frccd-to-eq2",
-    "frccd-eq2-to-k",
-    "cdfrc-to-frccd",
-    "frccd-eq2-to-cdfrc",
-    "cdfrc-eq2-to-eqk",
-    "cdfrc-to-pcd",
-    "pcd-to-cdfrc",
-    "cdfrc-geqk-to-geq2",
-)
+@dataclass(frozen=True)
+class Contract:
+    """When a construction applies and which modes it relates.
 
-_NEEDS_MODE = {
-    "gc-to-ocdgs", "frccd-merge", "frccd-to-eq2", "frccd-eq2-to-k",
-    "cdfrc-to-frccd", "cdfrc-eq2-to-eqk", "cdfrc-to-pcd", "pcd-to-cdfrc",
-    "cdfrc-geqk-to-geq2",
-}
+    ``modes`` lists the mode arguments the construction takes, as literal
+    modes (``t``, ``*``, ``=2``) or counted families (``=k``, ``<=k``,
+    ``>=k``, each for k >= ``k_min``). ``preserves`` names the (input mode,
+    output mode) pair under which input and output generate the same
+    language; ``M`` stands for the mode argument. A construction without
+    ``mode_required`` may be called without a mode; a mode given to it must
+    still lie in ``modes``.
+    """
+
+    name: str
+    kinds: str                 # accepted input kinds, space separated
+    modes: str
+    preserves: tuple
+    run: Callable              # (system, mode, compact) -> (System, report)
+    k_min: int = 1
+    mode_required: bool = True
+    compact: bool = False      # takes the compact (erasing) variant
+    forbid_entries: bool = False  # entry conditions must be forbid-only
+
+    def describe(self) -> str:
+        """The accepted modes, as written in the README table."""
+        if self.k_min > 1:
+            return f"{self.modes} (k >= {self.k_min})"
+        return self.modes
+
+    def accepts(self, mode: Mode) -> bool:
+        return any(
+            atom == str(mode) or (atom == mode.variant + "k"
+                                  and mode.k >= self.k_min)
+            for atom in self.modes.split()
+        )
+
+    def preserved(self, mode):
+        """(input mode, output mode) for the mode argument ``mode``."""
+        return tuple(mode if m == "M" else Mode.parse(m)
+                     for m in self.preserves)
+
+    def check(self, system: System, mode=None, compact=False):
+        """Return this contract; raise unless ``system``, ``mode`` and
+        ``compact`` lie within it."""
+        if system.kind not in self.kinds.split():
+            raise KindError(
+                f"{self.name} expects kind in {sorted(self.kinds.split())}, "
+                f"got {system.kind}"
+            )
+        if self.forbid_entries:
+            for comp in system.components:
+                if comp.entry is not None and comp.entry.permit:
+                    raise PermitPresent(
+                        f"{self.name}: component {comp.name} has entry permit "
+                        "symbols; only forbid-style entry conditions are "
+                        "supported"
+                    )
+        if mode is None:
+            if self.mode_required:
+                raise ModeError(f"construction {self.name} requires a mode")
+        elif not self.accepts(mode):
+            raise ModeError(
+                f"{self.name} supports modes {self.describe()}, got {mode}"
+            )
+        if compact and not self.compact:
+            raise ValueError(f"{self.name} has no compact variant")
+        return self
+
+    def report(self, inp, out, mode, notes=()):
+        """The report for ``inp`` -> ``out`` built with mode argument
+        ``mode``."""
+        input_mode, output_mode = self.preserved(mode)
+        return ConstructionReport(
+            name=self.name,
+            input_kind=inp.kind,
+            output_kind=out.kind,
+            input_mode=None if input_mode is None else str(input_mode),
+            output_mode=None if output_mode is None else str(output_mode),
+            fresh_nonterminals=len(
+                out.nonterminals - inp.nonterminals - inp.terminals
+            ),
+            components=len(out.components),
+            notes=tuple(notes),
+        )
+
+
+# Modes in which every activation is a sequence of one-step activations of
+# the same mode, so a construction may ignore activation boundaries
+# (frccd-merge, pcd-to-cdfrc).
+_STEP_COUNT_FREE = "* =1 >=1 <=k"
+
+CONSTRUCTIONS = {c.name: c for c in (
+    Contract("frc-to-ord", "frccdgs", "* =k <=k >=k", ("M", "M"),
+             lambda s, m, _: frc_to_ord(s), mode_required=False),
+    Contract("ord-to-frc", "ordered ocdgs cdgs", "t * =k <=k >=k", ("M", "M"),
+             lambda s, m, _: ord_to_frc(s), mode_required=False),
+    Contract("gc-to-ocdgs", "gc", "=k >=k", ("M", "M"), gc_to_ocdgs,
+             k_min=2, compact=True),
+    Contract("ocdgs-t-to-ord", "ordered ocdgs cdgs", "t", ("t", "*"),
+             lambda s, m, _: ocdgs_t_to_ordered(s), mode_required=False),
+    Contract("frccd-merge", "frccdgs", _STEP_COUNT_FREE, ("M", "M"),
+             lambda s, m, _: frccd_collapse_to_single(s, m)),
+    Contract("frccd-to-eq2", "frccdgs", "=k >=k", ("M", "=2"),
+             lambda s, m, _: frccd_to_eq2(s, m), k_min=2),
+    Contract("frccd-eq2-to-k", "frccdgs", "=k >=k", ("=2", "M"),
+             lambda s, m, _: frccd_eq2_to_k(s, m.k, m), k_min=3),
+    Contract("cdfrc-to-frccd", "entry-cdgs", "t * >=k", ("M", "M"),
+             lambda s, m, _: cdfrc_to_frccd(s, m), forbid_entries=True),
+    Contract("frccd-eq2-to-cdfrc", "frccdgs", "=2", ("=2", "=2"),
+             lambda s, m, _: frccd_eq2_to_cdfrc(s), mode_required=False),
+    Contract("cdfrc-eq2-to-eqk", "entry-cdgs", "=k", ("=2", "M"),
+             lambda s, m, _: cdfrc_eq2_to_eqk(s, m.k), k_min=3,
+             forbid_entries=True),
+    Contract("cdfrc-to-pcd", "entry-cdgs", "t * =k <=k >=k", ("M", "M"),
+             lambda s, m, _: cdfrc_to_pcd(s, m), forbid_entries=True),
+    Contract("pcd-to-cdfrc", "pcdgs", "t " + _STEP_COUNT_FREE, ("M", "M"),
+             lambda s, m, _: pcd_to_cdfrc(s, m)),
+    Contract("cdfrc-geqk-to-geq2", "entry-cdgs", ">=k", ("M", ">=2"),
+             lambda s, m, _: cdfrc_geqk_to_geq2(s, m.k), k_min=2,
+             forbid_entries=True),
+)}
 
 
 def apply_construction(name, system, mode=None, compact=False):
-    """Dispatch a construction by its stable name.
+    """Apply the construction registered as ``name`` in :data:`CONSTRUCTIONS`.
 
-    ``mode`` supplies the input or output mode where the construction needs
-    one (for the counting conversions its k is taken from the mode).
-    Returns (system, report).
+    ``mode`` is the construction's mode argument: the input mode, or the
+    output mode for the stretching conversions (``frccd-eq2-to-k``,
+    ``cdfrc-eq2-to-eqk``), whose k is taken from it. Mode-free
+    constructions may be given a mode, which must lie in their contract.
+    ``compact`` selects the erasing variant of ``gc-to-ocdgs``. Raises
+    ``KeyError`` for an unknown name, :class:`KindError`, :class:`ModeError`
+    or :class:`PermitPresent` outside the contract, and ``ValueError`` for
+    ``compact`` elsewhere. Returns (system, report). The report's modes come
+    from the contract's mode map; a mode-free construction only checks a
+    given mode and reports as if called without one.
     """
-    if name not in CONSTRUCTION_NAMES:
+    if name not in CONSTRUCTIONS:
         raise KeyError(f"unknown construction {name!r}")
-    if name in _NEEDS_MODE and mode is None:
-        raise ModeError(f"construction {name} requires a mode")
-    if name == "frc-to-ord":
-        return frc_to_ord(system)
-    if name == "ord-to-frc":
-        return ord_to_frc(system)
-    if name == "gc-to-ocdgs":
-        return gc_to_ocdgs(system, mode, compact_erasing=compact)
-    if name == "ocdgs-t-to-ord":
-        return ocdgs_t_to_ordered(system)
-    if name == "frccd-merge":
-        return frccd_collapse_to_single(system, mode)
-    if name == "frccd-to-eq2":
-        return frccd_to_eq2(system, mode)
-    if name == "frccd-eq2-to-k":
-        if mode.k is None:
-            raise ModeError("frccd-eq2-to-k needs a counted mode")
-        return frccd_eq2_to_k(system, mode.k, mode)
-    if name == "cdfrc-to-frccd":
-        return cdfrc_to_frccd(system, mode)
-    if name == "frccd-eq2-to-cdfrc":
-        return frccd_eq2_to_cdfrc(system)
-    if name == "cdfrc-eq2-to-eqk":
-        if mode.variant != "=" or mode.k is None:
-            raise ModeError("cdfrc-eq2-to-eqk needs mode =k with k >= 3")
-        return cdfrc_eq2_to_eqk(system, mode.k)
-    if name == "cdfrc-to-pcd":
-        return cdfrc_to_pcd(system, mode)
-    if name == "pcd-to-cdfrc":
-        return pcd_to_cdfrc(system, mode)
-    # cdfrc-geqk-to-geq2
-    if mode.variant != ">=" or mode.k is None:
-        raise ModeError("cdfrc-geqk-to-geq2 needs mode >=k with k >= 2")
-    return cdfrc_geqk_to_geq2(system, mode.k)
+    contract = CONSTRUCTIONS[name]
+    contract.check(system, mode, compact)
+    return contract.run(system, mode, compact)

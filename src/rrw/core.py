@@ -8,7 +8,7 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CycleError, ValidationError
@@ -271,16 +271,6 @@ class System:
                 return c
         raise KeyError(name)
 
-    def kind_of(self, symbol: str) -> str:
-        if symbol in self.nonterminals:
-            return "nonterminal"
-        if symbol in self.terminals:
-            return "terminal"
-        raise KeyError(symbol)
-
-    def with_default_mode(self, mode: Mode | None) -> "System":
-        return replace(self, default_mode=mode)
-
 
 def _check_order_strict(order: StrictOrder, size: int, where: str, out: list):
     pairs = order.pairs
@@ -418,15 +408,6 @@ def check(system: System) -> System:
     if violations:
         raise ValidationError(violations)
     return system
-
-
-def with_positional_labels(component: Component) -> Component:
-    """Fill missing rule labels with positional names r1, r2, ..."""
-    rules = tuple(
-        r if r.label is not None else replace(r, label=f"r{i + 1}")
-        for i, r in enumerate(component.rules)
-    )
-    return replace(component, rules=rules)
 
 
 def format_word(form) -> str:

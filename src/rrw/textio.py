@@ -28,7 +28,12 @@ _HEADER_RE = re.compile(
     r"^(nonterminals|terminals|start|init-labels|final-labels|mode|priority)"
     r"\s*:\s*(.*)$"
 )
-_KEYWORDS = ("forbid", "permit", "success", "failure", "order", "entry", "eps")
+# One token per match, after optional whitespace; every character starts
+# some alternative, so the matches tile the line up to END.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<END>\#|\Z)|(?P<ARROW>->)|(?P<GT>>)|(?P<LBRACE>\{)"
+    r"|(?P<RBRACE>\})|(?P<COLON>:)|(?P<ID>" + _ID_RE.pattern + r")|(?P<BAD>.))"
+)
 
 
 @dataclass(frozen=True)
@@ -51,46 +56,17 @@ class _Token:
 
 def _tokenize_line(line, lineno, line_offset):
     tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c == "#":
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "END":
             break
-        if c.isspace():
-            i += 1
-            continue
-        span = SourceSpan(lineno, i + 1, line_offset + i)
-        if line.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", span))
-            i += 2
-            continue
-        if c == ">":
-            tokens.append(_Token("GT", ">", span))
-            i += 1
-            continue
-        if c == "{":
-            tokens.append(_Token("LBRACE", "{", span))
-            i += 1
-            continue
-        if c == "}":
-            tokens.append(_Token("RBRACE", "}", span))
-            i += 1
-            continue
-        if c == ":":
-            tokens.append(_Token("COLON", ":", span))
-            i += 1
-            continue
-        m = _ID_RE.match(line, i)
-        if m:
-            text = m.group(0)
-            tokens.append(
-                _Token("ID", text, SourceSpan(lineno, i + 1, line_offset + i,
-                                              len(text)))
-            )
-            i = m.end()
-            continue
-        raise GrammarSyntaxError(f"unexpected character {c!r}", span)
+        text = m.group(kind)
+        column = m.start(kind)
+        span = SourceSpan(lineno, column + 1, line_offset + column,
+                          len(text) if kind == "ID" else 1)
+        if kind == "BAD":
+            raise GrammarSyntaxError(f"unexpected character {text!r}", span)
+        tokens.append(_Token(kind, text, span))
     return tokens
 
 

@@ -10,6 +10,10 @@ CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 CORPUS_FILES = sorted(p.name for p in CORPUS_DIR.glob("*.rrw"))
 
+# the modes a construction is tried in, against its declared contract
+MODE_GRID = ("t", "*", "=1", "=2", "=3", "=4", "<=2", "<=3", ">=1", ">=2",
+             ">=3")
+
 
 def load_corpus(name):
     path = CORPUS_DIR / name

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from rrw import (
+    CONSTRUCTIONS,
     Mode,
     ModeError,
     StepBounds,
@@ -26,7 +27,7 @@ from rrw import (
 )
 from rrw.cli import main as cli_main
 
-from conftest import CORPUS_DIR, CORPUS_FILES, load_corpus
+from conftest import CORPUS_DIR, CORPUS_FILES, MODE_GRID, load_corpus
 
 POWERS = {("a",) * n for n in (1, 2, 4, 8, 16)}
 
@@ -85,38 +86,45 @@ def test_criterion_2_entry_condition_witness(report):
     assert ok
 
 
-# (construction, corpus stems, [(mode argument, input mode, output mode)])
-_DIFF_CASES = [
-    ("frc-to-ord", ["frccd_small", "frccd_pair", "frccd_loops"],
-     [(None, m, m) for m in ("*", "=1", "=2", "<=2", ">=1", ">=2")]),
-    ("ord-to-frc", ["ordered_chain", "ocdgs_pair"],
-     [(None, m, m) for m in ("t", "*", "=1", "=2", "=3", "<=2", ">=1",
-                             ">=2")]),
-    ("ord-to-frc", ["ocdgs_example1"], [(None, "t", "t")]),
-    ("gc-to-ocdgs", ["gc_fin", "gc_choice"],
-     [(m, m, m) for m in ("=2", ">=2", "=3", ">=3")]),
-    ("ocdgs-t-to-ord",
-     ["ordered_chain", "ocdgs_pair", "cdgs_pair", "cdgs_phases"],
-     [(None, "t", "*")]),
-    ("frccd-merge", ["frccd_small", "frccd_pair", "frccd_loops"],
-     [(m, m, m) for m in ("*", "=1", ">=1", "<=2", "<=3")]),
-    ("frccd-to-eq2", ["frccd_pair", "frccd_loops", "frccd_small"],
-     [(m, m, "=2") for m in ("=2", ">=2", "=3", ">=3")]),
-    ("frccd-eq2-to-k", ["frccd_pair", "frccd_small"],
-     [(m, "=2", m) for m in ("=3", ">=3", "=4")]),
-    ("cdfrc-to-frccd", ["entry_pair", "entry_loops"],
-     [(m, m, m) for m in ("t", "*", ">=1", ">=2")]),
-    ("frccd-eq2-to-cdfrc", ["frccd_pair", "frccd_small"],
-     [(None, "=2", "=2")]),
-    ("cdfrc-eq2-to-eqk", ["entry_pair"],
-     [(m, "=2", m) for m in ("=3", "=4")]),
-    ("cdfrc-to-pcd", ["entry_pair", "entry_loops"],
-     [(m, m, m) for m in ("t", "*", "=1", "=2", "<=2", ">=1", ">=2")]),
-    ("pcd-to-cdfrc", ["pcd_chain"],
-     [(m, m, m) for m in ("t", "*", "=1", ">=1", "<=2", "<=3")]),
-    ("cdfrc-geqk-to-geq2", ["entry_loops"],
-     [(m, m, ">=2") for m in (">=2", ">=3")]),
-]
+# Corpus stems per construction (test data). The mode triples come from the
+# CONSTRUCTIONS table: every mode of MODE_GRID that the construction accepts,
+# with the (input mode, output mode) pair it preserves.
+_DIFF_STEMS = {
+    "frc-to-ord": ["frccd_small", "frccd_pair", "frccd_loops"],
+    "ord-to-frc": ["ordered_chain", "ocdgs_pair", "ocdgs_example1"],
+    "gc-to-ocdgs": ["gc_fin", "gc_choice"],
+    "ocdgs-t-to-ord": ["ordered_chain", "ocdgs_pair", "cdgs_pair",
+                       "cdgs_phases"],
+    "frccd-merge": ["frccd_small", "frccd_pair", "frccd_loops"],
+    "frccd-to-eq2": ["frccd_pair", "frccd_loops", "frccd_small"],
+    "frccd-eq2-to-k": ["frccd_pair", "frccd_small"],
+    "cdfrc-to-frccd": ["entry_pair", "entry_loops"],
+    "frccd-eq2-to-cdfrc": ["frccd_pair", "frccd_small"],
+    "cdfrc-eq2-to-eqk": ["entry_pair"],
+    "cdfrc-to-pcd": ["entry_pair", "entry_loops"],
+    "pcd-to-cdfrc": ["pcd_chain"],
+    "cdfrc-geqk-to-geq2": ["entry_loops"],
+}
+# under * the doubling system's bounded language is not complete at
+# workspace 14 (about 50 s), so it is checked in mode t only
+_T_ONLY = {"ocdgs_example1"}
+
+
+def diff_cases():
+    """(construction, stem, mode argument, input mode, output mode, compact)
+    for every criterion-3 check."""
+    for cname, stems in _DIFF_STEMS.items():
+        contract = CONSTRUCTIONS[cname]
+        for stem in stems:
+            for text in MODE_GRID:
+                mode = Mode.parse(text)
+                if not contract.accepts(mode) or (
+                        stem in _T_ONLY and text != "t"):
+                    continue
+                mode_in, mode_out = contract.preserved(mode)
+                for compact in (False, True) if contract.compact \
+                        else (False,):
+                    yield cname, stem, mode, mode_in, mode_out, compact
 
 
 def test_criterion_3_construction_differential_suite(report):
@@ -124,36 +132,27 @@ def test_criterion_3_construction_differential_suite(report):
     bounds = StepBounds(14)
     failures = []
     checks = 0
-    for cname, stems, triples in _DIFF_CASES:
-        for stem in stems:
-            source = load_corpus(stem + ".rrw")
-            for (mode_arg, mode_in, mode_out) in triples:
-                variants = ((False, True) if cname == "gc-to-ocdgs"
-                            else (False,))
-                for compact in variants:
-                    checks += 1
-                    tag = f"{cname} {stem} {mode_in}->{mode_out}" + (
-                        " compact" if compact else ""
-                    )
-                    started = time.monotonic()
-                    out, _ = apply_construction(
-                        cname, source,
-                        mode=None if mode_arg is None else Mode.parse(mode_arg),
-                        compact=compact,
-                    )
-                    verdict = bounded_equiv(
-                        source, Mode.parse(mode_in),
-                        out, Mode.parse(mode_out), 6, bounds,
-                    )
-                    elapsed = time.monotonic() - started
-                    if elapsed >= 60.0:
-                        failures.append(f"{tag}: {elapsed:.1f}s")
-                    if not verdict.equal:
-                        diff = _shortlex(
-                            list(verdict.only_in_a) + list(verdict.only_in_b)
-                        )
-                        word = " ".join(diff[0]) if diff else "(incomplete)"
-                        failures.append(f"{tag}: counterexample {word}")
+    sources = {stem: load_corpus(stem + ".rrw")
+               for stems in _DIFF_STEMS.values() for stem in stems}
+    for cname, stem, mode, mode_in, mode_out, compact in diff_cases():
+        checks += 1
+        tag = f"{cname} {stem} {mode_in}->{mode_out}" + (
+            " compact" if compact else ""
+        )
+        source = sources[stem]
+        started = time.monotonic()
+        out, _ = apply_construction(cname, source, mode=mode,
+                                    compact=compact)
+        verdict = bounded_equiv(source, mode_in, out, mode_out, 6, bounds)
+        elapsed = time.monotonic() - started
+        if elapsed >= 60.0:
+            failures.append(f"{tag}: {elapsed:.1f}s")
+        if not verdict.equal:
+            diff = _shortlex(
+                list(verdict.only_in_a) + list(verdict.only_in_b)
+            )
+            word = " ".join(diff[0]) if diff else "(incomplete)"
+            failures.append(f"{tag}: counterexample {word}")
     ok = not failures
     report(3, desc, ok,
             f"{checks} checks; " + "; ".join(failures[:5]))

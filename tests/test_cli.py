@@ -87,6 +87,20 @@ def test_transform_mode_rejection_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ordered_chain.rrw", "--construction", "ocdgs-t-to-ord", "--mode", "=2"),
+    ("frccd_small.rrw", "--construction", "frc-to-ord", "--mode", "t"),
+    ("frccd_small.rrw", "--construction", "frccd-merge", "--mode", "*",
+     "--compact"),
+])
+def test_transform_outside_the_contract_exits_2(capsys, argv):
+    status, out, err = run_cli(capsys, "transform",
+                               str(CORPUS_DIR / argv[0]), *argv[1:])
+    assert status == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_equiv_equal_and_unequal(capsys):
     status, out, _ = run_cli(
         capsys, "equiv", EXAMPLE1, WITNESS,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrw import (
+    CONSTRUCTIONS,
     Component,
     KindError,
     Mode,
@@ -38,7 +39,7 @@ from rrw import (
     validate,
 )
 
-from conftest import load_corpus
+from conftest import CORPUS_DIR, MODE_GRID, load_corpus
 
 T = Mode.parse("t")
 
@@ -445,3 +446,93 @@ def test_apply_construction_rejects_wrong_kind():
     with pytest.raises(KindError):
         apply_construction("gc-to-ocdgs", load_corpus("cf_anbn.rrw"),
                            mode=Mode.parse("=2"))
+
+
+# ---------------------------------------------------------------------------
+# the CONSTRUCTIONS table
+# ---------------------------------------------------------------------------
+
+# one corpus input of a fitting kind per construction
+_INPUT = {
+    "frc-to-ord": "frccd_small", "ord-to-frc": "ocdgs_pair",
+    "gc-to-ocdgs": "gc_fin", "ocdgs-t-to-ord": "ordered_chain",
+    "frccd-merge": "frccd_small", "frccd-to-eq2": "frccd_pair",
+    "frccd-eq2-to-k": "frccd_pair", "cdfrc-to-frccd": "entry_pair",
+    "frccd-eq2-to-cdfrc": "frccd_pair", "cdfrc-eq2-to-eqk": "entry_pair",
+    "cdfrc-to-pcd": "entry_pair", "pcd-to-cdfrc": "pcd_chain",
+    "cdfrc-geqk-to-geq2": "entry_loops",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_apply_construction_enforces_the_table(name):
+    contract = CONSTRUCTIONS[name]
+    system = load_corpus(_INPUT[name] + ".rrw")
+    for text in MODE_GRID:
+        mode = Mode.parse(text)
+        if contract.accepts(mode):
+            _, report = apply_construction(name, system, mode=mode)
+            # a mode-free construction reports the modes of its own call
+            mapped = contract.preserved(
+                mode if contract.mode_required else None
+            )
+            assert (report.input_mode, report.output_mode) == tuple(
+                None if m is None else str(m) for m in mapped
+            )
+        else:
+            with pytest.raises(ModeError):
+                apply_construction(name, system, mode=mode)
+    if contract.mode_required:
+        with pytest.raises(ModeError):
+            apply_construction(name, system)
+    else:
+        apply_construction(name, system)
+    if not contract.compact:
+        mode = next(Mode.parse(t) for t in MODE_GRID
+                    if contract.accepts(Mode.parse(t)))
+        with pytest.raises(ValueError):
+            apply_construction(name, system, mode=mode, compact=True)
+
+
+# Each step is applied to the previous step's output in the mode that the
+# table maps the previous mode to, and compared with the source.
+_CHAINS = [
+    ("gc_fin", "=2", ("gc-to-ocdgs", "ord-to-frc", "frccd-eq2-to-cdfrc",
+                      "cdfrc-to-pcd")),
+    ("pcd_chain", "*", ("pcd-to-cdfrc", "cdfrc-to-pcd", "pcd-to-cdfrc",
+                        "cdfrc-to-frccd", "frc-to-ord", "ord-to-frc")),
+]
+
+
+@pytest.mark.parametrize("stem, mode_text, chain", _CHAINS)
+def test_construction_chain_keeps_the_language(stem, mode_text, chain):
+    source = load_corpus(stem + ".rrw")
+    source_mode = Mode.parse(mode_text)
+    system, mode = source, source_mode
+    for name in chain:
+        mode_in, mode_out = CONSTRUCTIONS[name].preserved(mode)
+        assert mode_in == mode, name
+        system, _ = apply_construction(name, system, mode=mode)
+        mode = mode_out
+        verdict = bounded_equiv(source, source_mode, system, mode, 6,
+                                StepBounds(14))
+        assert verdict.equal, (name, verdict.summary())
+
+
+def test_readme_table_restates_the_contracts():
+    readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Constructions\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines() if line.startswith("| `")
+    ]
+    names = [row[0].strip("`") for row in rows]
+    assert sorted(names) == sorted(CONSTRUCTIONS)
+    for row in rows:
+        contract = CONSTRUCTIONS[row[0].strip("`")]
+        assert row[1:5] == [
+            contract.kinds,
+            contract.describe(),
+            "yes" if contract.mode_required else "no",
+            " -> ".join(contract.preserves),
+        ], row[0]

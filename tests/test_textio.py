@@ -148,19 +148,45 @@ def test_unlabelled_rule_does_not_collide_with_explicit_positional_label():
 
 def test_construction_outputs_round_trip_to_a_fixed_point():
     from rrw import apply_construction
-    from test_acceptance import _DIFF_CASES
+    from test_acceptance import diff_cases
 
-    for cname, stems, triples in _DIFF_CASES:
-        for stem in stems:
-            source = load_corpus(stem + ".rrw")
-            for mode_arg in sorted({t[0] for t in triples}, key=str):
-                for compact in (False, True) if cname == "gc-to-ocdgs" \
-                        else (False,):
-                    out, _ = apply_construction(
-                        cname, source,
-                        mode=None if mode_arg is None else Mode.parse(mode_arg),
-                        compact=compact,
-                    )
-                    text = serialize_system(out)
-                    assert serialize_system(parse_system(text)) == text, \
-                        (cname, stem, mode_arg, compact)
+    for cname, stem, mode, _, _, compact in diff_cases():
+        out, _ = apply_construction(cname, load_corpus(stem + ".rrw"),
+                                    mode=mode, compact=compact)
+        text = serialize_system(out)
+        assert serialize_system(parse_system(text)) == text, \
+            (cname, stem, str(mode), compact)
+
+
+def test_tokenizer_pins_kinds_texts_and_spans():
+    from rrw.textio import SourceSpan, _tokenize_line
+
+    tokens = _tokenize_line("  r1: C -> C' forbid { A } > x # -> }", 3, 100)
+    assert [(t.kind, t.text, t.span) for t in tokens] == [
+        ("ID", "r1", SourceSpan(3, 3, 102, 2)),
+        ("COLON", ":", SourceSpan(3, 5, 104)),
+        ("ID", "C", SourceSpan(3, 7, 106)),
+        ("ARROW", "->", SourceSpan(3, 9, 108)),
+        ("ID", "C'", SourceSpan(3, 12, 111, 2)),
+        ("ID", "forbid", SourceSpan(3, 15, 114, 6)),
+        ("LBRACE", "{", SourceSpan(3, 22, 121)),
+        ("ID", "A", SourceSpan(3, 24, 123)),
+        ("RBRACE", "}", SourceSpan(3, 26, 125)),
+        ("GT", ">", SourceSpan(3, 28, 127)),
+        ("ID", "x", SourceSpan(3, 30, 129)),
+    ]
+    assert _tokenize_line(" \t ", 1, 0) == []
+    with pytest.raises(GrammarSyntaxError) as err:
+        _tokenize_line("A -> B, C", 2, 40)
+    assert err.value.span == SourceSpan(2, 7, 46)
+    assert str(err.value) == "line 2, column 7: unexpected character ','"
+
+
+def test_syntax_error_span_points_into_the_document():
+    doc = ("system cf tiny\nnonterminals: S\nterminals: a\nstart: S\n"
+           "component P { S -> a ; }\n")
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_system(doc)
+    assert err.value.span.line == 5
+    assert err.value.span.column == 22
+    assert doc[err.value.span.offset] == ";"
