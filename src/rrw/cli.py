@@ -104,8 +104,9 @@ def _emit_json(command, params, payload_key, payload, complete):
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _params(config: RunConfig):
-    bounds = config.bounds()
+def _params(config: RunConfig, bounds=None):
+    """The invocation's parameters; ``bounds`` defaults to the config's."""
+    bounds = bounds or config.bounds()
     out = {
         "inputs": list(config.inputs),
         "modes": list(config.modes),
@@ -190,7 +191,8 @@ def _cmd_derive(config: RunConfig) -> int:
             for step in trace.steps
         ]
     if config.as_json:
-        _emit_json("derive", _params(config), "verdict", payload, None)
+        _emit_json("derive", _params(config, bounds), "verdict", payload,
+                   None)
     else:
         if trace is None:
             print("not derivable within the given bounds")
@@ -312,7 +314,9 @@ def _build_parser():
                        help="maximum word length")
         p.add_argument("--workspace", type=int, default=None,
                        help="maximum sentential-form length "
-                            "(default 2*maxLen+4)")
+                            "(default 2*maxLen+4, or 2*len(word)+4 for "
+                            "derive; a non-erasing system without "
+                            "priorities stops at maxLen, or len(word))")
         p.add_argument("--step-budget", type=int, default=1_000_000)
         p.add_argument("--form-budget", type=int, default=1_000_000)
 

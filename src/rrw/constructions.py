@@ -162,9 +162,10 @@ def ordered_to_frc_component(component: Component) -> Component:
     return Component(name=component.name, rules=rules, contexts=tuple(contexts))
 
 
-def frc_to_ord(system: System):
-    """System-level forbid-to-order conversion (one shared dead symbol)."""
-    contract = CONSTRUCTIONS["frc-to-ord"].check(system)
+def frc_to_ord(system: System, mode=None):
+    """System-level forbid-to-order conversion (one shared dead symbol).
+    A given ``mode`` is checked against the contract and reported."""
+    contract = CONSTRUCTIONS["frc-to-ord"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     dead = scheme.fresh("X_f")
     comps = []
@@ -193,12 +194,13 @@ def frc_to_ord(system: System):
         components=tuple(comps),
     ))
     notes = ["maximal-derivation mode is outside this conversion's guarantee"]
-    return out, contract.report(system, out, None, notes)
+    return out, contract.report(system, out, mode, notes)
 
 
-def ord_to_frc(system: System):
-    """System-level order-to-forbid conversion; exact on every mode."""
-    contract = CONSTRUCTIONS["ord-to-frc"].check(system)
+def ord_to_frc(system: System, mode=None):
+    """System-level order-to-forbid conversion; exact on every mode.
+    A given ``mode`` is checked against the contract and reported."""
+    contract = CONSTRUCTIONS["ord-to-frc"].check(system, mode)
     comps = tuple(
         ordered_to_frc_component(comp) for comp in system.components
     )
@@ -210,7 +212,7 @@ def ord_to_frc(system: System):
         start=system.start,
         components=comps,
     ))
-    return out, contract.report(system, out, None)
+    return out, contract.report(system, out, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1310,9 +1312,9 @@ _STEP_COUNT_FREE = "* =1 >=1 <=k"
 
 CONSTRUCTIONS = {c.name: c for c in (
     Contract("frc-to-ord", "frccdgs", "* =k <=k >=k", ("M", "M"),
-             lambda s, m, _: frc_to_ord(s), mode_required=False),
+             lambda s, m, _: frc_to_ord(s, m), mode_required=False),
     Contract("ord-to-frc", "ordered ocdgs cdgs", "t * =k <=k >=k", ("M", "M"),
-             lambda s, m, _: ord_to_frc(s), mode_required=False),
+             lambda s, m, _: ord_to_frc(s, m), mode_required=False),
     Contract("gc-to-ocdgs", "gc", "=k >=k", ("M", "M"), gc_to_ocdgs,
              k_min=2, compact=True),
     Contract("ocdgs-t-to-ord", "ordered ocdgs cdgs", "t", ("t", "*"),
@@ -1351,8 +1353,8 @@ def apply_construction(name, system, mode=None, compact=False):
     ``KeyError`` for an unknown name, :class:`KindError`, :class:`ModeError`
     or :class:`PermitPresent` outside the contract, and ``ValueError`` for
     ``compact`` elsewhere. Returns (system, report). The report's modes come
-    from the contract's mode map; a mode-free construction only checks a
-    given mode and reports as if called without one.
+    from the contract's mode map applied to ``mode``; a mode-free
+    construction called without one reports the map's fixed modes, if any.
     """
     if name not in CONSTRUCTIONS:
         raise KeyError(f"unknown construction {name!r}")

@@ -54,12 +54,30 @@ whose moves apply the rule at the label once or take its failure branch.
 Successors are visited in sorted order, so a trace does not depend on the
 string hash seed. Rule applications are rebuilt only for the moves on the
 found path; :func:`replay_trace` re-checks every one.
+
+The search goes no further than the semantics require:
+
+* the workspace is an upper bound. A non-erasing system never shortens a
+  form, so no form longer than ``max_len`` (``len(target)`` for a
+  derivation) leads to a counted word, and the search clamps its workspace
+  to that length. Under component priorities it keeps the given workspace,
+  because a higher component blocks a lower one whenever it has any result,
+  however long;
+* on a one-letter terminal alphabet :func:`enumerate_language` searches
+  multisets: each activation result is sorted before it is stored. Every
+  regulation (rule orders, random context, entry conditions, priorities,
+  mode-t stuckness, the workspace) reads only how often each symbol occurs,
+  never where, so activating a permuted form gives the permutations of the
+  same results, and the sorted search reaches exactly the multisets of the
+  word search. Over one letter a word is its multiset, so the words and the
+  ``complete`` flag are those of the word search. :func:`find_derivation`
+  and graph control search words, because a trace needs positions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Component, Mode, format_word
 from .errors import BudgetExceeded, UnknownLabel
@@ -69,7 +87,9 @@ from .errors import BudgetExceeded, UnknownLabel
 class StepBounds:
     """Resource bounds making closure computations finite.
 
-    workspace: maximum sentential-form length explored;
+    workspace: maximum sentential-form length explored; an upper bound,
+        which enumeration and derivation search lower to ``max_len`` (the
+        target's length) for a non-erasing system without priorities;
     step_budget: maximum rule applications per activation (in mode_apply,
         enumeration, derivation search and its trace rebuild); a graph
         control move is one application, so there it never binds;
@@ -561,10 +581,11 @@ class _Enumeration:
     moves of that search: configurations are forms, a move is a component
     activation. :class:`_GcEnumeration` overrides the four moves."""
 
-    def __init__(self, system, bounds, mode):
+    def __init__(self, system, bounds, mode, multiset=False):
         self.system = system
         self.bounds = bounds
         self.mode = mode
+        self.multiset = multiset
         self._conds = {}
         self._layers = {}
         self._stable = {}
@@ -737,7 +758,9 @@ class _Enumeration:
         """(configuration, move, producer mark) triples one move away, in a
         fixed order: allowed components by index, each activation's results
         sorted. The move is the activated component's index; the mark is
-        the producer that the successor's own expansion skips."""
+        the producer that the successor's own expansion skips. In a
+        multiset search each result is sorted first, which merges its
+        permutations."""
         mode = self.mode
         # Re-activating the producing component is redundant for
         # transitively closed modes: two consecutive >=k (or *, or t)
@@ -750,6 +773,8 @@ class _Enumeration:
             mark = i if closed else -1
             results = self.activation(self.system.components[i], form, mode,
                                       mark)
+            if self.multiset:
+                results = {tuple(sorted(res)) for res in results}
             for res in sorted(results):
                 if self.useful(frozenset(res), mark):
                     yield res, i, mark
@@ -802,11 +827,18 @@ class _GcEnumeration(_Enumeration):
         return TraceStep(move, Mode("*"), apps, result.form)
 
 
-def _enumeration(system, bounds, mode):
+def _enumeration(system, bounds, mode, length, multiset=False):
     """The search state for ``system``: over (form, label) configurations
-    for graph control, over forms for every other kind."""
+    for graph control, over forms (or sorted forms, with ``multiset``) for
+    every other kind. The workspace of a non-erasing system without
+    priorities is clamped to ``length``, the longest form the caller counts
+    (see the module docstring)."""
+    priorities = system.component_order is not None \
+        and system.component_order.pairs
+    if system.non_erasing and not priorities and length < bounds.workspace:
+        bounds = replace(bounds, workspace=max(length, 1))
     cls = _GcEnumeration if system.kind == "gc" else _Enumeration
-    return cls(system, bounds, mode)
+    return cls(system, bounds, mode, multiset)
 
 
 def _search(enum, target=None):
@@ -891,7 +923,8 @@ def enumerate_language(system, mode, max_len, bounds):
     """
     if max_len > bounds.workspace:
         raise ValueError("max_len exceeds workspace")
-    enum = _enumeration(system, bounds, mode)
+    enum = _enumeration(system, bounds, mode, max_len,
+                        multiset=len(system.terminals) == 1)
     _parents, words, _hit = _search(enum)
     words = frozenset(w for w in words if len(w) <= max_len)
     return BoundedLanguage(words, max_len, enum.exhaustive(max_len))
@@ -909,7 +942,7 @@ def find_derivation(system, mode, target, bounds):
     that the non-erasing guarantee does not cover, cut the search.
     """
     target = tuple(target)
-    enum = _enumeration(system, bounds, mode)
+    enum = _enumeration(system, bounds, mode, len(target))
     enum.keep(frozenset(target))
     parents, _words, hit = _search(enum, target)
     if hit is not None:

@@ -4,7 +4,10 @@
 scratch: memoized recursion over exact step counts and worklist closures,
 with applicability re-derived directly from the regulation data instead of
 the engine's normalized condition tables. It shares only the data model with
-the engine, so disagreements between the two expose real bugs.
+the engine, so disagreements between the two expose real bugs. Like the
+engine, but with its own code, it searches a non-erasing system without
+component priorities only up to ``max_len``, because no form longer than
+that becomes a counted word; it always searches words, never multisets.
 """
 
 from __future__ import annotations
@@ -224,6 +227,14 @@ def _oracle_gc(system, max_len, bounds):
 
 def reference_enumerate(system, mode, max_len, bounds) -> BoundedLanguage:
     """Bounded language via the independent naive oracle."""
+    ordered = system.component_order is not None \
+        and system.component_order.pairs
+    if system.non_erasing and not ordered and bounds.workspace > max_len:
+        # no rule shortens a form, so a form longer than max_len never
+        # becomes a counted word (under priorities a longer form may still
+        # block a component)
+        bounds = StepBounds(max(max_len, 1), bounds.step_budget,
+                            bounds.form_budget)
     if system.kind == "gc":
         return _oracle_gc(system, max_len, bounds)
     oracle = _Oracle(system, bounds)

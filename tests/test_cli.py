@@ -206,3 +206,39 @@ def test_gc_equiv_needs_no_mode(capsys):
                              "--max-len", "4")
     assert status == 1
     assert "only in B" in out
+
+
+def test_enum_default_workspace_is_clamped_to_max_len(capsys):
+    status, out, _ = run_cli(capsys, "enum", EXAMPLE1, "--mode", "*",
+                             "--max-len", "6", "--json")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["words"] == ["a" * n for n in range(1, 7)]
+    assert doc["complete"] is True
+    # the workspace asked for (here the default) is reported, not the clamp
+    assert doc["params"]["workspace"] == 16
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 8))
+def test_derive_trace_is_the_same_at_the_word_length_workspace(capsys, n):
+    docs = []
+    for workspace in (None, n):
+        extra = () if workspace is None else ("--workspace", str(workspace))
+        status, out, _ = run_cli(capsys, "derive", EXAMPLE1, "--mode", "t",
+                                 "--word", "a" * n, "--trace", "--json",
+                                 *extra)
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["params"].pop("workspace") == (workspace or 2 * n + 4)
+        docs.append(json.dumps(doc, sort_keys=True, indent=2))
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["verdict"]["derivable"] is True
+
+
+def test_transform_reports_the_mode_given_to_a_mode_free_construction(
+        capsys):
+    status, _, err = run_cli(capsys, "transform",
+                             str(CORPUS_DIR / "frccd_pair.rrw"),
+                             "--construction", "frc-to-ord", "--mode", "=2")
+    assert status == 0
+    assert "modes: =2 -> =2" in err

@@ -472,12 +472,9 @@ def test_apply_construction_enforces_the_table(name):
         mode = Mode.parse(text)
         if contract.accepts(mode):
             _, report = apply_construction(name, system, mode=mode)
-            # a mode-free construction reports the modes of its own call
-            mapped = contract.preserved(
-                mode if contract.mode_required else None
-            )
+            # a given mode is reported through the map, mode-free or not
             assert (report.input_mode, report.output_mode) == tuple(
-                None if m is None else str(m) for m in mapped
+                str(m) for m in contract.preserved(mode)
             )
         else:
             with pytest.raises(ModeError):

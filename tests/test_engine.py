@@ -1,5 +1,7 @@
 """Tests for the derivation semantics and bounded enumeration."""
 
+from dataclasses import replace
+
 import pytest
 
 from rrw import (
@@ -16,12 +18,14 @@ from rrw import (
     find_derivation,
     gc_successors,
     mode_apply,
+    parse_system,
+    reference_enumerate,
     replay_trace,
     rule_applicable,
     system_successors,
 )
 
-from conftest import CORPUS_DIR, CORPUS_FILES, load_corpus
+from conftest import CORPUS_DIR, CORPUS_FILES, MODE_GRID, load_corpus
 
 BOUNDS = StepBounds(workspace=16)
 
@@ -507,3 +511,56 @@ def test_enumerated_words_derive_and_replay(name):
             trace = find_derivation(system, mode, word, bounds)
             assert trace is not None, (text, word)
             assert replay_trace(system, trace) == word, (text, word)
+
+
+# ---------------------------------------------------------------------------
+# multiset search on unary alphabets, and the non-erasing workspace clamp
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["cf_star.rrw", "entry_witness.rrw",
+                                  "frccd_loops.rrw", "ocdgs_example1.rrw"])
+def test_multiset_search_matches_the_word_search(name):
+    # one unused terminal makes the alphabet binary, which forces the word
+    # search; neither the words nor the complete flag may change
+    system = load_corpus(name)
+    assert len(system.terminals) == 1
+    binary = replace(system, terminals=system.terminals | {"z"})
+    bounds = StepBounds(10)
+    for text in MODE_GRID:
+        mode = Mode.parse(text)
+        assert enumerate_language(system, mode, 6, bounds) == \
+            enumerate_language(binary, mode, 6, bounds), text
+
+
+_NON_ERASING = [n for n in CORPUS_FILES if load_corpus(n).non_erasing]
+
+
+@pytest.mark.parametrize("name", _NON_ERASING)
+def test_a_longer_workspace_changes_no_non_erasing_enumeration(name):
+    system = load_corpus(name)
+    modes = ("*",) if system.kind == "gc" else CRITERION_4_MODES
+    for text in modes:
+        mode = Mode.parse(text)
+        assert enumerate_language(system, mode, 6, StepBounds(6)) == \
+            enumerate_language(system, mode, 6, StepBounds(2 * 6 + 4)), text
+
+
+def test_priorities_keep_the_given_workspace():
+    # P2 outranks P3 and can always grow A, so P3 never acts and the
+    # language is empty. Every result of P2 on "A B" is longer than max_len:
+    # a workspace clamped to max_len would hide it and let P3 derive cb.
+    system = parse_system("""
+system pcdgs grow
+nonterminals: S A B
+terminals: b c
+start: S
+priority: P2 > P3
+component P1 { S -> A B }
+component P2 { A -> A A A A }
+component P3 { B -> b
+               A -> c }
+""")
+    mode = Mode.parse("=1")
+    for enumerate_ in (enumerate_language, reference_enumerate):
+        lang = enumerate_(system, mode, 2, StepBounds(8))
+        assert lang.words == frozenset(), enumerate_.__name__
