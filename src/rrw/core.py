@@ -255,9 +255,10 @@ class System:
     def alphabet(self) -> frozenset:
         return self.nonterminals | self.terminals
 
-    @property
+    @cached_property
     def non_erasing(self) -> bool:
-        """True iff no rule has an empty right-hand side (derived, not stored)."""
+        """True iff no rule has an empty right-hand side (derived on first
+        use, not a field). Every enumeration asks, so it is computed once."""
         return all(len(r.rhs) > 0 for r in self.all_rules())
 
     def all_rules(self):

@@ -77,7 +77,7 @@ The search goes no further than the semantics require:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import Component, Mode, format_word
 from .errors import BudgetExceeded, UnknownLabel
@@ -833,10 +833,10 @@ def _enumeration(system, bounds, mode, length, multiset=False):
     every other kind. The workspace of a non-erasing system without
     priorities is clamped to ``length``, the longest form the caller counts
     (see the module docstring)."""
-    priorities = system.component_order is not None \
-        and system.component_order.pairs
-    if system.non_erasing and not priorities and length < bounds.workspace:
-        bounds = replace(bounds, workspace=max(length, 1))
+    if length < bounds.workspace and system.non_erasing and not (
+            system.component_order and system.component_order.pairs):
+        bounds = StepBounds(max(length, 1), bounds.step_budget,
+                            bounds.form_budget)
     cls = _GcEnumeration if system.kind == "gc" else _Enumeration
     return cls(system, bounds, mode, multiset)
 

@@ -227,9 +227,8 @@ def _oracle_gc(system, max_len, bounds):
 
 def reference_enumerate(system, mode, max_len, bounds) -> BoundedLanguage:
     """Bounded language via the independent naive oracle."""
-    ordered = system.component_order is not None \
-        and system.component_order.pairs
-    if system.non_erasing and not ordered and bounds.workspace > max_len:
+    if bounds.workspace > max_len and system.non_erasing and not (
+            system.component_order and system.component_order.pairs):
         # no rule shortens a form, so a form longer than max_len never
         # becomes a counted word (under priorities a longer form may still
         # block a component)
