@@ -56,21 +56,8 @@ from .constructions import (
     ConstructionReport,
     FreshNameScheme,
     apply_construction,
-    cdfrc_eq2_to_eqk,
-    cdfrc_geqk_to_geq2,
-    cdfrc_to_frccd,
-    cdfrc_to_pcd,
-    frc_to_ord,
     frc_to_ordered_component,
-    frccd_collapse_to_single,
-    frccd_eq2_to_cdfrc,
-    frccd_eq2_to_k,
-    frccd_to_eq2,
-    gc_to_ocdgs,
-    ocdgs_t_to_ordered,
-    ord_to_frc,
     ordered_to_frc_component,
-    pcd_to_cdfrc,
 )
 from .textio import parse_system, serialize_system
 from .errors import (

@@ -49,12 +49,15 @@ class RunConfig:
     compact: bool = False
     as_json: bool = False
 
-    def bounds(self) -> StepBounds:
+    def bounds(self, length=None) -> StepBounds:
+        """Bounds for a search up to ``length`` symbols (``max_len`` unless
+        given). Without ``--workspace`` the workspace is 2*length+4; a
+        negative length is left for the search to reject."""
+        if length is None:
+            length = self.max_len or 0
         workspace = self.workspace
         if workspace is None:
-            workspace = 2 * (self.max_len or 0) + 4
-        if self.max_len is not None and self.max_len > workspace:
-            raise ValueError("max-len must not exceed workspace")
+            workspace = 2 * max(length, 0) + 4
         return StepBounds(workspace, self.step_budget, self.form_budget)
 
 
@@ -175,10 +178,7 @@ def _cmd_derive(config: RunConfig) -> int:
     system = _load(config.inputs[0])
     target = _parse_word(config.word, system)
     mode = _mode_for(system, config.modes[0] if config.modes else None)
-    workspace = config.workspace
-    if workspace is None:
-        workspace = 2 * max(len(target), 1) + 4
-    bounds = StepBounds(workspace, config.step_budget, config.form_budget)
+    bounds = config.bounds(max(len(target), 1))
     trace = find_derivation(system, mode, target, bounds)
     payload = {"derivable": trace is not None, "trace": None}
     if trace is not None and config.trace:

@@ -1,21 +1,24 @@
 """Grammar-to-grammar transformations between the supported system kinds.
 
-Every public function takes an immutable :class:`~rrw.core.System` (or
-:class:`~rrw.core.Component`) and returns a freshly built, validated output
-together with a :class:`ConstructionReport`. Fresh symbols come from a
-:class:`FreshNameScheme` and never collide with input symbols. All functions
-are pure; inputs are never mutated.
-
 Each construction's contract (input kinds, accepted modes, the mode pair it
-preserves, its entry point) is declared once, in :data:`CONSTRUCTIONS`;
-the functions check their input against it and take their reports' modes
-from it, and :func:`apply_construction`, the CLI and the tests read it.
+preserves, the output kind, its builder) is declared once, in
+:data:`CONSTRUCTIONS`. :func:`apply_construction` is the one entry point: it
+checks the input against the contract, runs the builder, assembles and
+validates the output :class:`~rrw.core.System` and reports it in a
+:class:`ConstructionReport`. A builder is a private function of the input
+system and the mode argument that returns only the parts of the output
+(:class:`_Parts`). The CLI and the tests read the same table.
+
+Fresh symbols come from a :class:`FreshNameScheme` and never collide with
+input symbols. Inputs are never mutated. The component-level conversions
+:func:`frc_to_ordered_component` and :func:`ordered_to_frc_component` are
+public as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     Component,
@@ -75,10 +78,24 @@ class ConstructionReport:
         return "\n".join(lines)
 
 
-def _erasing_note(out):
-    if not out.non_erasing:
-        return ["output contains erasing rules"]
-    return []
+class _Parts(NamedTuple):
+    """What a builder returns: the output system short of its kind (from the
+    contract) and its terminals (the input's)."""
+
+    suffix: str                   # appended to the input's name
+    nonterminals: frozenset
+    components: tuple
+    start: str | None = None      # the input's start symbol when None
+    component_order: StrictOrder | None = None
+    notes: tuple = ()
+
+
+def _parking_symbols(system, scheme, levels):
+    """A fresh symbol X{level}_w{i} per level and per distinct right-hand
+    side w of the input's rules, numbered by first appearance."""
+    rhss = dict.fromkeys(r.rhs for c in system.components for r in c.rules)
+    return {(level, w): scheme.fresh(f"X{level}_w{i}")
+            for i, w in enumerate(rhss, start=1) for level in levels}
 
 
 def _layered_component(name, top, middle, bottom):
@@ -162,78 +179,41 @@ def ordered_to_frc_component(component: Component) -> Component:
     return Component(name=component.name, rules=rules, contexts=tuple(contexts))
 
 
-def frc_to_ord(system: System, mode=None):
-    """System-level forbid-to-order conversion (one shared dead symbol).
-    A given ``mode`` is checked against the contract and reported."""
-    contract = CONSTRUCTIONS["frc-to-ord"].check(system, mode)
-    scheme = FreshNameScheme(system.alphabet)
-    dead = scheme.fresh("X_f")
-    comps = []
-    used_dead = False
-    for comp in system.components:
-        converted = frc_to_ordered_component(comp, avoid=system.alphabet)
-        # realign the component onto the shared dead symbol
-        rules = tuple(
-            Rule(r.lhs, tuple(dead if s not in system.alphabet else s
-                              for s in r.rhs))
-            for r in converted.rules
-        )
-        if any(dead in r.rhs for r in rules):
-            used_dead = True
-        comps.append(Component(comp.name, rules, order=converted.order))
-    nonterminals = set(system.nonterminals)
-    if used_dead:
-        nonterminals.add(dead)
-    kind = "ordered" if len(comps) == 1 else "ocdgs"
-    out = check(System(
-        kind=kind,
-        name=system.name + "_ord",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=system.start,
-        components=tuple(comps),
-    ))
-    notes = ["maximal-derivation mode is outside this conversion's guarantee"]
-    return out, contract.report(system, out, mode, notes)
+def _frc_to_ord(system: System, mode):
+    """System-level forbid-to-order conversion. The components' guard rules
+    share one dead symbol: every component's symbols lie in the input's
+    alphabet, so each picks the same fresh name."""
+    comps = [frc_to_ordered_component(comp, avoid=system.alphabet)
+             for comp in system.components]
+    dead = {s for c in comps for r in c.rules for s in r.rhs} - system.alphabet
+    return _Parts("_ord", system.nonterminals | dead, comps, notes=(
+        "maximal-derivation mode is outside this conversion's guarantee",))
 
 
-def ord_to_frc(system: System, mode=None):
-    """System-level order-to-forbid conversion; exact on every mode.
-    A given ``mode`` is checked against the contract and reported."""
-    contract = CONSTRUCTIONS["ord-to-frc"].check(system, mode)
-    comps = tuple(
-        ordered_to_frc_component(comp) for comp in system.components
-    )
-    out = check(System(
-        kind="frccdgs",
-        name=system.name + "_frc",
-        nonterminals=system.nonterminals,
-        terminals=system.terminals,
-        start=system.start,
-        components=comps,
-    ))
-    return out, contract.report(system, out, mode)
+def _ord_to_frc(system: System, mode):
+    """System-level order-to-forbid conversion; exact on every mode."""
+    return _Parts("_frc", system.nonterminals,
+                  [ordered_to_frc_component(c) for c in system.components])
 
 
 # ---------------------------------------------------------------------------
 # graph control -> ordered cooperation
 # ---------------------------------------------------------------------------
 
-def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
+def _gc_to_ocdgs(system: System, mode: Mode, compact: bool = False):
     """Compile a graph-controlled grammar into an ordered cooperating system.
 
     The control state becomes a label symbol carried in the sentential form;
     per control rule the output contains one failure component and either two
-    success components or, with ``compact_erasing``, a single erasing one.
+    success components or, with ``compact``, a single erasing one.
     Works for the modes =k and >=k with k >= 2.
     """
-    contract = CONSTRUCTIONS["gc-to-ocdgs"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     gc_rules = system.gc_rules
     labels = [g.label for g in gc_rules]
     lab = {l: scheme.fresh(l) for l in labels}
     start = scheme.fresh("S")
-    if not compact_erasing:
+    if not compact:
         hat_lab = {l: scheme.fresh(l + "^") for l in labels}
         hat_nt = {a: scheme.fresh(a + "^") for a in sorted(system.nonterminals)}
     else:
@@ -264,7 +244,7 @@ def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
         failure = sorted(g.failure - {li})
         success = sorted(g.success)
         others = [l for l in labels if l != li]
-        if compact_erasing:
+        if compact:
             def _success_comp(erased, target_of):
                 comps.append(_layered_component(
                     f"P{len(comps)}",
@@ -299,7 +279,7 @@ def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
                 [Rule(hat_nt[g.rule.lhs], tuple(g.rule.rhs))],
                 [Rule(hat_lab[li], (lab[l],)) for l in success],
             ))
-        if compact_erasing:
+        if compact:
             failure_sources = [lab[li]]
             if li in twin:
                 failure_sources.append(twin[li])
@@ -319,12 +299,12 @@ def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
             ))
 
     blockers = sorted(system.nonterminals)
-    if not compact_erasing:
+    if not compact:
         blockers = blockers + [hat_nt[a] for a in sorted(system.nonterminals)]
     end_rules = []
     for l in sorted(system.final_labels):
         final_syms = [lab[l]]
-        if compact_erasing and l in twin:
+        if compact and l in twin:
             final_syms.append(twin[l])
         for s in final_syms:
             end_rules.append(Rule(s, ()))
@@ -337,27 +317,18 @@ def gc_to_ocdgs(system: System, mode: Mode, compact_erasing: bool = False):
     ))
 
     nonterminals = set(system.nonterminals) | set(lab.values()) | {start}
-    if compact_erasing:
+    if compact:
         nonterminals |= set(twin.values())
     else:
         nonterminals |= set(hat_lab.values()) | set(hat_nt.values())
-    out = check(System(
-        kind="ocdgs",
-        name=system.name + "_ocd",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=start,
-        components=tuple(comps),
-    ))
-    notes = _erasing_note(out)
-    return out, contract.report(system, out, mode, notes)
+    return _Parts("_ocd", nonterminals, comps, start=start)
 
 
 # ---------------------------------------------------------------------------
 # ordered cooperation (maximal mode) -> one ordered grammar
 # ---------------------------------------------------------------------------
 
-def ocdgs_t_to_ordered(system: System):
+def _ocdgs_t_to_ord(system: System, mode):
     """Flatten a cooperating system under maximal derivations into a single
     ordered grammar.
 
@@ -367,7 +338,6 @@ def ocdgs_t_to_ordered(system: System):
     no applicable rule left. Compare the input in maximal mode against the
     output's plain closure.
     """
-    contract = CONSTRUCTIONS["ocdgs-t-to-ord"].check(system)
     n = len(system.components)
     nts = sorted(system.nonterminals)
     scheme = FreshNameScheme(system.alphabet)
@@ -472,49 +442,31 @@ def ocdgs_t_to_ordered(system: System):
     order = close_order(pairs, size=len(rules))
     comp = Component("P", tuple(rules), order=order)
     nonterminals = {system.start} | set(marked.values()) | set(trans.values())
-    out = check(System(
-        kind="ordered",
-        name=system.name + "_flat",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=system.start,
-        components=(comp,),
-    ))
-    return out, contract.report(system, out, None)
+    return _Parts("_flat", nonterminals, (comp,))
 
 
 # ---------------------------------------------------------------------------
 # forbid-regulated cooperation: collapse, step-count conversions
 # ---------------------------------------------------------------------------
 
-def frccd_collapse_to_single(system: System, mode: Mode):
+def _frccd_merge(system: System, mode: Mode):
     """Merge all components of a forbid-regulated system into one.
 
     Sound exactly for the step-count-insensitive modes (<=k, *, =1, >=1);
     other modes are rejected because the merged component could mix rules
     from different components inside one activation.
     """
-    contract = CONSTRUCTIONS["frccd-merge"].check(system, mode)
     rules = []
     contexts = []
     for comp in system.components:
         for i, rule in enumerate(comp.rules):
             rules.append(Rule(rule.lhs, rule.rhs))
             contexts.append(RcCondition(forbid=comp.contexts[i].forbid))
-    out = check(System(
-        kind="frccdgs",
-        name=system.name + "_one",
-        nonterminals=system.nonterminals,
-        terminals=system.terminals,
-        start=system.start,
-        components=(
-            Component("P", tuple(rules), contexts=tuple(contexts)),
-        ),
-    ))
-    return out, contract.report(system, out, mode)
+    return _Parts("_one", system.nonterminals, (
+        Component("P", tuple(rules), contexts=tuple(contexts)),))
 
 
-def frccd_to_eq2(system: System, input_mode: Mode):
+def _frccd_to_eq2(system: System, mode: Mode):
     """Rebuild a forbid-regulated system so that exactly-2-step cooperation
     simulates its =k or >=k behavior (k >= 2).
 
@@ -522,8 +474,7 @@ def frccd_to_eq2(system: System, input_mode: Mode):
     symbol tracks which component is active and how far its activation has
     progressed.
     """
-    contract = CONSTRUCTIONS["frccd-to-eq2"].check(system, input_mode)
-    k = input_mode.k
+    k = mode.k
     scheme = FreshNameScheme(system.alphabet)
     n = len(system.components)
     start = scheme.fresh(system.start + "'")
@@ -531,15 +482,7 @@ def frccd_to_eq2(system: System, input_mode: Mode):
     comp_guard = [scheme.fresh(f"Y{i}") for i in range(1, n + 1)]
     guards = frozenset([guard] + comp_guard)
 
-    w_index = {}
-    for comp in system.components:
-        for rule in comp.rules:
-            if rule.rhs not in w_index:
-                w_index[rule.rhs] = len(w_index) + 1
-    x_sym = {}
-    for w, idx in w_index.items():
-        for level in range(1, k + 1):
-            x_sym[(level, w)] = scheme.fresh(f"X{level}_w{idx}")
+    x_sym = _parking_symbols(system, scheme, range(1, k + 1))
     x_all = frozenset(x_sym.values())
 
     comps = [Component(
@@ -586,7 +529,7 @@ def frccd_to_eq2(system: System, input_mode: Mode):
                 f"P{ci + 1}_{level}",
                 tuple(rules + more), contexts=tuple(ctxs + mctx),
             ))
-        if input_mode.variant == ">=":
+        if mode.variant == ">=":
             rules, ctxs = unload_rules(k)
             more, mctx = load_rules(k, stay=others)
             comps.append(Component(
@@ -603,19 +546,10 @@ def frccd_to_eq2(system: System, input_mode: Mode):
         ))
 
     nonterminals = system.nonterminals | x_all | guards | {start}
-    out = check(System(
-        kind="frccdgs",
-        name=system.name + "_eq2",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=start,
-        components=tuple(comps),
-    ))
-    notes = _erasing_note(out)
-    return out, contract.report(system, out, input_mode, notes)
+    return _Parts("_eq2", nonterminals, comps, start=start)
 
 
-def frccd_eq2_to_k(system: System, k: int, output_mode: Mode):
+def _frccd_eq2_to_k(system: System, mode: Mode):
     """Stretch exactly-2-step cooperation of a forbid-regulated system to
     exactly-k (or at-least-k) steps, k >= 3.
 
@@ -624,11 +558,7 @@ def frccd_eq2_to_k(system: System, k: int, output_mode: Mode):
     the first produced symbol, and a reset component unwinds the marks in
     exactly k steps.
     """
-    contract = CONSTRUCTIONS["frccd-eq2-to-k"].check(system, output_mode)
-    if output_mode.k != k:
-        raise ModeError(
-            f"frccd-eq2-to-k output mode must have k = {k}, got {output_mode}"
-        )
+    k = mode.k
     scheme = FreshNameScheme(system.alphabet)
 
     markable = []
@@ -647,15 +577,7 @@ def frccd_eq2_to_k(system: System, k: int, output_mode: Mode):
         v for (s, level), v in mark_sym.items() if level >= 2
     )
 
-    w_index = {}
-    for comp in system.components:
-        for rule in comp.rules:
-            if rule.rhs not in w_index:
-                w_index[rule.rhs] = len(w_index) + 1
-    x_sym = {}
-    for w, idx in w_index.items():
-        for t in range(1, k - 1):
-            x_sym[(t, w)] = scheme.fresh(f"X{t}_w{idx}")
+    x_sym = _parking_symbols(system, scheme, range(1, k - 1))
     x_all = frozenset(x_sym.values())
 
     def marked(w, level):
@@ -703,34 +625,26 @@ def frccd_eq2_to_k(system: System, k: int, output_mode: Mode):
             ctxs.append(RcCondition(forbid=x_all))
         rules.append(Rule(mark_sym[(s, 1)], (s,) if s is not None else ()))
         ctxs.append(RcCondition(forbid=x_all))
-        if output_mode.variant == ">=":
+        if mode.variant == ">=":
             for level in range(1, k + 1):
                 rules.append(Rule(mark_sym[(s, level)],
                                   (mark_sym[(s, level)],)))
                 ctxs.append(RcCondition(forbid=x_all))
     comps.append(Component("Preset", tuple(rules), contexts=tuple(ctxs)))
 
-    nonterminals = system.nonterminals | m_all | x_all
-    out = check(System(
-        kind="frccdgs",
-        name=system.name + f"_eq{k}",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=system.start,
-        components=tuple(comps),
-    ))
-    notes = list(_erasing_note(out))
-    if output_mode.variant == ">=":
-        notes.append("at-least-k padding realized as self-rewriting reset "
-                     "marker rules")
-    return out, contract.report(system, out, output_mode, notes)
+    notes = ()
+    if mode.variant == ">=":
+        notes = ("at-least-k padding realized as self-rewriting reset "
+                 "marker rules",)
+    return _Parts(f"_eq{k}", system.nonterminals | m_all | x_all, comps,
+                  notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # entry-condition systems <-> per-rule forbid systems
 # ---------------------------------------------------------------------------
 
-def cdfrc_to_frccd(system: System, mode: Mode):
+def _cdfrc_to_frccd(system: System, mode: Mode):
     """Push per-component entry forbid sets down to per-rule forbid sets.
 
     A guard symbol records which component's entry condition was last
@@ -745,7 +659,6 @@ def cdfrc_to_frccd(system: System, mode: Mode):
     the merged step count is wrong and the output over-generates, so those
     modes are rejected.
     """
-    contract = CONSTRUCTIONS["cdfrc-to-frccd"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     n = len(system.components)
     start = scheme.fresh(system.start + "'")
@@ -791,37 +704,24 @@ def cdfrc_to_frccd(system: System, mode: Mode):
     comps.append(Component("Pend", tuple(rules), contexts=tuple(ctxs)))
 
     nonterminals = system.nonterminals | {start, guard} | set(checker)
-    out = check(System(
-        kind="frccdgs",
-        name=system.name + "_frccd",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=start,
-        components=tuple(comps),
-    ))
-    notes = _erasing_note(out)
-    return out, contract.report(system, out, mode, notes)
+    return _Parts("_frccd", nonterminals, comps, start=start)
 
 
 def _pairs_compatible(p, p2):
     """Can the two distinct forbid-regulated rules fire in sequence inside one
     exactly-2-step activation (in at least one order)?"""
     (a, w, f), (a2, w2, f2) = p, p2
-
-    def count(word, syms):
-        return sum(1 for s in word if s in syms)
-
     if a not in f | f2 and a2 not in f | f2 and (
-            count(w, f2) == 0 or count(w2, f) == 0):
+            f2.isdisjoint(w) or f.isdisjoint(w2)):
         return True
-    if a in f2 and a2 not in f and count(w, f2) == 0:
+    if a in f2 and a2 not in f and f2.isdisjoint(w):
         return True
-    if a2 in f and a not in f2 and count(w2, f) == 0:
+    if a2 in f and a not in f2 and f.isdisjoint(w2):
         return True
     return False
 
 
-def frccd_eq2_to_cdfrc(system: System):
+def _frccd_eq2_to_cdfrc(system: System, mode):
     """Lift per-rule forbid sets of an exactly-2-step system to component
     entry conditions.
 
@@ -830,7 +730,6 @@ def frccd_eq2_to_cdfrc(system: System):
     and nested components handle a second application inside the first rule's
     output. All context checks move to entry forbid sets.
     """
-    contract = CONSTRUCTIONS["frccd-eq2-to-cdfrc"].check(system)
     scheme = FreshNameScheme(system.alphabet)
     sharp = scheme.fresh("sharp")
 
@@ -847,9 +746,6 @@ def frccd_eq2_to_cdfrc(system: System):
                 keys.append(key)
         comp_rules.append(keys)
 
-    def count(word, syms):
-        return sum(1 for s in word if s in syms)
-
     doubles = []
     pair_set = []
     nested = []
@@ -857,7 +753,7 @@ def frccd_eq2_to_cdfrc(system: System):
     for keys in comp_rules:
         for p in keys:
             a, w, f = p
-            if count(w, f) == 0 and p not in doubles:
+            if f.isdisjoint(w) and p not in doubles:
                 doubles.append(p)
         for i, p in enumerate(keys):
             for p2 in keys[i + 1:]:
@@ -879,7 +775,7 @@ def frccd_eq2_to_cdfrc(system: System):
                     if s != a2:
                         continue
                     xi, eta = w[:pos], w[pos + 1:]
-                    if count(xi + eta, f2) == 0:
+                    if f2.isdisjoint(xi + eta):
                         entry = (p, p2, xi, eta)
                         if entry not in nested:
                             nested.append(entry)
@@ -924,19 +820,10 @@ def frccd_eq2_to_cdfrc(system: System):
             ),
         ))
 
-    nonterminals = system.nonterminals | x_all | {sharp}
-    out = check(System(
-        kind="entry-cdgs",
-        name=system.name + "_entry",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=system.start,
-        components=tuple(comps),
-    ))
-    return out, contract.report(system, out, None, _erasing_note(out))
+    return _Parts("_entry", system.nonterminals | x_all | {sharp}, comps)
 
 
-def cdfrc_eq2_to_eqk(system: System, k: int):
+def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
     """Stretch an exactly-2-step entry-condition system to exactly-k steps.
 
     Single-rule components are first normalized into two-marker gadgets so
@@ -946,8 +833,7 @@ def cdfrc_eq2_to_eqk(system: System, k: int):
     marker gadget, lexicographically first rule otherwise) is a documented
     heuristic; outputs are flagged accordingly.
     """
-    mode = Mode("=", k)
-    contract = CONSTRUCTIONS["cdfrc-eq2-to-eqk"].check(system, mode)
+    k = mode.k
     for comp in system.components:
         if len(comp.rules) > 2:
             raise KindError(
@@ -990,7 +876,7 @@ def cdfrc_eq2_to_eqk(system: System, k: int):
                 if s != a:
                     continue
                 xi, eta = w[:pos], w[pos + 1:]
-                if not any(t in f for t in xi + eta):
+                if f.isdisjoint(xi + eta):
                     proto.append((f"{comp.name}_n{pos + 1}",
                                   [Rule(xp, (sharp,)), Rule(sharp, xi + w + eta)],
                                   f | {sharp} | (x_all - {xp})))
@@ -1036,31 +922,21 @@ def cdfrc_eq2_to_eqk(system: System, k: int):
     nonterminals = system.nonterminals | x_all | chain_all
     if sharp:
         nonterminals = nonterminals | {sharp}
-    out = check(System(
-        kind="entry-cdgs",
-        name=system.name + f"_eq{k}",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=system.start,
-        components=built,
-    ))
-    notes = ["prolongation rule choice is a documented heuristic"]
-    notes += _erasing_note(out)
-    return out, contract.report(system, out, mode, notes)
+    return _Parts(f"_eq{k}", nonterminals, built, notes=(
+        "prolongation rule choice is a documented heuristic",))
 
 
 # ---------------------------------------------------------------------------
 # entry-condition systems <-> component priorities
 # ---------------------------------------------------------------------------
 
-def cdfrc_to_pcd(system: System, mode: Mode):
+def _cdfrc_to_pcd(system: System, mode: Mode):
     """Turn entry forbid sets into blocking components under priorities.
 
     For each nonempty forbid set a watcher component is added above the
     original: it can act (loop or derail into a dead symbol) exactly when a
     forbidden symbol is present, which blocks the original via priority.
     """
-    contract = CONSTRUCTIONS["cdfrc-to-pcd"].check(system, mode)
     scheme = FreshNameScheme(system.alphabet)
     dead = scheme.fresh("X_f")
     comps = [
@@ -1083,19 +959,11 @@ def cdfrc_to_pcd(system: System, mode: Mode):
     nonterminals = set(system.nonterminals)
     if used_dead:
         nonterminals.add(dead)
-    out = check(System(
-        kind="pcdgs",
-        name=system.name + "_pcd",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=system.start,
-        components=tuple(comps),
-        component_order=close_order(pairs, size=len(comps)),
-    ))
-    return out, contract.report(system, out, mode)
+    return _Parts("_pcd", nonterminals, comps,
+                  component_order=close_order(pairs, size=len(comps)))
 
 
-def pcd_to_cdfrc(system: System, mode: Mode):
+def _pcd_to_cdfrc(system: System, mode: Mode):
     """Turn component priorities into entry forbid sets.
 
     A higher-priority component can act for these modes exactly when some
@@ -1103,8 +971,6 @@ def pcd_to_cdfrc(system: System, mode: Mode):
     condition forbids those symbols. In maximal mode only left-hand sides
     whose component sub-language is nonempty can block and are included.
     """
-    contract = CONSTRUCTIONS["pcd-to-cdfrc"].check(system, mode)
-
     def blocking_lhs(comp):
         if mode.variant != "t":
             return set(comp.lhs_set)
@@ -1125,22 +991,14 @@ def pcd_to_cdfrc(system: System, mode: Mode):
             tuple(Rule(r.lhs, r.rhs) for r in comp.rules),
             entry=RcCondition(forbid=frozenset(forbid)),
         ))
-    out = check(System(
-        kind="entry-cdgs",
-        name=system.name + "_entry",
-        nonterminals=system.nonterminals,
-        terminals=system.terminals,
-        start=system.start,
-        components=tuple(comps),
-    ))
-    return out, contract.report(system, out, mode)
+    return _Parts("_entry", system.nonterminals, comps)
 
 
 # ---------------------------------------------------------------------------
 # at-least-k entry-condition cooperation -> at-least-2
 # ---------------------------------------------------------------------------
 
-def cdfrc_geqk_to_geq2(system: System, k: int):
+def _cdfrc_geqk_to_geq2(system: System, mode: Mode):
     """Rebuild an at-least-k entry-condition system so at-least-2-step
     cooperation simulates it.
 
@@ -1148,8 +1006,7 @@ def cdfrc_geqk_to_geq2(system: System, k: int):
     per-component counter symbol; counting components force at least one
     original step per counter level before the counter resets.
     """
-    mode = Mode(">=", k)
-    contract = CONSTRUCTIONS["cdfrc-geqk-to-geq2"].check(system, mode)
+    k = mode.k
     scheme = FreshNameScheme(system.alphabet)
     n = len(system.components)
     start = scheme.fresh(system.start + "'")
@@ -1202,17 +1059,8 @@ def cdfrc_geqk_to_geq2(system: System, k: int):
             entry=RcCondition(forbid=y_all - {counter[(i, k)]}),
         ))
 
-    nonterminals = system.nonterminals | y_all | {start}
-    out = check(System(
-        kind="entry-cdgs",
-        name=system.name + "_geq2",
-        nonterminals=frozenset(nonterminals),
-        terminals=system.terminals,
-        start=start,
-        components=tuple(comps),
-    ))
-    notes = _erasing_note(out)
-    return out, contract.report(system, out, mode, notes)
+    return _Parts("_geq2", system.nonterminals | y_all | {start}, comps,
+                  start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -1221,7 +1069,8 @@ def cdfrc_geqk_to_geq2(system: System, k: int):
 
 @dataclass(frozen=True)
 class Contract:
-    """When a construction applies and which modes it relates.
+    """When a construction applies, which modes it relates and what it
+    builds.
 
     ``modes`` lists the mode arguments the construction takes, as literal
     modes (``t``, ``*``, ``=2``) or counted families (``=k``, ``<=k``,
@@ -1229,17 +1078,19 @@ class Contract:
     output mode) pair under which input and output generate the same
     language; ``M`` stands for the mode argument. A construction without
     ``mode_required`` may be called without a mode; a mode given to it must
-    still lie in ``modes``.
+    still lie in ``modes``. ``output_kind`` is the kind of every output;
+    ``a/b`` means a for a single-component output and b otherwise.
     """
 
     name: str
     kinds: str                 # accepted input kinds, space separated
     modes: str
     preserves: tuple
-    run: Callable              # (system, mode, compact) -> (System, report)
+    output_kind: str
+    build: Callable            # (system, mode) -> _Parts
     k_min: int = 1
     mode_required: bool = True
-    compact: bool = False      # takes the compact (erasing) variant
+    compact: bool = False      # build also takes compact=True
     forbid_entries: bool = False  # entry conditions must be forbid-only
 
     def describe(self) -> str:
@@ -1287,23 +1138,6 @@ class Contract:
             raise ValueError(f"{self.name} has no compact variant")
         return self
 
-    def report(self, inp, out, mode, notes=()):
-        """The report for ``inp`` -> ``out`` built with mode argument
-        ``mode``."""
-        input_mode, output_mode = self.preserved(mode)
-        return ConstructionReport(
-            name=self.name,
-            input_kind=inp.kind,
-            output_kind=out.kind,
-            input_mode=None if input_mode is None else str(input_mode),
-            output_mode=None if output_mode is None else str(output_mode),
-            fresh_nonterminals=len(
-                out.nonterminals - inp.nonterminals - inp.terminals
-            ),
-            components=len(out.components),
-            notes=tuple(notes),
-        )
-
 
 # Modes in which every activation is a sequence of one-step activations of
 # the same mode, so a construction may ignore activation boundaries
@@ -1312,33 +1146,31 @@ _STEP_COUNT_FREE = "* =1 >=1 <=k"
 
 CONSTRUCTIONS = {c.name: c for c in (
     Contract("frc-to-ord", "frccdgs", "* =k <=k >=k", ("M", "M"),
-             lambda s, m, _: frc_to_ord(s, m), mode_required=False),
+             "ordered/ocdgs", _frc_to_ord, mode_required=False),
     Contract("ord-to-frc", "ordered ocdgs cdgs", "t * =k <=k >=k", ("M", "M"),
-             lambda s, m, _: ord_to_frc(s, m), mode_required=False),
-    Contract("gc-to-ocdgs", "gc", "=k >=k", ("M", "M"), gc_to_ocdgs,
-             k_min=2, compact=True),
+             "frccdgs", _ord_to_frc, mode_required=False),
+    Contract("gc-to-ocdgs", "gc", "=k >=k", ("M", "M"),
+             "ocdgs", _gc_to_ocdgs, k_min=2, compact=True),
     Contract("ocdgs-t-to-ord", "ordered ocdgs cdgs", "t", ("t", "*"),
-             lambda s, m, _: ocdgs_t_to_ordered(s), mode_required=False),
+             "ordered", _ocdgs_t_to_ord, mode_required=False),
     Contract("frccd-merge", "frccdgs", _STEP_COUNT_FREE, ("M", "M"),
-             lambda s, m, _: frccd_collapse_to_single(s, m)),
+             "frccdgs", _frccd_merge),
     Contract("frccd-to-eq2", "frccdgs", "=k >=k", ("M", "=2"),
-             lambda s, m, _: frccd_to_eq2(s, m), k_min=2),
+             "frccdgs", _frccd_to_eq2, k_min=2),
     Contract("frccd-eq2-to-k", "frccdgs", "=k >=k", ("=2", "M"),
-             lambda s, m, _: frccd_eq2_to_k(s, m.k, m), k_min=3),
+             "frccdgs", _frccd_eq2_to_k, k_min=3),
     Contract("cdfrc-to-frccd", "entry-cdgs", "t * >=k", ("M", "M"),
-             lambda s, m, _: cdfrc_to_frccd(s, m), forbid_entries=True),
+             "frccdgs", _cdfrc_to_frccd, forbid_entries=True),
     Contract("frccd-eq2-to-cdfrc", "frccdgs", "=2", ("=2", "=2"),
-             lambda s, m, _: frccd_eq2_to_cdfrc(s), mode_required=False),
+             "entry-cdgs", _frccd_eq2_to_cdfrc, mode_required=False),
     Contract("cdfrc-eq2-to-eqk", "entry-cdgs", "=k", ("=2", "M"),
-             lambda s, m, _: cdfrc_eq2_to_eqk(s, m.k), k_min=3,
-             forbid_entries=True),
+             "entry-cdgs", _cdfrc_eq2_to_eqk, k_min=3, forbid_entries=True),
     Contract("cdfrc-to-pcd", "entry-cdgs", "t * =k <=k >=k", ("M", "M"),
-             lambda s, m, _: cdfrc_to_pcd(s, m), forbid_entries=True),
+             "pcdgs", _cdfrc_to_pcd, forbid_entries=True),
     Contract("pcd-to-cdfrc", "pcdgs", "t " + _STEP_COUNT_FREE, ("M", "M"),
-             lambda s, m, _: pcd_to_cdfrc(s, m)),
+             "entry-cdgs", _pcd_to_cdfrc),
     Contract("cdfrc-geqk-to-geq2", "entry-cdgs", ">=k", ("M", ">=2"),
-             lambda s, m, _: cdfrc_geqk_to_geq2(s, m.k), k_min=2,
-             forbid_entries=True),
+             "entry-cdgs", _cdfrc_geqk_to_geq2, k_min=2, forbid_entries=True),
 )}
 
 
@@ -1352,12 +1184,40 @@ def apply_construction(name, system, mode=None, compact=False):
     ``compact`` selects the erasing variant of ``gc-to-ocdgs``. Raises
     ``KeyError`` for an unknown name, :class:`KindError`, :class:`ModeError`
     or :class:`PermitPresent` outside the contract, and ``ValueError`` for
-    ``compact`` elsewhere. Returns (system, report). The report's modes come
-    from the contract's mode map applied to ``mode``; a mode-free
-    construction called without one reports the map's fixed modes, if any.
+    ``compact`` elsewhere. Returns the validated output system and its
+    report. The report's modes come from the contract's mode map applied to
+    ``mode``; a mode-free construction called without one reports the map's
+    fixed modes, if any. An output with erasing rules is noted as such.
     """
     if name not in CONSTRUCTIONS:
         raise KeyError(f"unknown construction {name!r}")
-    contract = CONSTRUCTIONS[name]
-    contract.check(system, mode, compact)
-    return contract.run(system, mode, compact)
+    contract = CONSTRUCTIONS[name].check(system, mode, compact)
+    parts = (contract.build(system, mode, compact=True) if compact
+             else contract.build(system, mode))
+    components = tuple(parts.components)
+    kinds = contract.output_kind.split("/")
+    out = check(System(
+        kind=kinds[0] if len(components) == 1 else kinds[-1],
+        name=system.name + parts.suffix,
+        nonterminals=parts.nonterminals,
+        terminals=system.terminals,
+        start=parts.start or system.start,
+        components=components,
+        component_order=parts.component_order,
+    ))
+    notes = parts.notes
+    if not out.non_erasing:
+        notes += ("output contains erasing rules",)
+    input_mode, output_mode = contract.preserved(mode)
+    return out, ConstructionReport(
+        name=name,
+        input_kind=system.kind,
+        output_kind=out.kind,
+        input_mode=None if input_mode is None else str(input_mode),
+        output_mode=None if output_mode is None else str(output_mode),
+        fresh_nonterminals=len(
+            out.nonterminals - system.nonterminals - system.terminals
+        ),
+        components=len(components),
+        notes=notes,
+    )

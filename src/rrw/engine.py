@@ -921,6 +921,8 @@ def enumerate_language(system, mode, max_len, bounds):
     complete=True iff the closure was exhausted within bounds, or every
     truncation is covered by the non-erasing workspace guarantee.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if max_len > bounds.workspace:
         raise ValueError("max_len exceeds workspace")
     enum = _enumeration(system, bounds, mode, max_len,

@@ -5,6 +5,7 @@ the real stdout (bypassing capture) so the verdicts are visible in any run.
 """
 
 import random
+import re
 import subprocess
 import sys
 import time
@@ -121,6 +122,13 @@ def diff_cases():
                 for compact in (False, True) if contract.compact \
                         else (False,):
                     yield cname, stem, mode, mode_in, mode_out, compact
+
+
+def test_readme_states_the_criterion_3_count():
+    readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Constructions\n", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"\((\d+) checks\)", section)
+    assert stated == [str(len(list(diff_cases())))]
 
 
 def test_criterion_3_construction_differential_suite(report):

@@ -92,6 +92,8 @@ def test_transform_mode_rejection_exits_2(capsys):
     ("frccd_small.rrw", "--construction", "frc-to-ord", "--mode", "t"),
     ("frccd_small.rrw", "--construction", "frccd-merge", "--mode", "*",
      "--compact"),
+    ("entry_witness.rrw", "--construction", "cdfrc-eq2-to-eqk", "--mode",
+     "=3"),
 ])
 def test_transform_outside_the_contract_exits_2(capsys, argv):
     status, out, err = run_cli(capsys, "transform",
@@ -114,6 +116,22 @@ def test_equiv_equal_and_unequal(capsys):
     )
     assert status == 1
     assert "only in" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum", "cf_anbn.rrw", "--max-len", "-1"),
+    ("enum", "cf_star.rrw", "--max-len", "-1"),
+    ("enum", "cf_star.rrw", "--max-len", "-2"),
+    ("equiv", "cf_anbn.rrw", "cf_star.rrw", "--max-len", "-1"),
+])
+def test_negative_max_len_exits_2(capsys, argv):
+    command, *files = argv[:-2]
+    status, out, err = run_cli(capsys, command,
+                               *(str(CORPUS_DIR / f) for f in files),
+                               "--mode", "*", *argv[-2:])
+    assert status == 2
+    assert out == ""
+    assert "max_len must be >= 0" in err
 
 
 def test_nonempty_report(capsys):

@@ -19,21 +19,10 @@ from rrw import (
     System,
     apply_construction,
     bounded_equiv,
-    cdfrc_eq2_to_eqk,
-    cdfrc_geqk_to_geq2,
-    cdfrc_to_frccd,
-    cdfrc_to_pcd,
     close_order,
     frc_to_ordered_component,
-    frccd_collapse_to_single,
-    frccd_eq2_to_k,
-    frccd_to_eq2,
-    gc_to_ocdgs,
-    ocdgs_t_to_ordered,
-    ord_to_frc,
     ordered_to_frc_component,
     parse_system,
-    pcd_to_cdfrc,
     rule_applicable,
     serialize_system,
     validate,
@@ -165,7 +154,7 @@ def test_ordered_frc_round_trip_preserves_applicability(rule_specs, pairs):
 
 def test_gc_to_ocdgs_component_count():
     gc = load_corpus("gc_fin.rrw")  # 3 labeled rules
-    out, report = gc_to_ocdgs(gc, Mode.parse("=2"))
+    out, report = apply_construction("gc-to-ocdgs", gc, Mode.parse("=2"))
     assert len(out.components) == 3 * 3 + 2
     assert report.components == len(out.components)
     assert validate(out) == []
@@ -188,7 +177,8 @@ def test_gc_to_ocdgs_compact_component_count():
         init_labels=gc.init_labels,
         final_labels=gc.final_labels,
     )
-    out, _ = gc_to_ocdgs(no_self, Mode.parse("=2"), compact_erasing=True)
+    out, _ = apply_construction("gc-to-ocdgs", no_self, Mode.parse("=2"),
+                                compact=True)
     assert len(out.components) == 2 + 2 * 3
     assert validate(out) == []
 
@@ -196,7 +186,8 @@ def test_gc_to_ocdgs_compact_component_count():
 def test_gc_to_ocdgs_orders_are_two_layered():
     gc = load_corpus("gc_choice.rrw")
     for compact in (False, True):
-        out, _ = gc_to_ocdgs(gc, Mode.parse(">=2"), compact)
+        out, _ = apply_construction("gc-to-ocdgs", gc, Mode.parse(">=2"),
+                                    compact=compact)
         for comp in out.components:
             if comp.order is None:
                 continue
@@ -213,11 +204,11 @@ def test_gc_to_ocdgs_rejects_weak_modes():
     gc = load_corpus("gc_fin.rrw")
     for text in ("t", "*", "=1", "<=2", ">=1"):
         with pytest.raises(ModeError):
-            gc_to_ocdgs(gc, Mode.parse(text))
+            apply_construction("gc-to-ocdgs", gc, Mode.parse(text))
 
 
 def test_ocdgs_t_to_ordered_nonterminal_count(example1):
-    out, _ = ocdgs_t_to_ordered(example1)
+    out, _ = apply_construction("ocdgs-t-to-ord", example1)
     # {S} plus marked and transition copies of 3 nonterminals, 3 components
     assert len(out.nonterminals) == 1 + 3 * 3 + 3 * 9
     assert out.kind == "ordered"
@@ -226,14 +217,15 @@ def test_ocdgs_t_to_ordered_nonterminal_count(example1):
 
 def test_ocdgs_t_to_ordered_single_component():
     single = load_corpus("ordered_chain.rrw")
-    out, _ = ocdgs_t_to_ordered(single)
+    out, _ = apply_construction("ocdgs-t-to-ord", single)
     assert validate(out) == []
     verdict = bounded_equiv(single, T, out, T, 4, StepBounds(10))
     assert verdict.equal, verdict.summary()
 
 
 def test_ocdgs_t_to_ordered_large_order_round_trips():
-    out, _ = ocdgs_t_to_ordered(load_corpus("cdgs_phases.rrw"))
+    out, _ = apply_construction("ocdgs-t-to-ord",
+                                load_corpus("cdgs_phases.rrw"))
     (comp,) = out.components
     assert len(comp.rules) == 168
     assert len(comp.order.pairs) == 4_320
@@ -243,7 +235,7 @@ def test_ocdgs_t_to_ordered_large_order_round_trips():
 
 def test_frccd_merge_unions_rules():
     system = load_corpus("frccd_loops.rrw")  # 3 components
-    out, _ = frccd_collapse_to_single(system, Mode.parse("*"))
+    out, _ = apply_construction("frccd-merge", system, Mode.parse("*"))
     assert len(out.components) == 1
     assert len(out.components[0].rules) == sum(
         len(c.rules) for c in system.components
@@ -254,41 +246,41 @@ def test_frccd_merge_rejects_strong_modes():
     system = load_corpus("frccd_loops.rrw")
     for text in (">=2", "=2", "t"):
         with pytest.raises(ModeError):
-            frccd_collapse_to_single(system, Mode.parse(text))
+            apply_construction("frccd-merge", system, Mode.parse(text))
 
 
 def test_frccd_to_eq2_component_counts():
     system = load_corpus("frccd_pair.rrw")  # n = 2 components
-    out_ge, _ = frccd_to_eq2(system, Mode.parse(">=3"))
+    out_ge, _ = apply_construction("frccd-to-eq2", system, Mode.parse(">=3"))
     assert len(out_ge.components) == 1 + 2 * (3 + 2)
-    out_eq, _ = frccd_to_eq2(system, Mode.parse("=3"))
+    out_eq, _ = apply_construction("frccd-to-eq2", system, Mode.parse("=3"))
     assert len(out_eq.components) == 1 + 2 * (3 + 1)
 
 
 def test_frccd_to_eq2_output_is_erasing():
     system = load_corpus("frccd_small.rrw")
-    out, report = frccd_to_eq2(system, Mode.parse("=2"))
+    out, report = apply_construction("frccd-to-eq2", system, Mode.parse("=2"))
     assert not out.non_erasing
     assert any("erasing" in note for note in report.notes)
 
 
 def test_frccd_eq2_to_k_component_count():
     system = load_corpus("frccd_pair.rrw")  # n = 2
-    out, _ = frccd_eq2_to_k(system, 3, Mode.parse("=3"))
+    out, _ = apply_construction("frccd-eq2-to-k", system, Mode.parse("=3"))
     assert len(out.components) == 2 + 1
     assert validate(out) == []
 
 
 def test_cdfrc_to_frccd_component_count():
     system = load_corpus("entry_witness.rrw")  # n = 3
-    out, _ = cdfrc_to_frccd(system, Mode.parse(">=2"))
+    out, _ = apply_construction("cdfrc-to-frccd", system, Mode.parse(">=2"))
     assert len(out.components) == 2 * 3 + 2
     assert validate(out) == []
 
 
 def test_cdfrc_to_frccd_t_mode_has_no_guard_loops():
     system = load_corpus("entry_witness.rrw")
-    out, _ = cdfrc_to_frccd(system, T)
+    out, _ = apply_construction("cdfrc-to-frccd", system, T)
     fresh = out.nonterminals - system.nonterminals
     self_loops = [
         r for c in out.components for r in c.rules
@@ -296,7 +288,7 @@ def test_cdfrc_to_frccd_t_mode_has_no_guard_loops():
     ]
     assert self_loops == []
     # while the >=k variant does carry them
-    out_ge, _ = cdfrc_to_frccd(system, Mode.parse(">=2"))
+    out_ge, _ = apply_construction("cdfrc-to-frccd", system, Mode.parse(">=2"))
     fresh_ge = out_ge.nonterminals - system.nonterminals
     assert any(
         r.lhs in fresh_ge and r.rhs == (r.lhs,)
@@ -308,7 +300,7 @@ def test_cdfrc_to_frccd_rejects_counted_modes():
     system = load_corpus("entry_witness.rrw")
     for text in ("=1", "=2", "<=2"):
         with pytest.raises(ModeError):
-            cdfrc_to_frccd(system, Mode.parse(text))
+            apply_construction("cdfrc-to-frccd", system, Mode.parse(text))
 
 
 def test_cdfrc_to_frccd_rejects_permit_entries():
@@ -328,12 +320,12 @@ def test_cdfrc_to_frccd_rejects_permit_entries():
         ),
     )
     with pytest.raises(PermitPresent):
-        cdfrc_to_frccd(with_permit, Mode.parse(">=1"))
+        apply_construction("cdfrc-to-frccd", with_permit, Mode.parse(">=1"))
 
 
 def test_cdfrc_eq2_to_eqk_adds_counter_chain():
     system = load_corpus("entry_pair.rrw")
-    out, _ = cdfrc_eq2_to_eqk(system, 4)
+    out, _ = apply_construction("cdfrc-eq2-to-eqk", system, Mode.parse("=4"))
     fresh = out.nonterminals - system.nonterminals
     assert fresh, "prolongation introduced no counters"
     assert validate(out) == []
@@ -341,7 +333,7 @@ def test_cdfrc_eq2_to_eqk_adds_counter_chain():
 
 def test_cdfrc_to_pcd_counts_and_priorities():
     system = load_corpus("entry_witness.rrw")  # n = 3, all F_i nonempty
-    out, _ = cdfrc_to_pcd(system, Mode.parse(">=2"))
+    out, _ = apply_construction("cdfrc-to-pcd", system, Mode.parse(">=2"))
     assert len(out.components) == 6
     assert len(out.component_order.pairs) == 3
 
@@ -359,14 +351,14 @@ def test_cdfrc_to_pcd_omits_empty_fail_components():
             for c in base.components
         ),
     )
-    out, _ = cdfrc_to_pcd(relaxed, Mode.parse("*"))
+    out, _ = apply_construction("cdfrc-to-pcd", relaxed, Mode.parse("*"))
     assert len(out.components) == len(base.components)
     assert not out.component_order or not out.component_order.pairs
 
 
 def test_pcd_to_cdfrc_forbids_higher_lhs():
     system = load_corpus("pcd_chain.rrw")  # P2 {A -> a} > P3 {B -> ...}
-    out, _ = pcd_to_cdfrc(system, Mode.parse("<=3"))
+    out, _ = apply_construction("pcd-to-cdfrc", system, Mode.parse("<=3"))
     p3 = out.component_named("P3")
     assert p3.entry.forbid == frozenset({"A"})
     p2 = out.component_named("P2")
@@ -389,7 +381,7 @@ def test_pcd_to_cdfrc_t_mode_drops_dead_lhs():
         ),
         component_order=close_order({(1, 2)}),
     )
-    out, _ = pcd_to_cdfrc(system, T)
+    out, _ = apply_construction("pcd-to-cdfrc", system, T)
     assert out.component_named("P3").entry.forbid == frozenset()
 
 
@@ -397,12 +389,13 @@ def test_pcd_to_cdfrc_rejects_counted_modes():
     system = load_corpus("pcd_chain.rrw")
     for text in ("=2", ">=2"):
         with pytest.raises(ModeError):
-            pcd_to_cdfrc(system, Mode.parse(text))
+            apply_construction("pcd-to-cdfrc", system, Mode.parse(text))
 
 
 def test_cdfrc_geqk_to_geq2_component_count():
     system = load_corpus("entry_loops.rrw")  # n = 3
-    out, _ = cdfrc_geqk_to_geq2(system, 3)
+    out, _ = apply_construction("cdfrc-geqk-to-geq2", system,
+                                Mode.parse(">=3"))
     assert len(out.components) == 2 + 3 * (3 + 3)
     assert validate(out) == []
 
@@ -437,6 +430,25 @@ def test_outputs_validate_and_fresh_names_are_disjoint():
         assert report.fresh_nonterminals == len(fresh), name
 
 
+# an ordered system with an erasing rule: S -> a S, S -> eps
+_ERASING = System(
+    kind="ordered",
+    name="erasing",
+    nonterminals=frozenset({"S"}),
+    terminals=frozenset({"a"}),
+    start="S",
+    components=(Component("P", (Rule("S", ("a", "S")), Rule("S", ()))),),
+)
+
+
+@pytest.mark.parametrize("name, mode", [("ord-to-frc", "*"),
+                                        ("ocdgs-t-to-ord", "t")])
+def test_erasing_output_is_noted_by_every_construction(name, mode):
+    out, report = apply_construction(name, _ERASING, Mode.parse(mode))
+    assert not out.non_erasing
+    assert "output contains erasing rules" in report.notes
+
+
 def test_apply_construction_rejects_unknown_name():
     with pytest.raises((KeyError, ValueError)):
         apply_construction("no-such-thing", load_corpus("cf_anbn.rrw"))
@@ -446,6 +458,9 @@ def test_apply_construction_rejects_wrong_kind():
     with pytest.raises(KindError):
         apply_construction("gc-to-ocdgs", load_corpus("cf_anbn.rrw"),
                            mode=Mode.parse("=2"))
+    witness = load_corpus("entry_witness.rrw")  # a three-rule component
+    with pytest.raises(KindError, match="normalize it first"):
+        apply_construction("cdfrc-eq2-to-eqk", witness, mode=Mode.parse("=3"))
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +542,10 @@ def test_readme_table_restates_the_contracts():
     assert sorted(names) == sorted(CONSTRUCTIONS)
     for row in rows:
         contract = CONSTRUCTIONS[row[0].strip("`")]
-        assert row[1:5] == [
+        assert row[1:6] == [
             contract.kinds,
             contract.describe(),
             "yes" if contract.mode_required else "no",
             " -> ".join(contract.preserves),
+            contract.output_kind,
         ], row[0]
