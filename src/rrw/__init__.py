@@ -7,7 +7,8 @@ Core pieces:
 - :mod:`rrw.engine`: exact derivation semantics for all cooperation modes
   plus bounded language enumeration, derivation search and trace replay;
 - :mod:`rrw.constructions`: grammar-to-grammar transformations between the
-  supported kinds, each returning a validated system and a report;
+  supported kinds, applied through ``apply_construction``, which returns a
+  validated system and a report;
 - :mod:`rrw.equivalence`: an independently implemented reference enumerator
   and a bounded-language differential checker;
 - :mod:`rrw.textio`: a small text format for systems (parse and serialize);

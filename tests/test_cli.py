@@ -118,17 +118,16 @@ def test_equiv_equal_and_unequal(capsys):
     assert "only in" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("enum", "cf_anbn.rrw", "--max-len", "-1"),
-    ("enum", "cf_star.rrw", "--max-len", "-1"),
-    ("enum", "cf_star.rrw", "--max-len", "-2"),
-    ("equiv", "cf_anbn.rrw", "cf_star.rrw", "--max-len", "-1"),
+@pytest.mark.parametrize("command, files, max_len", [
+    ("enum", ["cf_anbn.rrw"], "-1"),
+    ("enum", ["cf_star.rrw"], "-1"),
+    ("enum", ["cf_star.rrw"], "-2"),
+    ("equiv", ["cf_anbn.rrw", "cf_star.rrw"], "-1"),
 ])
-def test_negative_max_len_exits_2(capsys, argv):
-    command, *files = argv[:-2]
-    status, out, err = run_cli(capsys, command,
-                               *(str(CORPUS_DIR / f) for f in files),
-                               "--mode", "*", *argv[-2:])
+def test_negative_max_len_exits_2(capsys, command, files, max_len):
+    paths = [str(CORPUS_DIR / f) for f in files]
+    status, out, err = run_cli(capsys, command, *paths, "--mode", "*",
+                               "--max-len", max_len)
     assert status == 2
     assert out == ""
     assert "max_len must be >= 0" in err
