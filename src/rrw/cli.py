@@ -309,9 +309,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def bounds_args(p, need_max_len=False):
-        p.add_argument("--max-len", type=int, required=need_max_len,
-                       help="maximum word length")
+    def bounds_args(p, max_len=True):
+        if max_len:
+            p.add_argument("--max-len", type=int, required=True,
+                           help="maximum word length")
         p.add_argument("--workspace", type=int, default=None,
                        help="maximum sentential-form length "
                             "(default 2*maxLen+4, or 2*len(word)+4 for "
@@ -327,7 +328,7 @@ def _build_parser():
     p = sub.add_parser("enum", help="enumerate the bounded language")
     p.add_argument("file")
     p.add_argument("--mode", default=None)
-    bounds_args(p, need_max_len=True)
+    bounds_args(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("derive", help="search a derivation for a word")
@@ -335,7 +336,7 @@ def _build_parser():
     p.add_argument("--mode", default=None)
     p.add_argument("--word", required=True)
     p.add_argument("--trace", action="store_true")
-    bounds_args(p)
+    bounds_args(p, max_len=False)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("transform", help="apply a construction")
@@ -355,7 +356,7 @@ def _build_parser():
     p.add_argument("--mode", default=None, help="mode for both sides")
     p.add_argument("--mode-a", default=None)
     p.add_argument("--mode-b", default=None)
-    bounds_args(p, need_max_len=True)
+    bounds_args(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("nonempty",

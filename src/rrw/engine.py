@@ -10,7 +10,11 @@ One component activation ⇒_i^m is computed on one of two paths:
 * the positionwise product path (``_product_results``). When applicability
   reduces to lhs presence, a derivation decomposes into independent
   per-position derivations whose step counts add up, and the results are
-  assembled from per-symbol reachability layers.
+  assembled from one table per symbol (``_position_table``): the subforms
+  the symbol derives, each with its step counts. The tables are built from
+  the naive layers and closure, so they are exact within the workspace for
+  every mode, and a component that takes the product path never falls back
+  to the naive one.
 
 Which path runs where:
 
@@ -293,114 +297,45 @@ def mode_apply(component, form, mode, bounds):
 # positionwise product path (used by enumeration and derivation search)
 # ---------------------------------------------------------------------------
 
-_LAYER_CAP = 200  # max layers computed per symbol before giving up on a cycle
 _SUPPORT_CAP = 64  # max supports explored per abstract support graph
 # Fewest rewritable positions for which any component takes the product
 # path: below it the naive closure has few interleavings and is cheaper.
 _PRODUCT_MIN_SITES = 4
 
 
-class _SymbolLayers:
-    """Per-symbol reachability layers under one unregulated component.
+def _position_table(component, conds, symbol, mode, workspace, budget):
+    """Per-position (subform -> step-value set) table for the product path,
+    built from the naive layers from ``(symbol,)``. Returns (table,
+    truncated).
 
-    layers[j] = forms reachable from the single symbol in exactly j steps.
-    The deterministic layer sequence is computed until it revisits a value
-    (cycle_start/cycle_end) so unions over unbounded step counts are finite.
+    In mode t the table holds the stuck subforms, with step value 0.
+    Otherwise it holds the exact step counts 0..kcap (kcap = k, or 1 for *),
+    and for * and >=k also kcap + 1 for every subform reachable in more
+    than kcap steps: the closure of the layer after kcap.
     """
-
-    __slots__ = ("layers", "cycle_start", "cycle_end", "truncated", "stuck",
-                 "workspace", "_choices")
-
-    def __init__(self, component, conds, symbol, workspace, budget):
-        lhs_set = {lhs for (lhs, _p, _f) in conds}
-        seq = [frozenset({(symbol,)})]
-        seen = {seq[0]: 0}
-        self.truncated = False
-        self.cycle_start = None
-        self.cycle_end = None
-        self.workspace = workspace
-        self._choices = {}
-        while True:
-            nxt, trunc = _step_layer(component, conds, seq[-1], workspace, budget)
-            self.truncated = self.truncated or trunc
-            nxt = frozenset(nxt)
-            if budget.exhausted:
-                self.truncated = True
-                break
-            if nxt in seen:
-                self.cycle_start = seen[nxt]
-                self.cycle_end = len(seq)
-                break
-            seen[nxt] = len(seq)
-            seq.append(nxt)
-            if len(seq) > _LAYER_CAP:
-                self.truncated = True
-                break
-        self.layers = seq
-        all_forms = set()
-        for l in seq:
-            all_forms |= l
-        self.stuck = frozenset(
-            f for f in all_forms if not (set(f) & lhs_set)
-        )
-
-    def exact(self, j):
-        """Forms reachable in exactly j steps (None if unknown past the cap)."""
-        if j < len(self.layers):
-            return self.layers[j]
-        if self.cycle_start is None:
-            return None
-        period = self.cycle_end - self.cycle_start
-        return self.layers[self.cycle_start + (j - self.cycle_start) % period]
-
-    def union_from(self, j):
-        """Union of layers j, j+1, ... (None if unknown past the cap)."""
-        if self.cycle_start is None:
-            return None
-        out = set()
-        for i in range(min(j, self.cycle_start), len(self.layers)):
-            if i >= j or i >= self.cycle_start:
-                out |= self.layers[i]
-        return frozenset(out)
-
-    def choices(self, mode, kcap):
-        """Cached :func:`_position_choices` table for this mode and kcap."""
-        key = "t" if mode.variant == "t" else (mode.variant in (">=", "*"), kcap)
-        if key not in self._choices:
-            self._choices[key] = _position_choices(self, mode, kcap)
-        return self._choices[key]
-
-
-_GE = -1  # sentinel step value: "more than K steps achievable"
-
-
-def _position_choices(info, mode, kcap):
-    """Per-position (subform -> step-value set) table for the product path.
-
-    Step values are exact counts 0..kcap, plus _GE meaning "> kcap achievable".
-    In mode t the table holds the stuck subforms (step value 0). Returns None
-    if the layer data is too incomplete to be exact.
-    """
+    seed = {(symbol,)}
     if mode.variant == "t":
-        if info.cycle_start is None:
-            return None
-        return {f: (0,) for f in info.stuck}
-    choices = {}
-    for j in range(kcap + 1):
-        layer = info.exact(j)
-        if layer is None:
-            return None
+        visited, truncated = _closure(component, conds, seed, workspace,
+                                      budget)
+        return {f: (0,) for f in visited
+                if not _has_applicable(conds, f)}, truncated
+    closed = mode.variant in (">=", "*")
+    layers = [seed]
+    truncated = False
+    for _ in range((mode.k or 1) + closed):
+        layer, trunc = _step_layer(component, conds, layers[-1], workspace,
+                                   budget)
+        truncated = truncated or trunc
+        layers.append(layer)
+    if closed:
+        layers[-1], trunc = _closure(component, conds, layers[-1], workspace,
+                                     budget)
+        truncated = truncated or trunc
+    table = {}
+    for j, layer in enumerate(layers):
         for f in layer:
-            if len(f) <= info.workspace:
-                choices.setdefault(f, set()).add(j)
-    if mode.variant in (">=", "*"):
-        beyond = info.union_from(kcap + 1)
-        if beyond is None:
-            return None
-        for f in beyond:
-            if len(f) <= info.workspace:
-                choices.setdefault(f, set()).add(_GE)
-    return choices
+            table.setdefault(f, set()).add(j)
+    return table, truncated
 
 
 def _support_graph(component, conds, support):
@@ -462,25 +397,23 @@ def _stable_rules(component, conds, support):
     return frozenset(i for i, ok in verdicts.items() if ok)
 
 
-def _product_results(enum, component, form, mode, budget, producer):
+def _product_results(enum, component, form, budget, producer):
     """Activation results via positionwise decomposition (unregulated only).
 
     Exact: without per-rule conditions, any interleaving of per-position
-    derivations is valid and step counts add up across positions. Returns
-    (None, truncated) when the layer data is too incomplete to be exact.
+    derivations is valid and step counts add up across positions.
+    Returns (results, truncated).
     """
-    kcap = 0 if mode.variant == "t" else (1 if mode.variant == "*" else mode.k)
+    mode = enum.mode
+    kcap = 0 if mode.variant == "t" else mode.k or 1
     tables = []
     truncated = False
     for s in form:
-        info = enum.symbol_layers(component, s, budget)
-        truncated = truncated or info.truncated
-        table = info.choices(mode, kcap)
-        if table is None:
-            return None, truncated
+        table, trunc = enum.position_table(component, s, budget)
+        truncated = truncated or trunc
         tables.append(table)
     results, trunc = _assemble(
-        enum, tables, mode, kcap, enum.bounds.workspace, budget, producer
+        enum, tables, kcap, enum.bounds.workspace, budget, producer
     )
     return results, truncated or trunc
 
@@ -494,7 +427,7 @@ def _sum_feasible(sums, mode, kcap):
     return any(s >= kcap for s in sums)
 
 
-def _assemble(enum, tables, mode, kcap, workspace, budget, producer):
+def _assemble(enum, tables, kcap, workspace, budget, producer):
     """DFS over per-position choices with support, length and step pruning.
 
     With a ``producer`` (see :meth:`_Enumeration.useful`), partial choices
@@ -524,6 +457,7 @@ def _assemble(enum, tables, mode, kcap, workspace, budget, producer):
                     break
             tail_sups[i] = sups
 
+    mode = enum.mode
     saturate = kcap + 1
     results = set()
     truncated = False
@@ -549,13 +483,12 @@ def _assemble(enum, tables, mode, kcap, workspace, budget, producer):
             if new_len + min_tail[i + 1] > workspace:
                 truncated = True
                 continue
+            # an explicit loop: a set comprehension is a function call on
+            # Python 3.11, which shows on this innermost loop
             new_sums = set()
             for a in sums:
                 for b in values:
-                    if b == _GE or a == saturate:
-                        new_sums.add(saturate)
-                    else:
-                        new_sums.add(min(a + b, saturate))
+                    new_sums.add(min(a + b, saturate))
             if mode.variant in ("=", "<=") and min(new_sums) > kcap:
                 continue
             if not budget.spend_steps():
@@ -587,7 +520,7 @@ class _Enumeration:
         self.mode = mode
         self.multiset = multiset
         self._conds = {}
-        self._layers = {}
+        self._tables = {}
         self._stable = {}
         self._restricted = {}
         self._acting = {}
@@ -608,14 +541,16 @@ class _Enumeration:
             self._conds[key] = component.effective_conditions()
         return self._conds[key]
 
-    def symbol_layers(self, component, symbol, budget):
+    def position_table(self, component, symbol, budget):
+        """The cached :func:`_position_table` of ``symbol`` and its
+        truncation flag."""
         key = (id(component), symbol)
-        if key not in self._layers:
-            self._layers[key] = _SymbolLayers(
-                component, self.conds(component), symbol,
+        if key not in self._tables:
+            self._tables[key] = _position_table(
+                component, self.conds(component), symbol, self.mode,
                 self.bounds.workspace, budget,
             )
-        return self._layers[key]
+        return self._tables[key]
 
     def keep(self, support):
         """Never prune forms with this support (a derivation target)."""
@@ -653,7 +588,7 @@ class _Enumeration:
                 break
         return acting
 
-    def product_component(self, component, form, mode):
+    def product_component(self, component, form):
         """The unregulated component whose product path computes this
         activation exactly, or None when the naive path runs (fewer than
         ``_PRODUCT_MIN_SITES`` rewritable positions, or regulation that may
@@ -663,7 +598,7 @@ class _Enumeration:
             return None
         if component.unregulated:
             return component
-        if mode.variant != "t":
+        if self.mode.variant != "t":
             return None
         key = (id(component), frozenset(form))
         if key not in self._stable:
@@ -681,30 +616,30 @@ class _Enumeration:
             )
         return self._restricted[key]
 
-    def activation(self, component, form, mode, producer=None):
+    def activation(self, component, form, producer=None):
         """Exact ⇒_i^m results within bounds, on the product path where that
         is exact. With a ``producer`` the product path drops results that
         :meth:`useful` rejects; None returns the whole relation."""
         conds = self.conds(component)
         budget = _Budget(self.bounds.step_budget, self.bounds.form_budget)
-        results = None
-        product = self.product_component(component, form, mode)
-        if product is not None:
-            if not _has_applicable(conds, form):
-                return frozenset()
-            results, trunc = _product_results(
-                self, product, form, mode, budget, producer
-            )
-        if results is None:
+        product = self.product_component(component, form)
+        if product is None:
             results, trunc = _naive_mode(
-                component, conds, form, mode, self.bounds.workspace, budget
+                component, conds, form, self.mode, self.bounds.workspace,
+                budget
+            )
+        elif not _has_applicable(conds, form):
+            return frozenset()
+        else:
+            results, trunc = _product_results(
+                self, product, form, budget, producer
             )
         self.truncated = self.truncated or trunc
         if budget.exhausted:
             self.exhausted = True
         return results
 
-    def allowed_components(self, form, mode, support):
+    def allowed_components(self, form, support):
         """Component indices permitted to act on ``form`` (entry + priority)."""
         system = self.system
         live = [
@@ -723,7 +658,7 @@ class _Enumeration:
                     nonempty[i] = False
                 else:
                     nonempty[i] = bool(
-                        self.activation(system.components[i], form, mode)
+                        self.activation(system.components[i], form)
                     )
             return nonempty[i]
 
@@ -761,18 +696,16 @@ class _Enumeration:
         the producer that the successor's own expansion skips. In a
         multiset search each result is sorted first, which merges its
         permutations."""
-        mode = self.mode
         # Re-activating the producing component is redundant for
         # transitively closed modes: two consecutive >=k (or *, or t)
         # activations of one component compose into a single one, so the
         # results were already emitted when the parent form was expanded.
-        closed = mode.variant in ("*", ">=", "t")
-        for i in self.allowed_components(form, mode, frozenset(form)):
+        closed = self.mode.variant in ("*", ">=", "t")
+        for i in self.allowed_components(form, frozenset(form)):
             if i == producer:
                 continue
             mark = i if closed else -1
-            results = self.activation(self.system.components[i], form, mode,
-                                      mark)
+            results = self.activation(self.system.components[i], form, mark)
             if self.multiset:
                 results = {tuple(sorted(res)) for res in results}
             for res in sorted(results):
@@ -784,7 +717,7 @@ class _Enumeration:
     def trace_step(self, form, move, result):
         """The :class:`TraceStep` of one move on the found path."""
         comp = self.system.components[move]
-        apps = _activation_witness(self, comp, form, result, self.mode)
+        apps = _activation_witness(self, comp, form, result)
         return TraceStep(comp.name, self.mode, apps, result)
 
 
@@ -885,9 +818,9 @@ def system_successors(system, form, mode, bounds):
     enum = _Enumeration(system, bounds, mode)
     support = frozenset(form)
     out = set()
-    for i in enum.allowed_components(form, mode, support):
+    for i in enum.allowed_components(form, support):
         comp = system.components[i]
-        for res in enum.activation(comp, form, mode):
+        for res in enum.activation(comp, form):
             out.add((comp.name, res))
     if enum.exhausted:
         raise BudgetExceeded("budget exhausted in system_successors", partial=out)
@@ -970,7 +903,7 @@ def _build_trace(enum, hit, parents):
     return DerivationTrace((enum.system.start,), steps)
 
 
-def _activation_witness(enum, component, form, result, mode):
+def _activation_witness(enum, component, form, result):
     """Rule applications of one activation turning ``form`` into ``result``.
 
     A product-path activation decomposes into per-position derivations, so
@@ -986,12 +919,12 @@ def _activation_witness(enum, component, form, result, mode):
     else:
         limit = len(form) + len(result) + workspace
     searches = (False,)
-    if enum.product_component(component, form, mode) is not None:
+    if enum.product_component(component, form) is not None:
         searches = (True, False)
     for leftmost in searches:
         budget = _Budget(enum.bounds.step_budget, enum.bounds.form_budget)
-        apps = _witness(component, conds, form, result, mode, leftmost, limit,
-                        budget)
+        apps = _witness(component, conds, form, result, enum.mode, leftmost,
+                        limit, budget)
         if apps is not None:
             return apps
         if budget.exhausted:

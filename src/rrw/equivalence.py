@@ -227,6 +227,8 @@ def _oracle_gc(system, max_len, bounds):
 
 def reference_enumerate(system, mode, max_len, bounds) -> BoundedLanguage:
     """Bounded language via the independent naive oracle."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if bounds.workspace > max_len and system.non_erasing and not (
             system.component_order and system.component_order.pairs):
         # no rule shortens a form, so a form longer than max_len never

@@ -134,6 +134,13 @@ class _Parser:
 
     def _header(self, key, rest, lineno, offs):
         ids = rest.split()
+        gc = self.kind == "gc"
+        if (key == "priority" and gc) or \
+                (key in ("init-labels", "final-labels") and not gc):
+            raise ValidationError(
+                [f"{SourceSpan(lineno, 1, offs)}: a {self.kind} system has "
+                 f"no '{key}:' line"]
+            )
         if key == "mode":
             try:
                 self.default_mode = Mode.parse(rest.strip())
@@ -338,9 +345,29 @@ class _Parser:
         if self.start is None:
             raise GrammarSyntaxError("missing 'start:' line", SourceSpan(1, 1, 0))
         alphabet = set(self.nonterminals) | set(self.terminals)
+        gc = self.kind == "gc"
         violations = []
         for comp in self.components:
+            if gc and comp["entry"] is not None:
+                violations.append(
+                    f"{comp['span']}: a gc system has no entry conditions"
+                )
+            if gc and comp["orders"]:
+                violations.append(
+                    f"{comp['orders'][0][0][1]}: a gc system has no rule "
+                    "orders"
+                )
             for entry in comp["rules"]:
+                if gc and entry["has_context"]:
+                    violations.append(
+                        f"{entry['span']}: a gc rule has no permit or forbid "
+                        "clause"
+                    )
+                if not gc and entry["has_gc"]:
+                    violations.append(
+                        f"{entry['span']}: a {self.kind} rule has no success "
+                        "or failure clause"
+                    )
                 rule = entry["rule"]
                 for s in (rule.lhs, *rule.rhs):
                     if s not in alphabet:

@@ -65,6 +65,19 @@ def test_derive_found_and_not_found(capsys):
     assert status == 1
 
 
+def test_derive_takes_no_max_len(capsys):
+    # derive bounds its search by the word, so --max-len is unknown there
+    with pytest.raises(SystemExit) as err:
+        main(["derive", EXAMPLE1, "--mode", "t", "--word", "aa",
+              "--max-len", "4"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --max-len 4" in capsys.readouterr().err
+    status, out, _ = run_cli(capsys, "derive", EXAMPLE1, "--mode", "t",
+                             "--word", "aa", "--json")
+    assert status == 0
+    assert json.loads(out)["params"]["maxLen"] is None
+
+
 def test_transform_writes_parseable_document(capsys, tmp_path):
     target = tmp_path / "out.rrw"
     status, _, err = run_cli(

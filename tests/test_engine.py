@@ -351,7 +351,8 @@ def _random_forms(symbols, rng, count, lengths):
 
 def test_product_path_matches_naive_path():
     """``_Enumeration.activation`` against the naive closure on every non-gc
-    corpus component, criterion-4 mode and seeded random form.
+    corpus component, mode of ``MODE_GRID`` and seeded random form; the
+    product path runs in every mode.
 
     Equal whenever the naive path is not truncated. When it is, the product
     path may return a strict superset (it bounds subforms, not whole forms,
@@ -364,6 +365,7 @@ def test_product_path_matches_naive_path():
     rng = random.Random(20260417)
     bounds = StepBounds(10)
     compared = specialised = supersets = 0
+    product_runs = dict.fromkeys(MODE_GRID, 0)
     for name in CORPUS_FILES:
         system = load_corpus(name)
         if system.kind == "gc":
@@ -374,13 +376,13 @@ def test_product_path_matches_naive_path():
         # long nonterminal forms give regulated components enough rewritable
         # positions to be specialised in mode t
         t_forms = forms + _random_forms(nonterminals, rng, 24, (4, 6))
-        for text in CRITERION_4_MODES:
+        for text in MODE_GRID:
             mode = Mode.parse(text)
             enum = _Enumeration(system, bounds, mode)
             for comp in system.components:
                 conds = comp.effective_conditions()
                 for form in t_forms if text == "t" else forms:
-                    fast = enum.activation(comp, form, mode)
+                    fast = enum.activation(comp, form)
                     budget = _Budget(bounds.step_budget, bounds.form_budget)
                     slow, truncated = _naive_mode(
                         comp, conds, form, mode, bounds.workspace, budget)
@@ -392,10 +394,11 @@ def test_product_path_matches_naive_path():
                     else:
                         assert fast == slow, where
                     compared += 1
-                    if not comp.unregulated and \
-                            enum.product_component(comp, form, mode):
-                        specialised += 1
+                    if enum.product_component(comp, form):
+                        product_runs[text] += 1
+                        specialised += not comp.unregulated
     assert compared > 2000
+    assert all(product_runs.values()), product_runs
     assert specialised > 20  # regulated components on the product path
     assert supersets > 0  # the documented cf_star difference still shows
 
@@ -416,8 +419,8 @@ def test_regulation_that_changes_during_a_t_activation_stays_naive():
     )
     form = ("X", "X", "Y", "Y")
     enum = _Enumeration(system, BOUNDS, T)
-    assert enum.product_component(comp, form, T) is None
-    result = enum.activation(comp, form, T)
+    assert enum.product_component(comp, form) is None
+    result = enum.activation(comp, form)
     assert result == mode_apply(comp, form, T, BOUNDS)
     assert result and ("a", "a", "c", "c") not in result
 
@@ -428,10 +431,10 @@ def test_stable_regulation_takes_the_product_path(example1):
     p2 = example1.component_named("P2")
     enum = _Enumeration(example1, BOUNDS, T)
     form = ("B",) * 6
-    assert enum.product_component(p2, form, T) is not None
-    assert enum.activation(p2, form, T) == {("A",) * 12}
-    assert enum.product_component(p2, form + ("C",), T) is not None
-    assert enum.activation(p2, form + ("C",), T) == set()
+    assert enum.product_component(p2, form) is not None
+    assert enum.activation(p2, form) == {("A",) * 12}
+    assert enum.product_component(p2, form + ("C",)) is not None
+    assert enum.activation(p2, form + ("C",)) == set()
 
 
 def test_every_component_needs_four_sites_for_the_product_path(example1):
@@ -447,11 +450,11 @@ def test_every_component_needs_four_sites_for_the_product_path(example1):
         enum = _Enumeration(example1, BOUNDS, mode)
         for sites, product in ((3, None), (4, p1)):
             form = ("A",) * sites
-            assert enum.product_component(p1, form, mode) is product, text
+            assert enum.product_component(p1, form) is product, text
             budget = _Budget(BOUNDS.step_budget, BOUNDS.form_budget)
             naive, _ = _naive_mode(p1, conds, form, mode, BOUNDS.workspace,
                                    budget)
-            assert enum.activation(p1, form, mode) == naive, (text, sites)
+            assert enum.activation(p1, form) == naive, (text, sites)
 
 
 def test_unregulated_results_cut_by_workspace_mark_truncation():
@@ -464,7 +467,7 @@ def test_unregulated_results_cut_by_workspace_mark_truncation():
     )
     eq2 = Mode.parse("=2")
     enum = _Enumeration(system, StepBounds(5), eq2)
-    assert enum.activation(comp, ("A", "A"), eq2) == set()
+    assert enum.activation(comp, ("A", "A")) == set()
     assert enum.truncated
 
 

@@ -1,5 +1,7 @@
 """Tests for the reference enumerator and bounded-language comparison."""
 
+import pytest
+
 from rrw import (
     Component,
     Mode,
@@ -47,6 +49,15 @@ def test_reference_agrees_with_engine_on_modes(example1):
         ref = reference_enumerate(example1, mode, 6, bounds)
         eng = enumerate_language(example1, mode, 6, bounds)
         assert ref.words == eng.words, f"disagreement under {text}"
+
+
+def test_reference_rejects_a_negative_max_len_as_the_engine_does(example1):
+    errors = []
+    for enumerate_ in (reference_enumerate, enumerate_language):
+        with pytest.raises(ValueError) as err:
+            enumerate_(example1, T, -1, StepBounds(4))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "max_len must be >= 0, got -1"
 
 
 def test_equiv_identical_systems(example1):

@@ -96,6 +96,33 @@ def test_parse_gc_document():
     assert by_label["l2"].failure == frozenset({"l3"})
 
 
+_GC_HEAD = ("system gc g\nnonterminals: S\nterminals: a\nstart: S\n"
+            "init-labels: l1\nfinal-labels: l1\n")
+_CF_HEAD = "system cdgs c\nnonterminals: S\nterminals: a\nstart: S\n"
+
+
+@pytest.mark.parametrize("doc, line", [
+    (_GC_HEAD + "component rules {\n  l1: S -> a forbid { S }\n}\n", 8),
+    (_GC_HEAD + "component rules {\n  l1: S -> a permit { S }\n}\n", 8),
+    (_GC_HEAD + "component rules entry forbid { S } {\n  l1: S -> a\n}\n",
+     7),
+    (_GC_HEAD + "component rules {\n  l1: S -> a\n  l2: S -> a\n"
+     "  order: l1 > l2\n}\n", 10),
+    (_GC_HEAD + "priority: rules > rules\ncomponent rules {\n"
+     "  l1: S -> a\n}\n", 7),
+    (_CF_HEAD + "component P {\n  S -> a success { l1 }\n}\n", 6),
+    (_CF_HEAD + "component P {\n  S -> a failure { l1 }\n}\n", 6),
+    (_CF_HEAD + "init-labels: l1\ncomponent P { S -> a }\n", 5),
+    (_CF_HEAD + "final-labels: l1\ncomponent P { S -> a }\n", 5),
+], ids=["gc-forbid", "gc-permit", "gc-entry", "gc-order", "gc-priority",
+        "success", "failure", "init-labels", "final-labels"])
+def test_parse_rejects_a_clause_the_kind_does_not_carry(doc, line):
+    # each clause used to be dropped: the document parsed without it
+    with pytest.raises(ValidationError) as err:
+        parse_system(doc)
+    assert f"line {line}," in str(err.value)
+
+
 def test_serialize_minimal_system():
     source = ("system cf tiny\nnonterminals: S\nterminals: a\nstart: S\n"
               "component P { S -> a }\n")
