@@ -221,6 +221,17 @@ class Mode:
                 return cls(prefix, int(rest))
         raise ValueError(f"cannot parse mode {text!r}")
 
+    @cached_property
+    def steps(self) -> tuple:
+        """(lo, hi): the number of rule applications one activation makes
+        lies in lo..hi, with hi None when unbounded. ``*`` is the same
+        relation as ``>=1``; ``t`` also has to end on a stuck form."""
+        if self.variant == "=":
+            return (self.k, self.k)
+        if self.variant == "<=":
+            return (1, self.k)
+        return (self.k or 1, None)
+
     def __str__(self):
         if self.variant in ("t", "*"):
             return self.variant

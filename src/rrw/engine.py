@@ -2,19 +2,20 @@
 modes, entry conditions, priorities, graph control, bounded language
 enumeration and derivation search.
 
-One component activation ⇒_i^m is computed on one of two paths:
+A mode allows an interval of rule applications per activation
+(``Mode.steps``). One component activation ⇒_i^m is computed on one of two
+paths, both from the layers of one function, :func:`_step_layers`:
 
-* the naive layered closure (``_naive_mode``, public as ``mode_apply``), the
-  reference semantics. It materializes every interleaving of the rewrites,
-  so n independent rewrites cost 2^n forms;
+* the naive path (``_naive_mode``, public as ``mode_apply``): the forms of
+  the layers from the fewest allowed steps on. It materializes every
+  interleaving of the rewrites, so n independent rewrites cost 2^n forms;
 * the positionwise product path (``_product_results``). When applicability
   reduces to lhs presence, a derivation decomposes into independent
   per-position derivations whose step counts add up, and the results are
   assembled from one table per symbol (``_position_table``): the subforms
-  the symbol derives, each with its step counts. The tables are built from
-  the naive layers and closure, so they are exact within the workspace for
-  every mode, and a component that takes the product path never falls back
-  to the naive one.
+  of the layers from that symbol, each with its layer indices. It is exact
+  within the workspace for every mode and never falls back to the naive
+  path.
 
 Which path runs where:
 
@@ -43,13 +44,16 @@ In the closed modes (*, >=k, t) a form is also dropped when its producer is
 the only component with an applicable rule, because the search never
 re-activates the producer.
 
-Both paths are exact on complete runs, and ``tests/test_engine.py`` checks
-one against the other on every corpus component and mode. The one known
-difference: the product path bounds each position's subform by the
-workspace, not the whole intermediate form. When a workspace truncation cuts
-the naive path, the product path may therefore return a strict superset:
-real results whose every derivation passes through a form longer than the
-workspace (for example on ``cf_star``, which has an erasing rule).
+Both paths are exact on complete runs. They share their layers, so the
+independent check is the reference oracle of ``equivalence.py``, which
+shares no logic with the engine (``tests/test_engine.py`` checks the naive
+path against it and the product path against the naive one). The one known
+difference between the paths: the product path bounds each position's
+subform by the workspace, not the whole intermediate form. When a workspace
+truncation cuts the naive path, the product path may therefore return a
+strict superset: real results whose every derivation passes through a form
+longer than the workspace (for example on ``cf_star``, which has an erasing
+rule).
 
 :func:`enumerate_language` and :func:`find_derivation` share one breadth-first
 search (:func:`_search`) over configurations: forms, whose moves are component
@@ -218,61 +222,55 @@ def _step_layer(component, conds, forms, workspace, budget):
     return out, truncated
 
 
-def _closure(component, conds, seeds, workspace, budget):
-    """⇒* closure of a set of forms. Returns (visited set, truncated)."""
-    visited = set(seeds)
-    frontier = set(seeds)
-    truncated = False
-    while frontier and not budget.exhausted:
-        nxt, trunc = _step_layer(component, conds, frontier, workspace, budget)
-        truncated = truncated or trunc
-        frontier = nxt - visited
-        visited |= frontier
-    return visited, truncated
-
-
 def _has_applicable(conds, form):
     support = set(form)
-    return any(
-        lhs in support and permit <= support and not (forbid & support)
-        for (lhs, permit, forbid) in conds
-    )
+    for (lhs, permit, forbid) in conds:
+        if lhs in support and permit <= support and not (forbid & support):
+            return True
+    return False
+
+
+def _step_layers(component, conds, seed, mode, workspace, budget):
+    """The ⇒ layers from the forms ``seed`` that ``mode`` needs. Returns
+    (layers, truncated).
+
+    With (lo, hi) = ``mode.steps`` and cap = hi, or lo when hi is None,
+    ``layers[j]`` holds the forms reached in exactly j steps for j < cap,
+    and ``layers[cap]`` those reached in exactly cap steps or, when hi is
+    None, in cap or more (its ⇒* closure). In mode t every layer keeps only
+    its stuck forms.
+    """
+    lo, hi = mode.steps
+    cap = lo if hi is None else hi
+    layers = [seed]
+    truncated = False
+    for _ in range(cap):
+        layer, trunc = _step_layer(component, conds, layers[-1], workspace,
+                                   budget)
+        truncated = truncated or trunc
+        layers.append(layer)
+    if hi is None:
+        frontier = layers[cap]
+        visited = set(frontier)
+        while frontier and not budget.exhausted:
+            nxt, trunc = _step_layer(component, conds, frontier, workspace,
+                                     budget)
+            truncated = truncated or trunc
+            frontier = nxt - visited
+            visited |= frontier
+        layers[cap] = visited
+    if mode.variant == "t":
+        layers = [{f for f in layer if not _has_applicable(conds, f)}
+                  for layer in layers]
+    return layers, truncated
 
 
 def _naive_mode(component, conds, form, mode, workspace, budget):
-    """Exact ⇒_i^m result set. Returns (frozenset, truncated)."""
-    truncated = False
-    if mode.variant == "t":
-        if not _has_applicable(conds, form):
-            return frozenset(), False
-        visited, truncated = _closure(component, conds, {form}, workspace, budget)
-        stuck = frozenset(f for f in visited if not _has_applicable(conds, f))
-        return stuck, truncated
-    if mode.variant == "*":
-        layer, trunc = _step_layer(component, conds, {form}, workspace, budget)
-        truncated = truncated or trunc
-        visited, trunc = _closure(component, conds, layer, workspace, budget)
-        return frozenset(visited), truncated or trunc
-    k = mode.k
-    layer = {form}
-    layers = []
-    for _ in range(k):
-        layer, trunc = _step_layer(component, conds, layer, workspace, budget)
-        truncated = truncated or trunc
-        layers.append(layer)
-        if not layer:
-            break
-    if mode.variant == "=":
-        return frozenset(layers[-1] if len(layers) == k else ()), truncated
-    if mode.variant == "<=":
-        out = set()
-        for l in layers:
-            out |= l
-        return frozenset(out), truncated
-    # ">=": single-step closure of the =k set
-    seeds = layers[-1] if len(layers) == k else set()
-    visited, trunc = _closure(component, conds, seeds, workspace, budget)
-    return frozenset(visited), truncated or trunc
+    """Exact ⇒_i^m result set: the forms of the layers from ``lo`` steps on.
+    Returns (frozenset, truncated)."""
+    layers, truncated = _step_layers(component, conds, {form}, mode,
+                                     workspace, budget)
+    return frozenset().union(*layers[mode.steps[0]:]), truncated
 
 
 def mode_apply(component, form, mode, bounds):
@@ -304,33 +302,11 @@ _PRODUCT_MIN_SITES = 4
 
 
 def _position_table(component, conds, symbol, mode, workspace, budget):
-    """Per-position (subform -> step-value set) table for the product path,
-    built from the naive layers from ``(symbol,)``. Returns (table,
-    truncated).
-
-    In mode t the table holds the stuck subforms, with step value 0.
-    Otherwise it holds the exact step counts 0..kcap (kcap = k, or 1 for *),
-    and for * and >=k also kcap + 1 for every subform reachable in more
-    than kcap steps: the closure of the layer after kcap.
-    """
-    seed = {(symbol,)}
-    if mode.variant == "t":
-        visited, truncated = _closure(component, conds, seed, workspace,
-                                      budget)
-        return {f: (0,) for f in visited
-                if not _has_applicable(conds, f)}, truncated
-    closed = mode.variant in (">=", "*")
-    layers = [seed]
-    truncated = False
-    for _ in range((mode.k or 1) + closed):
-        layer, trunc = _step_layer(component, conds, layers[-1], workspace,
-                                   budget)
-        truncated = truncated or trunc
-        layers.append(layer)
-    if closed:
-        layers[-1], trunc = _closure(component, conds, layers[-1], workspace,
-                                     budget)
-        truncated = truncated or trunc
+    """Per-position (subform -> step-value set) table for the product path:
+    each subform of the :func:`_step_layers` from ``(symbol,)`` with the
+    indices of its layers. Returns (table, truncated)."""
+    layers, truncated = _step_layers(component, conds, {(symbol,)}, mode,
+                                     workspace, budget)
     table = {}
     for j, layer in enumerate(layers):
         for f in layer:
@@ -404,8 +380,6 @@ def _product_results(enum, component, form, budget, producer):
     derivations is valid and step counts add up across positions.
     Returns (results, truncated).
     """
-    mode = enum.mode
-    kcap = 0 if mode.variant == "t" else mode.k or 1
     tables = []
     truncated = False
     for s in form:
@@ -413,22 +387,17 @@ def _product_results(enum, component, form, budget, producer):
         truncated = truncated or trunc
         tables.append(table)
     results, trunc = _assemble(
-        enum, tables, kcap, enum.bounds.workspace, budget, producer
+        enum, tables, enum.bounds.workspace, budget, producer
     )
     return results, truncated or trunc
 
 
-def _sum_feasible(sums, mode, kcap):
-    if mode.variant == "=":
-        return kcap in sums
-    if mode.variant == "<=":
-        return any(1 <= s <= kcap for s in sums)
-    # ">=", "*" and "t": need total >= kcap (kcap = 1 for "*", 0 for "t")
-    return any(s >= kcap for s in sums)
-
-
-def _assemble(enum, tables, kcap, workspace, budget, producer):
+def _assemble(enum, tables, workspace, budget, producer):
     """DFS over per-position choices with support, length and step pruning.
+
+    Step values add up across positions: with (lo, hi) = ``mode.steps`` and
+    cap as in :func:`_step_layers`, a sum saturates at cap + 1 when hi is
+    set and at cap otherwise, and a result needs a sum in lo..cap.
 
     With a ``producer`` (see :meth:`_Enumeration.useful`), partial choices
     whose every completion has a useless support are cut; None keeps every
@@ -457,15 +426,17 @@ def _assemble(enum, tables, kcap, workspace, budget, producer):
                     break
             tail_sups[i] = sups
 
-    mode = enum.mode
-    saturate = kcap + 1
+    lo, hi = enum.mode.steps
+    cap = lo if hi is None else hi
+    saturate = cap if hi is None else cap + 1
+    kept = frozenset(range(lo, cap + 1))
     results = set()
     truncated = False
     stack = [(0, (), 0, frozenset(), {0})]
     while stack:
         i, prefix, length, support, sums = stack.pop()
         if i == n:
-            if _sum_feasible(sums, mode, kcap) and (
+            if not kept.isdisjoint(sums) and (
                 producer is None or enum.useful(support, producer)
             ):
                 if budget.spend_form():
@@ -489,7 +460,7 @@ def _assemble(enum, tables, kcap, workspace, budget, producer):
             for a in sums:
                 for b in values:
                     new_sums.add(min(a + b, saturate))
-            if mode.variant in ("=", "<=") and min(new_sums) > kcap:
+            if hi is not None and min(new_sums) > hi:
                 continue
             if not budget.spend_steps():
                 truncated = True
@@ -621,6 +592,8 @@ class _Enumeration:
         is exact. With a ``producer`` the product path drops results that
         :meth:`useful` rejects; None returns the whole relation."""
         conds = self.conds(component)
+        if not _has_applicable(conds, form):
+            return frozenset()  # every mode makes at least one application
         budget = _Budget(self.bounds.step_budget, self.bounds.form_budget)
         product = self.product_component(component, form)
         if product is None:
@@ -628,8 +601,6 @@ class _Enumeration:
                 component, conds, form, self.mode, self.bounds.workspace,
                 budget
             )
-        elif not _has_applicable(conds, form):
-            return frozenset()
         else:
             results, trunc = _product_results(
                 self, product, form, budget, producer
@@ -700,7 +671,7 @@ class _Enumeration:
         # transitively closed modes: two consecutive >=k (or *, or t)
         # activations of one component compose into a single one, so the
         # results were already emitted when the parent form was expanded.
-        closed = self.mode.variant in ("*", ">=", "t")
+        closed = self.mode.steps[1] is None
         for i in self.allowed_components(form, frozenset(form)):
             if i == producer:
                 continue
@@ -939,22 +910,23 @@ def _witness(component, conds, form, result, mode, leftmost, limit, budget):
     """Breadth-first search over (form, frozen prefix, step count) states.
 
     In a ``leftmost`` search each rewrite is at or right of the previous
-    one, and everything left of it must already equal ``result``. Step
-    counts saturate at k (at 1 for * and t); =k and <=k never exceed k.
-    Returns the applications, or None.
+    one, and everything left of it must already equal ``result``. With
+    (lo, hi) = ``mode.steps``, step counts saturate at lo when hi is None
+    and never exceed hi otherwise. Returns the applications, or None.
     """
-    cap = mode.k or 1
-    exact = mode.variant in ("=", "<=")
+    lo, hi = mode.steps
     start = (form, 0, 0)
     parents = {start: None}
     queue = deque([start])
     while queue:
         state = queue.popleft()
         cur, frozen, n = state
-        steps = n + 1 if exact else min(n + 1, cap)
-        if steps > cap:
+        steps = n + 1
+        if hi is None:
+            steps = min(steps, lo)
+        elif steps > hi:
             continue
-        done = steps == cap or mode.variant == "<="
+        done = steps >= lo
         support = set(cur)
         for i, (lhs, permit, forbid) in enumerate(conds):
             if lhs not in support or not permit <= support or forbid & support:
@@ -1019,17 +991,12 @@ def replay_trace(system, trace):
             if pos >= len(form) or form[pos] != rule.lhs:
                 raise ValueError("replay mismatch: lhs not at position")
             form = form[:pos] + rule.rhs + form[pos + 1:]
-        mode = step.mode
+        lo, hi = step.mode.steps
         n = len(step.applications)
-        if mode.variant == "=" and n != mode.k:
-            raise ValueError("replay mismatch: wrong step count for =k")
-        if mode.variant == "<=" and not (1 <= n <= mode.k):
-            raise ValueError("replay mismatch: wrong step count for <=k")
-        if mode.variant == ">=" and n < mode.k:
-            raise ValueError("replay mismatch: wrong step count for >=k")
-        if mode.variant == "*" and n < 1:
-            raise ValueError("replay mismatch: empty *-activation")
-        if mode.variant == "t" and _has_applicable(
+        if n < lo or (hi is not None and n > hi):
+            raise ValueError(f"replay mismatch: {n} applications in a "
+                             f"{step.mode} activation")
+        if step.mode.variant == "t" and _has_applicable(
             comp.effective_conditions(), form
         ):
             raise ValueError("replay mismatch: t-activation left a live form")

@@ -46,7 +46,7 @@ class _Oracle:
     def __init__(self, system: System, bounds: StepBounds):
         self.system = system
         self.bounds = bounds
-        self.steps = 0
+        self.applied = 0
         self.exhausted = False
         self.truncated = False
         self._exact = {}
@@ -81,8 +81,8 @@ class _Oracle:
                 continue
             for pos in range(len(form)):
                 if form[pos] == rule.lhs:
-                    self.steps += 1
-                    if self.steps > self.bounds.step_budget * 100:
+                    self.applied += 1
+                    if self.applied > self.bounds.step_budget * 100:
                         self.exhausted = True
                         return out
                     out.append(form[:pos] + rule.rhs + form[pos + 1:])

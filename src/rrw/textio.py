@@ -347,7 +347,11 @@ class _Parser:
         alphabet = set(self.nonterminals) | set(self.terminals)
         gc = self.kind == "gc"
         violations = []
-        for comp in self.components:
+        for n, comp in enumerate(self.components):
+            if gc and n:
+                violations.append(
+                    f"{comp['span']}: a gc system has one component block"
+                )
             if gc and comp["entry"] is not None:
                 violations.append(
                     f"{comp['span']}: a gc system has no entry conditions"

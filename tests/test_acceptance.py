@@ -216,8 +216,10 @@ def test_criterion_5_mode_algebra(report):
         }
         le3 = mode_apply(comp, form, Mode("<=", 3), bounds)
         tset = mode_apply(comp, form, Mode("t"), bounds)
+        star = mode_apply(comp, form, Mode("*"), bounds)
         checks = [
             ("=1 is the single-step relation", eq[1] == single),
+            ("* is >=1", star == ge[1]),
             ("=k within >=k", all(eq[k] <= ge[k] for k in (1, 2))),
             ("=j within <=3", all(eq[j] <= le3 for j in (1, 2, 3))),
             ("t-results are successor-free", all(

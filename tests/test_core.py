@@ -18,7 +18,7 @@ from rrw import (
     validate,
 )
 
-from conftest import load_corpus
+from conftest import MODE_GRID, load_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,16 @@ def test_mode_parse(text, variant, k):
 def test_mode_parse_rejects(text):
     with pytest.raises(ValueError):
         Mode.parse(text)
+
+
+_STEPS = {"t": (1, None), "*": (1, None), "=1": (1, 1), "=2": (2, 2),
+          "=3": (3, 3), "=4": (4, 4), "<=2": (1, 2), "<=3": (1, 3),
+          ">=1": (1, None), ">=2": (2, None), ">=3": (3, None)}
+
+
+@pytest.mark.parametrize("text", MODE_GRID)
+def test_mode_steps_is_the_interval_of_applications(text):
+    assert Mode.parse(text).steps == _STEPS[text]
 
 
 def test_mode_requires_positive_k():

@@ -331,6 +331,29 @@ def test_replay_trace_rejects_tampering(example1):
         replay_trace(example1, bad)
 
 
+def _loop_system():
+    return System(
+        kind="cf", name="loop", nonterminals=frozenset({"S"}),
+        terminals=frozenset({"a"}), start="S",
+        components=(Component("P", (Rule("S", ("S",)), Rule("S", ("a",)))),),
+    )
+
+
+@pytest.mark.parametrize("text, start, count", [
+    ("=2", ("S",), 1), ("<=2", ("S",), 3), (">=2", ("S",), 1),
+    ("*", ("S",), 0), ("t", ("a",), 0),
+], ids=["=2", "<=2", ">=2", "*", "t"])
+def test_replay_trace_rejects_a_wrong_number_of_applications(
+        text, start, count):
+    # every application is the loop S -> S, so each form matches its record
+    # and only the count is wrong for the mode
+    from rrw import DerivationTrace, TraceStep
+
+    step = TraceStep("P", Mode.parse(text), ((0, 0),) * count, start)
+    with pytest.raises(ValueError, match="applications"):
+        replay_trace(_loop_system(), DerivationTrace(start, (step,)))
+
+
 def test_long_forms_do_not_recurse(example1):
     lang = enumerate_language(example1, T, 1024, StepBounds(1024))
     assert lang.complete
@@ -356,15 +379,19 @@ def test_product_path_matches_naive_path():
 
     Equal whenever the naive path is not truncated. When it is, the product
     path may return a strict superset (it bounds subforms, not whole forms,
-    by the workspace); ``cf_star``, with its erasing rule, shows this.
+    by the workspace); ``cf_star``, with its erasing rule, shows this. Both
+    paths read the same layers, so the naive path is also checked against
+    the reference oracle, which shares no logic with the engine, wherever
+    neither is truncated.
     """
     import random
 
     from rrw.engine import _Budget, _Enumeration, _naive_mode
+    from rrw.equivalence import _Oracle
 
     rng = random.Random(20260417)
     bounds = StepBounds(10)
-    compared = specialised = supersets = 0
+    compared = specialised = supersets = against_oracle = 0
     product_runs = dict.fromkeys(MODE_GRID, 0)
     for name in CORPUS_FILES:
         system = load_corpus(name)
@@ -379,7 +406,7 @@ def test_product_path_matches_naive_path():
         for text in MODE_GRID:
             mode = Mode.parse(text)
             enum = _Enumeration(system, bounds, mode)
-            for comp in system.components:
+            for ci, comp in enumerate(system.components):
                 conds = comp.effective_conditions()
                 for form in t_forms if text == "t" else forms:
                     fast = enum.activation(comp, form)
@@ -393,11 +420,17 @@ def test_product_path_matches_naive_path():
                         supersets += fast != slow
                     else:
                         assert fast == slow, where
+                        oracle = _Oracle(system, bounds)
+                        expected = oracle.mode_set(ci, form, mode)
+                        if not oracle.truncated:
+                            assert slow == expected, where
+                            against_oracle += 1
                     compared += 1
                     if enum.product_component(comp, form):
                         product_runs[text] += 1
                         specialised += not comp.unregulated
     assert compared > 2000
+    assert against_oracle > 4000
     assert all(product_runs.values()), product_runs
     assert specialised > 20  # regulated components on the product path
     assert supersets > 0  # the documented cf_star difference still shows

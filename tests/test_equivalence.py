@@ -112,3 +112,27 @@ def test_useful_nonterminals_monotone():
     small = useful_nonterminals(rules[:1], {"b"})
     large = useful_nonterminals(rules, {"b"})
     assert small <= large
+
+
+def test_the_oracle_shares_no_mode_logic_with_the_engine():
+    # the oracle is an independent check only while it derives each mode's
+    # relation with its own code: no Mode.steps, no engine helper
+    import ast
+    import pathlib
+
+    import rrw.equivalence
+
+    tree = ast.parse(pathlib.Path(rrw.equivalence.__file__).read_text(
+        encoding="utf-8"))
+    allowed = {"BoundedLanguage", "StepBounds", "enumerate_language"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "steps", node.lineno
+        elif isinstance(node, ast.Import):
+            assert all("engine" not in a.name for a in node.names), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if "engine" in (node.module or "").split("."):
+                assert names <= allowed, (node.lineno, names - allowed)
+            else:
+                assert "engine" not in names, node.lineno

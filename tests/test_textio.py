@@ -110,12 +110,15 @@ _CF_HEAD = "system cdgs c\nnonterminals: S\nterminals: a\nstart: S\n"
      "  order: l1 > l2\n}\n", 10),
     (_GC_HEAD + "priority: rules > rules\ncomponent rules {\n"
      "  l1: S -> a\n}\n", 7),
+    (_GC_HEAD + "component A {\n  l1: S -> a\n}\ncomponent B {\n"
+     "  l2: S -> a\n}\n", 10),
     (_CF_HEAD + "component P {\n  S -> a success { l1 }\n}\n", 6),
     (_CF_HEAD + "component P {\n  S -> a failure { l1 }\n}\n", 6),
     (_CF_HEAD + "init-labels: l1\ncomponent P { S -> a }\n", 5),
     (_CF_HEAD + "final-labels: l1\ncomponent P { S -> a }\n", 5),
 ], ids=["gc-forbid", "gc-permit", "gc-entry", "gc-order", "gc-priority",
-        "success", "failure", "init-labels", "final-labels"])
+        "gc-second-component", "success", "failure", "init-labels",
+        "final-labels"])
 def test_parse_rejects_a_clause_the_kind_does_not_carry(doc, line):
     # each clause used to be dropped: the document parsed without it
     with pytest.raises(ValidationError) as err:
