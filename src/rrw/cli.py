@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .constructions import CONSTRUCTIONS, apply_construction
 from .core import Mode, format_word
 from .engine import StepBounds, enumerate_language, find_derivation
-from .equivalence import bounded_equiv, useful_nonterminals
+from .equivalence import bounded_equiv, nonempty_lhs
 from .errors import BudgetExceeded, RrwError
 from .textio import parse_system, serialize_system
 
@@ -276,13 +276,10 @@ def _cmd_nonempty(config: RunConfig) -> int:
         groups = [(c.name, list(c.rules)) for c in system.components]
     report = []
     for name, rules in groups:
-        lhs = {r.lhs for r in rules}
-        passive = {s for r in rules for s in r.rhs if s not in lhs}
-        useful = useful_nonterminals(rules, passive)
         report.append({
             "component": name,
-            "lhs": sorted(lhs),
-            "nonemptyLhs": sorted(lhs & useful),
+            "lhs": sorted({r.lhs for r in rules}),
+            "nonemptyLhs": sorted(nonempty_lhs(rules)),
         })
     if config.as_json:
         _emit_json("nonempty", _params(config), "report", report, None)

@@ -30,7 +30,7 @@ from .core import (
     check,
     close_order,
 )
-from .equivalence import useful_nonterminals
+from .equivalence import nonempty_lhs
 from .errors import KindError, ModeError, PermitPresent
 
 
@@ -974,11 +974,7 @@ def _pcd_to_cdfrc(system: System, mode: Mode):
     def blocking_lhs(comp):
         if mode.variant != "t":
             return set(comp.lhs_set)
-        lhs = set(comp.lhs_set)
-        passive = {
-            s for r in comp.rules for s in r.rhs if s not in lhs
-        }
-        return lhs & useful_nonterminals(comp.rules, passive)
+        return nonempty_lhs(comp.rules)
 
     comps = []
     order = system.component_order or StrictOrder()

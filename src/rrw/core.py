@@ -15,22 +15,21 @@ from .errors import CycleError, ValidationError
 
 Form = tuple  # tuple of symbol strings
 
-KINDS = (
-    "cf",
-    "ordered",
-    "cdgs",
-    "ocdgs",
-    "rccdgs",
-    "frccdgs",
-    "gc",
-    "entry-cdgs",
-    "pcdgs",
-)
-
-# Kinds whose components carry per-rule random-context conditions.
-_CONTEXT_KINDS = ("rccdgs", "frccdgs")
-# Kinds whose components carry per-component rule orders.
-_ORDER_KINDS = ("ordered", "ocdgs")
+# The regulation clauses a document may state in a system of each kind,
+# spelled as written. The parser rejects any other clause at its line, and
+# validate() rejects a regulation field that no clause of the kind fills.
+KIND_CLAUSES = {
+    "cf": frozenset(),
+    "ordered": frozenset({"order:"}),
+    "cdgs": frozenset(),
+    "ocdgs": frozenset({"order:"}),
+    "rccdgs": frozenset({"forbid", "permit"}),
+    "frccdgs": frozenset({"forbid"}),
+    "gc": frozenset({"success", "failure", "init-labels:", "final-labels:"}),
+    "entry-cdgs": frozenset({"entry"}),
+    "pcdgs": frozenset({"priority:"}),
+}
+KINDS = tuple(KIND_CLAUSES)
 
 
 @dataclass(frozen=True)
@@ -352,6 +351,7 @@ def validate(system: System) -> list:
             v.append("gc system has no final labels")
         return v
 
+    carries = KIND_CLAUSES[system.kind]
     if system.gc_rules or system.init_labels or system.final_labels:
         v.append("labels/gc rules are only allowed in gc systems")
     if not system.components:
@@ -361,7 +361,7 @@ def validate(system: System) -> list:
     names = [c.name for c in system.components]
     if len(set(names)) != len(names):
         v.append("component names are not unique")
-    if system.component_order is not None and system.kind != "pcdgs":
+    if system.component_order is not None and "priority:" not in carries:
         v.append("component order is only allowed in pcdgs systems")
     if system.component_order is not None:
         _check_order_strict(
@@ -377,12 +377,12 @@ def validate(system: System) -> list:
             v.append(f"{where}: duplicate rule labels")
         for i, rule in enumerate(comp.rules):
             check_rule(rule, f"{where} rule {i}")
-        if comp.order is not None and system.kind not in _ORDER_KINDS:
+        if comp.order is not None and "order:" not in carries:
             v.append(f"{where}: rule order not allowed in kind {system.kind}")
         if comp.order is not None:
             _check_order_strict(comp.order, len(comp.rules), where, v)
         if comp.contexts is not None:
-            if system.kind not in _CONTEXT_KINDS:
+            if "forbid" not in carries:
                 v.append(f"{where}: rule contexts not allowed in kind {system.kind}")
             elif len(comp.contexts) != len(comp.rules):
                 v.append(f"{where}: {len(comp.contexts)} contexts for "
@@ -391,16 +391,16 @@ def validate(system: System) -> list:
                 for i, ctx in enumerate(comp.contexts):
                     if ctx.permit & ctx.forbid:
                         v.append(f"{where} rule {i}: permit and forbid overlap")
-                    if system.kind == "frccdgs" and ctx.permit:
+                    if ctx.permit and "permit" not in carries:
                         v.append(f"{where} rule {i}: frc rules take no permit set")
                     for s in ctx.permit | ctx.forbid:
                         if s not in system.nonterminals:
                             v.append(f"{where} rule {i}: context symbol {s!r} "
                                      "is not a nonterminal")
-        elif system.kind in _CONTEXT_KINDS:
+        elif "forbid" in carries:
             v.append(f"{where}: kind {system.kind} requires per-rule contexts")
         if comp.entry is not None:
-            if system.kind != "entry-cdgs":
+            if "entry" not in carries:
                 v.append(f"{where}: entry condition not allowed in kind "
                          f"{system.kind}")
             else:
@@ -409,7 +409,7 @@ def validate(system: System) -> list:
                 for s in comp.entry.permit | comp.entry.forbid:
                     if s not in system.nonterminals:
                         v.append(f"{where}: entry symbol {s!r} is not a nonterminal")
-        elif system.kind == "entry-cdgs":
+        elif "entry" in carries:
             v.append(f"{where}: kind entry-cdgs requires an entry condition")
     return v
 

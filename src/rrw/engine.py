@@ -962,35 +962,28 @@ def _applications(parents, state):
 def replay_trace(system, trace):
     """Re-execute a trace, verifying every application. Returns the final form.
 
-    Raises ValueError on any mismatch with the recorded intermediate forms.
+    Raises ValueError on any mismatch with the system or the recorded
+    intermediate forms: an unknown component or label, a rule or position
+    out of range, and under graph control a label the control graph does
+    not lead to.
     """
+    if system.kind == "gc":
+        return _replay_gc(system, trace)
     form = trace.start
     for step in trace.steps:
-        if system.kind == "gc":
-            by_label = {g.label: g for g in system.gc_rules}
-            g = by_label[step.component]
-            if step.applications:
-                (_idx, pos) = step.applications[0]
-                if form[pos] != g.rule.lhs:
-                    raise ValueError("replay mismatch: lhs not at position")
-                form = form[:pos] + g.rule.rhs + form[pos + 1:]
-            elif g.rule.lhs in form:
-                raise ValueError("replay mismatch: failure branch taken on "
-                                 "an applicable rule")
-            if form != step.result:
-                raise ValueError("replay mismatch: form differs from record")
-            continue
-        comp = system.component_named(step.component)
+        try:
+            comp = system.component_named(step.component)
+        except KeyError:
+            raise ValueError(f"replay mismatch: no component "
+                             f"{step.component!r}") from None
         for (idx, pos) in step.applications:
-            if not rule_applicable(comp, form, idx):
+            if not (0 <= idx < len(comp.rules)
+                    and rule_applicable(comp, form, idx)):
                 raise ValueError(
                     f"replay mismatch: rule {idx} not applicable on "
                     f"{format_word(form)}"
                 )
-            rule = comp.rules[idx]
-            if pos >= len(form) or form[pos] != rule.lhs:
-                raise ValueError("replay mismatch: lhs not at position")
-            form = form[:pos] + rule.rhs + form[pos + 1:]
+            form = _apply_at(form, comp.rules[idx], pos)
         lo, hi = step.mode.steps
         n = len(step.applications)
         if n < lo or (hi is not None and n > hi):
@@ -1003,3 +996,41 @@ def replay_trace(system, trace):
         if form != step.result:
             raise ValueError("replay mismatch: form differs from record")
     return form
+
+
+def _replay_gc(system, trace):
+    """Replay a graph-control trace: its first label is initial, each next
+    label lies in the success field of the previous one when that rule was
+    applied and in its failure field when it was not, and the last step
+    can move to a final label."""
+    rules = {g.label: (i, g) for i, g in enumerate(system.gc_rules)}
+    form = trace.start
+    reachable = system.init_labels
+    for step in trace.steps:
+        if step.component not in reachable:
+            raise ValueError(f"replay mismatch: control cannot move to "
+                             f"label {step.component!r}")
+        i, g = rules[step.component]
+        if step.applications:
+            if len(step.applications) != 1 or step.applications[0][0] != i:
+                raise ValueError("replay mismatch: a gc step applies the "
+                                 "rule at its label once")
+            form = _apply_at(form, g.rule, step.applications[0][1])
+            reachable = g.success
+        elif g.rule.lhs in form:
+            raise ValueError("replay mismatch: failure branch taken on "
+                             "an applicable rule")
+        else:
+            reachable = g.failure
+        if form != step.result:
+            raise ValueError("replay mismatch: form differs from record")
+    if trace.steps and not reachable & system.final_labels:
+        raise ValueError("replay mismatch: control cannot move to a final "
+                         "label")
+    return form
+
+
+def _apply_at(form, rule, pos):
+    if not (0 <= pos < len(form)) or form[pos] != rule.lhs:
+        raise ValueError("replay mismatch: lhs not at position")
+    return form[:pos] + rule.rhs + form[pos + 1:]

@@ -304,3 +304,11 @@ def useful_nonterminals(rules, terminal_set) -> set:
                 useful.add(rule.lhs)
                 changed = True
     return useful
+
+
+def nonempty_lhs(rules) -> set:
+    """The left-hand sides A of ``rules`` with L(A) != empty, where every
+    right-hand-side symbol that is no left-hand side counts as terminal."""
+    lhs = {r.lhs for r in rules}
+    passive = {s for r in rules for s in r.rhs if s not in lhs}
+    return lhs & useful_nonterminals(rules, passive)

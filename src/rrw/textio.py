@@ -8,15 +8,15 @@ underscore, apostrophe and caret; ``eps`` denotes the empty right-hand side;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
+    KIND_CLAUSES,
     Component,
     GcRule,
     Mode,
     RcCondition,
     Rule,
-    StrictOrder,
     System,
     check,
     close_order,
@@ -70,9 +70,26 @@ def _tokenize_line(line, lineno, line_offset):
     return tokens
 
 
+@dataclass
+class _Block:
+    """A component block as it is read: per rule, in order, the rule, its
+    lhs span, its context and its (success, failure) fields; and the
+    (greater, lesser) label token pairs of its order lines."""
+
+    name: str
+    entry: RcCondition | None
+    span: SourceSpan
+    rules: list = field(default_factory=list)
+    spans: list = field(default_factory=list)
+    contexts: list = field(default_factory=list)
+    fields: list = field(default_factory=list)
+    orders: list = field(default_factory=list)
+
+
 class _Parser:
-    def __init__(self, text):
+    def __init__(self):
         self.kind = None
+        self.clauses = None  # KIND_CLAUSES[self.kind]
         self.name = None
         self.nonterminals = []
         self.terminals = []
@@ -81,106 +98,95 @@ class _Parser:
         self.final_labels = []
         self.priorities = []  # (greater name, lesser name, span)
         self.default_mode = None
-        self.components = []  # (name, entry, rules, contexts, order_lines, span)
-        self.text = text
+        self.blocks = []
+        self.block = None  # the open component block
 
     # ---- line-level dispatch ------------------------------------------
 
-    def parse(self):
-        lines = self.text.split("\n")
+    def parse(self, text):
         offset = 0
-        self.cur_component = None
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].rstrip()
-            if line.strip():
+            if line:
                 self._line(line, lineno, offset)
             offset += len(raw) + 1
-        if self.cur_component is not None:
-            raise GrammarSyntaxError(
-                "unterminated component block", self.cur_component["span"]
-            )
+        if self.block is not None:
+            raise GrammarSyntaxError("unterminated component block",
+                                     self.block.span)
         return self._build()
 
     def _line(self, line, lineno, offset):
+        if self.block is not None:
+            self._block_line(_tokenize_line(line, lineno, offset))
+            return
         stripped = line.strip()
         indent = len(line) - len(line.lstrip())
         if self.kind is None:
-            self._system_line(stripped, lineno, offset + indent)
+            self._system_line(stripped, SourceSpan(lineno, 1, offset + indent))
             return
-        if self.cur_component is None:
-            m = _HEADER_RE.match(stripped)
-            if m:
-                self._header(m.group(1), m.group(2), lineno,
-                             offset + indent + len(m.group(1)) + 1)
-                return
-            if stripped.startswith("component"):
-                self._component_header(line, lineno, offset)
-                return
+        m = _HEADER_RE.match(stripped)
+        if m:
+            self._header(m.group(1), m.group(2), SourceSpan(
+                lineno, 1, offset + indent + len(m.group(1)) + 1))
+        elif stripped.startswith("component"):
+            self._component_header(_tokenize_line(line, lineno, offset))
+        else:
             raise GrammarSyntaxError(
                 f"unexpected line {stripped!r}",
                 SourceSpan(lineno, indent + 1, offset + indent),
             )
-        tokens = _tokenize_line(line, lineno, offset)
-        self._component_line(tokens)
 
-    def _system_line(self, stripped, lineno, offs):
+    def _check_clause(self, clause, span):
+        """Reject a clause that the system's kind does not carry."""
+        if clause not in self.clauses:
+            raise ValidationError(
+                [f"{span}: a {self.kind} system has no '{clause}' clause"]
+            )
+
+    def _system_line(self, stripped, span):
         parts = stripped.split()
         if len(parts) != 3 or parts[0] != "system":
-            raise GrammarSyntaxError(
-                "expected 'system <kind> <name>'",
-                SourceSpan(lineno, 1, offs),
-            )
+            raise GrammarSyntaxError("expected 'system <kind> <name>'", span)
         self.kind, self.name = parts[1], parts[2]
+        self.clauses = KIND_CLAUSES.get(self.kind)
+        if self.clauses is None:
+            raise ValidationError([f"{span}: unknown kind {self.kind!r}"])
 
-    def _header(self, key, rest, lineno, offs):
+    def _header(self, key, rest, span):
         ids = rest.split()
-        gc = self.kind == "gc"
-        if (key == "priority" and gc) or \
-                (key in ("init-labels", "final-labels") and not gc):
-            raise ValidationError(
-                [f"{SourceSpan(lineno, 1, offs)}: a {self.kind} system has "
-                 f"no '{key}:' line"]
-            )
         if key == "mode":
             try:
                 self.default_mode = Mode.parse(rest.strip())
             except ValueError as e:
-                raise GrammarSyntaxError(str(e), SourceSpan(lineno, 1, offs))
-            return
-        if key == "start":
+                raise GrammarSyntaxError(str(e), span)
+        elif key == "start":
             if len(ids) != 1:
-                raise GrammarSyntaxError(
-                    "start takes exactly one symbol", SourceSpan(lineno, 1, offs)
-                )
+                raise GrammarSyntaxError("start takes exactly one symbol", span)
             self.start = ids[0]
-            return
-        if key == "priority":
-            if len(ids) != 3 or ids[1] != ">":
-                raise GrammarSyntaxError(
-                    "expected 'priority: A > B'", SourceSpan(lineno, 1, offs)
-                )
-            self.priorities.append((ids[0], ids[2],
-                                    SourceSpan(lineno, 1, offs)))
-            return
-        target = {
-            "nonterminals": self.nonterminals,
-            "terminals": self.terminals,
-            "init-labels": self.init_labels,
-            "final-labels": self.final_labels,
-        }[key]
-        target.extend(ids)
+        elif key == "nonterminals":
+            self.nonterminals.extend(ids)
+        elif key == "terminals":
+            self.terminals.extend(ids)
+        else:  # priority, init-labels or final-labels: a clause
+            self._check_clause(key + ":", span)
+            if key == "priority":
+                if len(ids) != 3 or ids[1] != ">":
+                    raise GrammarSyntaxError("expected 'priority: A > B'", span)
+                self.priorities.append((ids[0], ids[2], span))
+            elif key == "init-labels":
+                self.init_labels.extend(ids)
+            else:
+                self.final_labels.extend(ids)
 
     # ---- component blocks ---------------------------------------------
 
-    def _component_header(self, line, lineno, offset):
-        tokens = _tokenize_line(line, lineno, offset)
-        pos = 1  # skip 'component'
-        if pos >= len(tokens) or tokens[pos].kind != "ID":
+    def _component_header(self, tokens):
+        if len(tokens) < 2 or tokens[1].kind != "ID":
             raise GrammarSyntaxError("component needs a name", tokens[0].span)
-        name = tokens[pos].text
-        pos += 1
+        name, pos = tokens[1].text, 2
         entry = None
         if pos < len(tokens) and tokens[pos].text == "entry":
+            self._check_clause("entry", tokens[pos].span)
             pos += 1
             if pos >= len(tokens) or tokens[pos].text != "forbid":
                 raise GrammarSyntaxError(
@@ -190,22 +196,41 @@ class _Parser:
             permit = []
             if pos < len(tokens) and tokens[pos].text == "permit":
                 permit, pos = self._brace_set(tokens, pos + 1)
-            entry = RcCondition(frozenset(permit), frozenset(forbid))
+            entry = RcCondition(permit, forbid)
         if pos >= len(tokens) or tokens[pos].kind != "LBRACE":
             raise GrammarSyntaxError(
                 "component header must end with '{'", tokens[-1].span
             )
-        self.cur_component = {
-            "name": name,
-            "entry": entry,
-            "rules": [],
-            "contexts": [],
-            "orders": [],
-            "span": tokens[0].span,
-        }
-        rest = tokens[pos + 1:]
-        if rest:
-            self._component_line(rest)
+        if self.blocks and self.kind == "gc":
+            raise ValidationError(
+                [f"{tokens[0].span}: a gc system has one component block"]
+            )
+        self.block = _Block(name, entry, tokens[0].span)
+        if pos + 1 < len(tokens):
+            self._block_line(tokens[pos + 1:])
+
+    def _block_line(self, tokens):
+        """Read a line of the open block. Its last '}' closes the block
+        unless it ends a '{ ... }' set."""
+        last = len(tokens) - 1
+        closes = tokens[last].kind == "RBRACE"
+        if closes:
+            i = last - 1
+            while i >= 0 and tokens[i].kind == "ID":
+                i -= 1
+            closes = i < 0 or tokens[i].kind != "LBRACE"
+        body = tokens[:last] if closes else tokens
+        if body:
+            if body[0].text == "order":
+                self._order_line(body)
+            else:
+                self._rule_line(body)
+        if closes:
+            block, self.block = self.block, None
+            if not block.rules:
+                raise ValidationError([f"{tokens[last].span}: component "
+                                       f"{block.name} has no rules"])
+            self.blocks.append(block)
 
     def _brace_set(self, tokens, pos):
         if pos >= len(tokens) or tokens[pos].kind != "LBRACE":
@@ -221,65 +246,28 @@ class _Parser:
                                      tokens[min(pos, len(tokens) - 1)].span)
         return ids, pos + 1
 
-    def _component_line(self, tokens):
-        if not tokens:
-            return
-        if tokens[0].kind == "RBRACE":
-            self._close_component(tokens[0].span)
-            if len(tokens) > 1:
-                raise GrammarSyntaxError("content after '}'", tokens[1].span)
-            return
-        if tokens[0].text == "order":
-            self._order_line(tokens)
-            return
-        self._rule_line(tokens)
-
-    def _close_component(self, span):
-        comp = self.cur_component
-        self.cur_component = None
-        if not comp["rules"]:
-            raise ValidationError([f"{span}: component {comp['name']} has no rules"])
-        self.components.append(comp)
-
     def _order_line(self, tokens):
         # order: l1 > l2 [> l3]*
-        pos = 1
-        if pos < len(tokens) and tokens[pos].kind == "COLON":
-            pos += 1
-        labels = []
-        expect_id = True
-        trailing_rbrace = False
-        while pos < len(tokens):
-            t = tokens[pos]
-            if t.kind == "RBRACE" and pos == len(tokens) - 1:
-                trailing_rbrace = True
-                break
-            if expect_id:
-                if t.kind != "ID":
-                    raise GrammarSyntaxError("expected a rule label", t.span)
-                labels.append((t.text, t.span))
-            else:
-                if t.kind != "GT":
-                    raise GrammarSyntaxError("expected '>'", t.span)
-            expect_id = not expect_id
-            pos += 1
-        if len(labels) < 2 or expect_id:
-            span = tokens[0].span
-            raise GrammarSyntaxError("order needs 'l1 > l2 [> l3]*'", span)
-        self.cur_component["orders"].append(labels)
-        if trailing_rbrace:
-            self._close_component(tokens[-1].span)
+        self._check_clause("order:", tokens[0].span)
+        pos = 2 if len(tokens) > 1 and tokens[1].kind == "COLON" else 1
+        want = "ID"
+        for t in tokens[pos:]:
+            if t.kind != want:
+                what = "a rule label" if want == "ID" else "'>'"
+                raise GrammarSyntaxError(f"expected {what}", t.span)
+            want = "GT" if want == "ID" else "ID"
+        if want == "ID" or len(tokens) - pos < 3:
+            raise GrammarSyntaxError("order needs 'l1 > l2 [> l3]*'",
+                                     tokens[0].span)
+        orders = self.block.orders
+        for i in range(pos, len(tokens) - 2, 2):
+            orders.append((tokens[i], tokens[i + 2]))
 
     def _rule_line(self, tokens):
-        pos = 0
-        label = None
-        if (
-            len(tokens) >= 2
-            and tokens[0].kind == "ID"
-            and tokens[1].kind == "COLON"
-        ):
-            label = tokens[0].text
-            pos = 2
+        label, pos = None, 0
+        if len(tokens) >= 2 and tokens[0].kind == "ID" \
+                and tokens[1].kind == "COLON":
+            label, pos = tokens[0].text, 2
         if pos >= len(tokens) or tokens[pos].kind != "ID":
             raise GrammarSyntaxError("expected rule lhs", tokens[0].span)
         lhs = tokens[pos].text
@@ -288,10 +276,10 @@ class _Parser:
         if pos >= len(tokens) or tokens[pos].kind != "ARROW":
             raise GrammarSyntaxError("expected '->'", tokens[pos - 1].span)
         pos += 1
+        rule_clauses = ("forbid", "permit", "success", "failure")
         rhs = []
         while pos < len(tokens) and tokens[pos].kind == "ID" \
-                and tokens[pos].text not in ("forbid", "permit",
-                                             "success", "failure"):
+                and tokens[pos].text not in rule_clauses:
             rhs.append(tokens[pos].text)
             pos += 1
         if rhs == ["eps"]:
@@ -300,44 +288,23 @@ class _Parser:
             raise GrammarSyntaxError("'eps' must stand alone", lhs_span)
         elif not rhs:
             raise GrammarSyntaxError("empty rhs must be written 'eps'", lhs_span)
-        permit, forbid = [], []
-        success, failure = None, None
-        trailing_rbrace = False
+        sets = {}
         while pos < len(tokens):
             t = tokens[pos]
-            if t.kind == "RBRACE" and pos == len(tokens) - 1:
-                trailing_rbrace = True
-                pos += 1
-                continue
-            if t.text == "forbid":
-                forbid, pos = self._brace_set(tokens, pos + 1)
-            elif t.text == "permit":
-                permit, pos = self._brace_set(tokens, pos + 1)
-            elif t.text == "success":
-                success, pos = self._brace_set(tokens, pos + 1)
-            elif t.text == "failure":
-                failure, pos = self._brace_set(tokens, pos + 1)
-            else:
+            if t.text not in rule_clauses:
                 raise GrammarSyntaxError(
                     f"unexpected token {t.text!r} in rule", t.span
                 )
-        comp = self.cur_component
-        index = len(comp["rules"])
+            self._check_clause(t.text, t.span)
+            sets[t.text], pos = self._brace_set(tokens, pos + 1)
+        block = self.block
         if label is None:
-            label = f"r{index + 1}"
-        comp["rules"].append(
-            {
-                "rule": Rule(lhs, tuple(rhs), label),
-                "context": RcCondition(frozenset(permit), frozenset(forbid)),
-                "has_context": bool(permit or forbid),
-                "success": frozenset(success or ()),
-                "failure": frozenset(failure or ()),
-                "has_gc": success is not None or failure is not None,
-                "span": lhs_span,
-            }
-        )
-        if trailing_rbrace:
-            self._close_component(tokens[-1].span)
+            label = f"r{len(block.rules) + 1}"
+        block.rules.append(Rule(lhs, tuple(rhs), label))
+        block.spans.append(lhs_span)
+        block.contexts.append(RcCondition(sets.get("permit", ()),
+                                          sets.get("forbid", ())))
+        block.fields.append((sets.get("success", ()), sets.get("failure", ())))
 
     # ---- assembly ------------------------------------------------------
 
@@ -345,79 +312,26 @@ class _Parser:
         if self.start is None:
             raise GrammarSyntaxError("missing 'start:' line", SourceSpan(1, 1, 0))
         alphabet = set(self.nonterminals) | set(self.terminals)
-        gc = self.kind == "gc"
-        violations = []
-        for n, comp in enumerate(self.components):
-            if gc and n:
-                violations.append(
-                    f"{comp['span']}: a gc system has one component block"
-                )
-            if gc and comp["entry"] is not None:
-                violations.append(
-                    f"{comp['span']}: a gc system has no entry conditions"
-                )
-            if gc and comp["orders"]:
-                violations.append(
-                    f"{comp['orders'][0][0][1]}: a gc system has no rule "
-                    "orders"
-                )
-            for entry in comp["rules"]:
-                if gc and entry["has_context"]:
-                    violations.append(
-                        f"{entry['span']}: a gc rule has no permit or forbid "
-                        "clause"
-                    )
-                if not gc and entry["has_gc"]:
-                    violations.append(
-                        f"{entry['span']}: a {self.kind} rule has no success "
-                        "or failure clause"
-                    )
-                rule = entry["rule"]
-                for s in (rule.lhs, *rule.rhs):
-                    if s not in alphabet:
-                        violations.append(
-                            f"{entry['span']}: undeclared symbol {s!r}"
-                        )
+        violations = [
+            f"{span}: undeclared symbol {s!r}"
+            for block in self.blocks
+            for rule, span in zip(block.rules, block.spans)
+            for s in (rule.lhs, *rule.rhs) if s not in alphabet
+        ]
         if violations:
             raise ValidationError(violations)
-
         if self.kind == "gc":
-            return self._build_gc()
-
-        components = []
-        for comp in self.components:
-            rules = tuple(e["rule"] for e in comp["rules"])
-            labels = {r.label: i for i, r in enumerate(rules)}
-            order = None
-            if comp["orders"]:
-                pairs = set()
-                for chain in comp["orders"]:
-                    for (ga, sa), (gb, sb) in zip(chain, chain[1:]):
-                        for lbl, span in ((ga, sa), (gb, sb)):
-                            if lbl not in labels:
-                                raise ValidationError(
-                                    [f"{span}: unknown rule label {lbl!r}"]
-                                )
-                        pairs.add((labels[ga], labels[gb]))
-                order = close_order(pairs, size=len(rules))
-            elif self.kind in ("ordered", "ocdgs"):
-                order = StrictOrder()
-            contexts = None
-            if self.kind in ("rccdgs", "frccdgs"):
-                contexts = tuple(e["context"] for e in comp["rules"])
-            elif any(e["has_context"] for e in comp["rules"]):
-                contexts = tuple(e["context"] for e in comp["rules"])
-            entry = comp["entry"]
-            if entry is None and self.kind == "entry-cdgs":
-                entry = RcCondition()
-            components.append(
-                Component(comp["name"], rules, order=order,
-                          contexts=contexts, entry=entry)
-            )
-
+            components = ()
+            gc_rules = [GcRule(r.label, r, success, failure)
+                        for block in self.blocks
+                        for r, (success, failure) in zip(block.rules,
+                                                         block.fields)]
+        else:
+            components = [self._component(block) for block in self.blocks]
+            gc_rules = ()
         component_order = None
-        if self.priorities or self.kind == "pcdgs":
-            names = {c.name: i for i, c in enumerate(components)}
+        if "priority:" in self.clauses:
+            names = {block.name: i for i, block in enumerate(self.blocks)}
             pairs = set()
             for (g, l, span) in self.priorities:
                 for n in (g, l):
@@ -426,45 +340,48 @@ class _Parser:
                             [f"{span}: unknown component {n!r}"]
                         )
                 pairs.add((names[g], names[l]))
-            component_order = close_order(pairs, size=len(components))
-
+            component_order = close_order(pairs, size=len(self.blocks))
         system = System(
             kind=self.kind,
             name=self.name,
             nonterminals=frozenset(self.nonterminals),
             terminals=frozenset(self.terminals),
             start=self.start,
-            components=tuple(components),
+            components=components,
+            gc_rules=gc_rules,
+            init_labels=frozenset(self.init_labels),
+            final_labels=frozenset(self.final_labels),
             component_order=component_order,
             default_mode=self.default_mode,
         )
         return check(system)
 
-    def _build_gc(self):
-        gc_rules = []
-        for comp in self.components:
-            for e in comp["rules"]:
-                gc_rules.append(
-                    GcRule(e["rule"].label, e["rule"], e["success"],
-                           e["failure"])
-                )
-        system = System(
-            kind="gc",
-            name=self.name,
-            nonterminals=frozenset(self.nonterminals),
-            terminals=frozenset(self.terminals),
-            start=self.start,
-            gc_rules=tuple(gc_rules),
-            init_labels=frozenset(self.init_labels),
-            final_labels=frozenset(self.final_labels),
-            default_mode=self.default_mode,
-        )
-        return check(system)
+    def _component(self, block):
+        """The component of a block; each regulation field the kind carries
+        is filled, with an empty default where the block states none."""
+        order = None
+        if "order:" in self.clauses:
+            labels = {r.label: i for i, r in enumerate(block.rules)}
+            try:
+                pairs = {(labels[g.text], labels[l.text])
+                         for g, l in block.orders}
+            except KeyError:
+                t = next(t for pair in block.orders for t in pair
+                         if t.text not in labels)
+                raise ValidationError(
+                    [f"{t.span}: unknown rule label {t.text!r}"]) from None
+            order = close_order(pairs, size=len(block.rules))
+        entry = block.entry
+        if entry is None and "entry" in self.clauses:
+            entry = RcCondition()
+        return Component(block.name, block.rules, order=order, entry=entry,
+                         contexts=block.contexts if "forbid" in self.clauses
+                         else None)
 
 
 def parse_system(text: str) -> System:
     """Parse a document into a validated System."""
-    return _Parser(text).parse()
+    return _Parser().parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Each test covers one release criterion and prints a single pass/fail line to
 the real stdout (bypassing capture) so the verdicts are visible in any run.
 """
 
+import os
+import pathlib
 import random
 import re
 import subprocess
@@ -12,6 +14,7 @@ import time
 
 import pytest
 
+import rrw
 from rrw import (
     CONSTRUCTIONS,
     Mode,
@@ -300,8 +303,12 @@ def test_criterion_8_round_trip_and_determinism(report):
         str(CORPUS_DIR / "ocdgs_example1.rrw"),
         "--mode", "t", "--max-len", "8", "--workspace", "8", "--json",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True).stdout
-    second = subprocess.run(argv, capture_output=True, check=True).stdout
+    src = str(pathlib.Path(rrw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    first = subprocess.run(argv, env=env, capture_output=True,
+                           check=True).stdout
+    second = subprocess.run(argv, env=env, capture_output=True,
+                            check=True).stdout
     if first != second:
         failures.append("machine output differed between runs")
     ok = not failures

@@ -6,11 +6,13 @@ import pytest
 
 from rrw import (
     Component,
+    DerivationTrace,
     GcConfig,
     Mode,
     Rule,
     StepBounds,
     System,
+    TraceStep,
     UnknownLabel,
     close_order,
     component_successors,
@@ -352,6 +354,29 @@ def test_replay_trace_rejects_a_wrong_number_of_applications(
     step = TraceStep("P", Mode.parse(text), ((0, 0),) * count, start)
     with pytest.raises(ValueError, match="applications"):
         replay_trace(_loop_system(), DerivationTrace(start, (step,)))
+
+
+def _step(component, result, *applications, mode=STAR):
+    return TraceStep(component, mode, applications, tuple(result))
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("ocdgs_example1.rrw", [_step("P9", "A", mode=T)]),
+    ("ocdgs_example1.rrw", [_step("P1", "B", (7, 0), mode=T)]),
+    ("gc_choice.rrw", [_step("nope", "S")]),
+    ("gc_fin.rrw", [_step("l1", "AA", (0, 5))]),
+    ("gc_fin.rrw", [_step("l1", "AA", (0, 0)), _step("l3", "bA", (2, 0)),
+                    _step("l3", "bb", (2, 1))]),
+    ("gc_fin.rrw", [_step("l2", "S")]),
+    ("gc_fin.rrw", [_step("l1", "AA", (0, 0))]),
+], ids=["unknown-component", "rule-index", "unknown-label", "position",
+        "not-a-successor", "not-initial", "not-final"])
+def test_replay_trace_rejects_a_malformed_trace(name, steps):
+    # the first four raised KeyError or IndexError; the last three replayed
+    # although the control graph allows none of them
+    system = load_corpus(name)
+    with pytest.raises(ValueError):
+        replay_trace(system, DerivationTrace((system.start,), tuple(steps)))
 
 
 def test_long_forms_do_not_recurse(example1):

@@ -1,17 +1,24 @@
 """Tests for the document format: parsing, serialization, round trips."""
 
+import re
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrw import (
     CycleError,
     GrammarSyntaxError,
     Mode,
+    RrwError,
     ValidationError,
     parse_system,
     serialize_system,
 )
+from rrw.core import KIND_CLAUSES
 
-from conftest import CORPUS_FILES, corpus_text, load_corpus
+from conftest import CORPUS_DIR, CORPUS_FILES, corpus_text, load_corpus
 
 EXAMPLE1_DOC = """\
 system ocdgs example1
@@ -101,6 +108,10 @@ _GC_HEAD = ("system gc g\nnonterminals: S\nterminals: a\nstart: S\n"
 _CF_HEAD = "system cdgs c\nnonterminals: S\nterminals: a\nstart: S\n"
 
 
+def _head(kind):
+    return _CF_HEAD.replace("cdgs", kind, 1)
+
+
 @pytest.mark.parametrize("doc, line", [
     (_GC_HEAD + "component rules {\n  l1: S -> a forbid { S }\n}\n", 8),
     (_GC_HEAD + "component rules {\n  l1: S -> a permit { S }\n}\n", 8),
@@ -116,14 +127,37 @@ _CF_HEAD = "system cdgs c\nnonterminals: S\nterminals: a\nstart: S\n"
     (_CF_HEAD + "component P {\n  S -> a failure { l1 }\n}\n", 6),
     (_CF_HEAD + "init-labels: l1\ncomponent P { S -> a }\n", 5),
     (_CF_HEAD + "final-labels: l1\ncomponent P { S -> a }\n", 5),
+    (_CF_HEAD + "component P {\n  S -> a forbid { S }\n}\n", 6),
+    (_head("frccdgs") + "component P {\n  S -> a permit { S }\n}\n", 6),
+    (_CF_HEAD + "component P {\n  S -> a\n  S -> S\n  order: r1 > r2\n}\n",
+     8),
+    (_head("ocdgs") + "component P entry forbid { S } {\n  S -> a\n}\n", 5),
+    (_CF_HEAD + "priority: P > Q\ncomponent P { S -> a }\n"
+     "component Q { S -> a }\n", 5),
+    (_head("ordered") + "component P {\n  S -> a forbid { }\n}\n", 6),
+    (_GC_HEAD + "component rules {\n  l1: S -> a permit { }\n}\n", 8),
 ], ids=["gc-forbid", "gc-permit", "gc-entry", "gc-order", "gc-priority",
         "gc-second-component", "success", "failure", "init-labels",
-        "final-labels"])
+        "final-labels", "cdgs-forbid", "frccdgs-permit", "cdgs-order",
+        "ocdgs-entry", "cdgs-priority", "ordered-empty-forbid",
+        "gc-empty-permit"])
 def test_parse_rejects_a_clause_the_kind_does_not_carry(doc, line):
-    # each clause used to be dropped: the document parsed without it
+    # each clause used to be dropped or reported without its line; the
+    # empty sets in the last two cases used to parse
     with pytest.raises(ValidationError) as err:
         parse_system(doc)
     assert f"line {line}," in str(err.value)
+
+
+def test_readme_kind_table_lists_the_clauses_of_each_kind():
+    readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## System kinds\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines() if line.startswith("| `")
+    ]
+    assert {row[0].strip("`"): set(re.findall(r"`([^`]+)`", row[2]))
+            for row in rows} == KIND_CLAUSES
 
 
 def test_serialize_minimal_system():
@@ -144,6 +178,36 @@ def test_corpus_round_trip(name):
 def test_serialize_is_canonical(name):
     once = serialize_system(load_corpus(name))
     assert serialize_system(parse_system(once)) == once
+
+
+@st.composite
+def _edited_corpus_document(draw):
+    """A corpus document with one to three edits: a line deleted, a line
+    duplicated, or one character inserted."""
+    lines = corpus_text(draw(st.sampled_from(CORPUS_FILES))).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "duplicate", "insert")))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            char = draw(st.sampled_from("{}:>#-;=")
+                        | st.sampled_from(string.ascii_letters))
+            lines[i] = lines[i][:j] + char + lines[i][j:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_corpus_document())
+def test_an_edited_document_round_trips_or_raises_a_package_error(text):
+    try:
+        system = parse_system(text)
+    except RrwError:
+        return
+    assert parse_system(serialize_system(system)) == system
 
 
 def test_eps_rhs_round_trips():
