@@ -284,3 +284,161 @@ def test_syntax_error_span_points_into_the_document():
     assert err.value.span.line == 5
     assert err.value.span.column == 22
     assert doc[err.value.span.offset] == ";"
+
+
+# ---------------------------------------------------------------------------
+# pinned error messages: each document's exact error text and span
+# ---------------------------------------------------------------------------
+
+_PCD_HEAD = _head("pcdgs")
+
+# one document per raise site of the parser, with the error it must raise:
+# (exception type, str(err), span as (line, column, offset, length) or None)
+PINNED_ERRORS = [
+    ("unexpected-character", _CF_HEAD + "component P { S -> a, S }\n",
+     "GrammarSyntaxError", "line 5, column 21: unexpected character ','",
+     (5, 21, 72, 1)),
+    ("unterminated-block", _CF_HEAD + "component P {\n  S -> a\n",
+     "GrammarSyntaxError", "line 5, column 1: unterminated component block",
+     (5, 1, 52, 9)),
+    ("unexpected-line", _CF_HEAD + "  rules: S -> a\n",
+     "GrammarSyntaxError", "line 5, column 3: unexpected line "
+     "'rules: S -> a'", (5, 3, 54, 1)),
+    ("misplaced-clause", _CF_HEAD + "component P {\n  S -> a\n"
+     "  order: r1 > r1\n}\n",
+     "ValidationError", "line 7, column 3: a cdgs system has no 'order:' "
+     "clause", None),
+    ("system-line", "system cdgs\nnonterminals: S\n",
+     "GrammarSyntaxError", "line 1, column 1: expected 'system <kind> "
+     "<name>'", (1, 1, 0, 1)),
+    ("unknown-kind", "  system cgds c\nnonterminals: S\n",
+     "ValidationError", "line 1, column 1: unknown kind 'cgds'", None),
+    ("mode", "system cdgs c\nmode: =k\n",
+     "GrammarSyntaxError", "line 2, column 1: cannot parse mode '=k'",
+     (2, 1, 19, 1)),
+    ("start", "system cdgs c\nstart: S T\n",
+     "GrammarSyntaxError", "line 2, column 1: start takes exactly one "
+     "symbol", (2, 1, 20, 1)),
+    ("priority", _PCD_HEAD + "  priority: P Q\n",
+     "GrammarSyntaxError", "line 5, column 1: expected 'priority: A > B'",
+     (5, 1, 64, 1)),
+    ("component-name", _CF_HEAD + "component { S -> a }\n",
+     "GrammarSyntaxError", "line 5, column 1: component needs a name",
+     (5, 1, 52, 9)),
+    ("entry-forbid", _head("entry-cdgs") + "component P entry { S -> a }\n",
+     "GrammarSyntaxError", "line 5, column 13: entry clause needs "
+     "'forbid { ... }'", (5, 13, 70, 5)),
+    ("header-brace", _CF_HEAD + "component P S -> a }\n",
+     "GrammarSyntaxError", "line 5, column 20: component header must end "
+     "with '{'", (5, 20, 71, 1)),
+    ("gc-second-block", _GC_HEAD + "component A {\n  l1: S -> a\n}\n"
+     "component B {\n  l1: S -> a\n}\n",
+     "ValidationError", "line 10, column 1: a gc system has one component "
+     "block", None),
+    ("no-rules", _CF_HEAD + "component P {\n}\n",
+     "ValidationError", "line 6, column 1: component P has no rules", None),
+    ("brace-open", _head("frccdgs") + "component P { S -> a forbid S }\n",
+     "GrammarSyntaxError", "line 5, column 29: expected '{'",
+     (5, 29, 83, 1)),
+    ("brace-close", _head("frccdgs")
+     + "component P { S -> a forbid { S -> }\n",
+     "GrammarSyntaxError", "line 5, column 33: expected '}'",
+     (5, 33, 87, 1)),
+    ("order-label", _head("ocdgs") + "component P {\n  S -> a\n"
+     "  order: r1 > > r1\n}\n",
+     "GrammarSyntaxError", "line 7, column 15: expected a rule label",
+     (7, 15, 90, 1)),
+    ("order-gt", _head("ocdgs") + "component P {\n  S -> a\n"
+     "  order: r1 r1\n}\n",
+     "GrammarSyntaxError", "line 7, column 13: expected '>'",
+     (7, 13, 88, 2)),
+    ("order-short", _head("ocdgs") + "component P {\n  S -> a\n"
+     "  order: r1 >\n}\n",
+     "GrammarSyntaxError", "line 7, column 3: order needs "
+     "'l1 > l2 [> l3]*'", (7, 3, 78, 5)),
+    ("rule-lhs", _CF_HEAD + "component P {\n  r1: -> a\n}\n",
+     "GrammarSyntaxError", "line 6, column 3: expected rule lhs",
+     (6, 3, 68, 2)),
+    ("arrow", _CF_HEAD + "component P {\n  S a\n}\n",
+     "GrammarSyntaxError", "line 6, column 3: expected '->'",
+     (6, 3, 68, 1)),
+    ("eps-alone", _CF_HEAD + "component P {\n  S -> a eps\n}\n",
+     "GrammarSyntaxError", "line 6, column 3: 'eps' must stand alone",
+     (6, 3, 68, 1)),
+    ("empty-rhs", _CF_HEAD + "component P {\n  S -> forbid { S }\n}\n",
+     "GrammarSyntaxError", "line 6, column 3: empty rhs must be written "
+     "'eps'", (6, 3, 68, 1)),
+    ("rule-token", _CF_HEAD + "component P {\n  S -> a -> b\n}\n",
+     "GrammarSyntaxError", "line 6, column 10: unexpected token '->' in "
+     "rule", (6, 10, 75, 1)),
+    ("missing-start", "system cdgs c\nnonterminals: S\n",
+     "GrammarSyntaxError", "line 1, column 1: missing 'start:' line",
+     (1, 1, 0, 1)),
+    ("undeclared", _CF_HEAD + "component P {\n  S -> a\n  T -> S b\n}\n",
+     "ValidationError", "line 7, column 3: undeclared symbol 'T'; "
+     "line 7, column 3: undeclared symbol 'b'", None),
+    ("unknown-component", _PCD_HEAD + "priority: P > Q\n"
+     "component P { S -> a }\n",
+     "ValidationError", "line 5, column 1: unknown component 'Q'", None),
+    ("unknown-label", _head("ocdgs") + "component P {\n  S -> a\n"
+     "  S -> S\n  order: r2 > r1 > r9\n}\n",
+     "ValidationError", "line 8, column 20: unknown rule label 'r9'", None),
+]
+
+
+def _outcome(text):
+    """What parsing a document gives: None, or (exception type, str(err),
+    span) with the span as (line, column, offset, length) or None."""
+    try:
+        parse_system(text)
+    except RrwError as err:
+        span = getattr(err, "span", None)
+        return (type(err).__name__, str(err),
+                None if span is None
+                else (span.line, span.column, span.offset, span.length))
+    return None
+
+
+@pytest.mark.parametrize("doc, kind, message, span",
+                         [case[1:] for case in PINNED_ERRORS],
+                         ids=[case[0] for case in PINNED_ERRORS])
+def test_each_parser_error_is_pinned(doc, kind, message, span):
+    assert _outcome(doc) == (kind, message, span)
+
+
+# a seeded set of single-character edits of the corpus and the outcome of
+# each; the file was written from _edited_outcomes() and is not regenerated
+# by the tests
+EDITED_OUTCOMES = CORPUS_DIR.parent / "tests" / "parse_outcomes.json"
+
+
+def _single_character_edits(count=400, seed=11):
+    """(description, document) for ``count`` seeded edits of the corpus,
+    each inserting, deleting or replacing one character."""
+    import random
+
+    rng = random.Random(seed)
+    chars = "{}:>-#;=,'^_ \nSAPalr1"
+    for _ in range(count):
+        name = rng.choice(CORPUS_FILES)
+        text = corpus_text(name)
+        edit = rng.choice(("insert", "delete", "replace"))
+        at = rng.randrange(len(text) + (edit == "insert"))
+        char = "" if edit == "delete" else rng.choice(chars)
+        yield (f"{name} {edit} {char!r} at {at}",
+               text[:at] + char + text[at + (edit != "insert"):])
+
+
+def _edited_outcomes():
+    return [[what, _outcome(text)]
+            for what, text in _single_character_edits()]
+
+
+def test_single_character_edits_of_the_corpus_keep_their_errors():
+    import json
+
+    expected = json.loads(EDITED_OUTCOMES.read_text(encoding="utf-8"))
+    got = json.loads(json.dumps(_edited_outcomes()))
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
