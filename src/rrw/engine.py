@@ -963,10 +963,14 @@ def replay_trace(system, trace):
     """Re-execute a trace, verifying every application. Returns the final form.
 
     Raises ValueError on any mismatch with the system or the recorded
-    intermediate forms: an unknown component or label, a rule or position
-    out of range, and under graph control a label the control graph does
-    not lead to.
+    intermediate forms: a start form other than the start symbol, an
+    unknown component or label, a rule or position out of range, and under
+    graph control a label the control graph does not lead to.
     """
+    if trace.start != (system.start,):
+        raise ValueError(f"replay mismatch: trace starts at "
+                         f"{format_word(trace.start)}, not at the start "
+                         f"symbol {system.start}")
     if system.kind == "gc":
         return _replay_gc(system, trace)
     form = trace.start

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import (
     KIND_CLAUSES,
@@ -28,12 +29,11 @@ _HEADER_RE = re.compile(
     r"^(nonterminals|terminals|start|init-labels|final-labels|mode|priority)"
     r"\s*:\s*(.*)$"
 )
-# One token per match, after optional whitespace; every character starts
-# some alternative, so the matches tile the line up to END.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<END>\#|\Z)|(?P<ARROW>->)|(?P<GT>>)|(?P<LBRACE>\{)"
-    r"|(?P<RBRACE>\})|(?P<COLON>:)|(?P<ID>" + _ID_RE.pattern + r")|(?P<BAD>.))"
-)
+# A token is its text: one of the marks, or else an identifier.
+_MARKS = frozenset(("->", ">", "{", "}", ":"))
+_TOKEN_RE = re.compile(r"->|[>{}:]|" + _ID_RE.pattern)
+_RULE_CLAUSES = frozenset(("forbid", "permit", "success", "failure"))
+_RHS_END = _MARKS | _RULE_CLAUSES
 
 
 @dataclass(frozen=True)
@@ -47,40 +47,48 @@ class SourceSpan:
         return f"line {self.line}, column {self.column}"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ID, ARROW, GT, LBRACE, RBRACE, COLON
-    text: str
-    span: SourceSpan
-
-
-def _tokenize_line(line, lineno, line_offset):
-    tokens = []
-    for m in _TOKEN_RE.finditer(line):
-        kind = m.lastgroup
-        if kind == "END":
-            break
-        text = m.group(kind)
-        column = m.start(kind)
-        span = SourceSpan(lineno, column + 1, line_offset + column,
-                          len(text) if kind == "ID" else 1)
-        if kind == "BAD":
-            raise GrammarSyntaxError(f"unexpected character {text!r}", span)
-        tokens.append(_Token(kind, text, span))
+def _tokenize(where):
+    """The tokens of a line ``where = (text, lineno, offset)``: its
+    comment-free text, 1-based number and document offset. Whitespace
+    separates tokens; a character that starts none is an error. A span is
+    built from ``where`` only for an error."""
+    line, lineno, offset = where
+    tokens = _TOKEN_RE.findall(line)
+    # they cover every non-space character exactly when the lengths agree
+    if len("".join(tokens)) != len("".join(line.split())):
+        rest = _TOKEN_RE.sub(lambda m: " " * len(m[0]), line).lstrip()
+        column = len(line) - len(rest)
+        raise GrammarSyntaxError(f"unexpected character {rest[0]!r}",
+                                 SourceSpan(lineno, column + 1,
+                                            offset + column))
     return tokens
+
+
+def _span(where, i=None):
+    """The span of token i of a line: an identifier spans its text, a mark
+    one character. With i None, the span of a header line: column 1, and
+    the offset just past its key."""
+    line, lineno, offset = where
+    if i is None:
+        stripped = line.lstrip()
+        return SourceSpan(lineno, 1, offset + len(line) - len(stripped)
+                          + len(_HEADER_RE.match(stripped)[1]) + 1)
+    m = next(islice(_TOKEN_RE.finditer(line), i, None))
+    return SourceSpan(lineno, m.start() + 1, offset + m.start(),
+                      1 if m[0] in _MARKS else len(m[0]))
 
 
 @dataclass
 class _Block:
     """A component block as it is read: per rule, in order, the rule, its
-    lhs span, its context and its (success, failure) fields; and the
-    (greater, lesser) label token pairs of its order lines."""
+    (line, lhs token index), its context and its (success, failure)
+    fields; and per order line, its (line, tokens, first label index)."""
 
     name: str
     entry: RcCondition | None
-    span: SourceSpan
+    where: tuple  # the header line; its first token is ``component``
     rules: list = field(default_factory=list)
-    spans: list = field(default_factory=list)
+    lhs: list = field(default_factory=list)
     contexts: list = field(default_factory=list)
     fields: list = field(default_factory=list)
     orders: list = field(default_factory=list)
@@ -96,10 +104,11 @@ class _Parser:
         self.start = None
         self.init_labels = []
         self.final_labels = []
-        self.priorities = []  # (greater name, lesser name, span)
+        self.priorities = []  # (greater name, lesser name, line)
         self.default_mode = None
         self.blocks = []
         self.block = None  # the open component block
+        self.where = None  # the line being read
 
     # ---- line-level dispatch ------------------------------------------
 
@@ -108,71 +117,75 @@ class _Parser:
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].rstrip()
             if line:
-                self._line(line, lineno, offset)
+                self.where = (line, lineno, offset)
+                self._line()
             offset += len(raw) + 1
         if self.block is not None:
             raise GrammarSyntaxError("unterminated component block",
-                                     self.block.span)
+                                     _span(self.block.where, 0))
         return self._build()
 
-    def _line(self, line, lineno, offset):
+    def _at(self, i=None):
+        """The span of token i of the line being read, or of its header."""
+        return _span(self.where, i)
+
+    def _line(self):
         if self.block is not None:
-            self._block_line(_tokenize_line(line, lineno, offset))
+            self._block_line(_tokenize(self.where))
             return
+        line, lineno, offset = self.where
         stripped = line.strip()
         indent = len(line) - len(line.lstrip())
         if self.kind is None:
-            self._system_line(stripped, SourceSpan(lineno, 1, offset + indent))
+            span = SourceSpan(lineno, 1, offset + indent)
+            parts = stripped.split()
+            if len(parts) != 3 or parts[0] != "system":
+                raise GrammarSyntaxError("expected 'system <kind> <name>'",
+                                         span)
+            _, self.kind, self.name = parts
+            self.clauses = KIND_CLAUSES.get(self.kind)
+            if self.clauses is None:
+                raise ValidationError([f"{span}: unknown kind {self.kind!r}"])
             return
         m = _HEADER_RE.match(stripped)
         if m:
-            self._header(m.group(1), m.group(2), SourceSpan(
-                lineno, 1, offset + indent + len(m.group(1)) + 1))
+            self._header(m[1], m[2])
         elif stripped.startswith("component"):
-            self._component_header(_tokenize_line(line, lineno, offset))
+            self._component_header(_tokenize(self.where))
         else:
-            raise GrammarSyntaxError(
-                f"unexpected line {stripped!r}",
-                SourceSpan(lineno, indent + 1, offset + indent),
-            )
+            raise GrammarSyntaxError(f"unexpected line {stripped!r}",
+                                     SourceSpan(lineno, indent + 1,
+                                                offset + indent))
 
-    def _check_clause(self, clause, span):
-        """Reject a clause that the system's kind does not carry."""
+    def _check_clause(self, clause, i=None):
+        """Reject a clause the kind does not carry: token i, or a header."""
         if clause not in self.clauses:
-            raise ValidationError(
-                [f"{span}: a {self.kind} system has no '{clause}' clause"]
-            )
+            raise ValidationError([f"{self._at(i)}: a {self.kind} system "
+                                   f"has no '{clause}' clause"])
 
-    def _system_line(self, stripped, span):
-        parts = stripped.split()
-        if len(parts) != 3 or parts[0] != "system":
-            raise GrammarSyntaxError("expected 'system <kind> <name>'", span)
-        self.kind, self.name = parts[1], parts[2]
-        self.clauses = KIND_CLAUSES.get(self.kind)
-        if self.clauses is None:
-            raise ValidationError([f"{span}: unknown kind {self.kind!r}"])
-
-    def _header(self, key, rest, span):
+    def _header(self, key, rest):
         ids = rest.split()
         if key == "mode":
             try:
                 self.default_mode = Mode.parse(rest.strip())
             except ValueError as e:
-                raise GrammarSyntaxError(str(e), span)
+                raise GrammarSyntaxError(str(e), self._at())
         elif key == "start":
             if len(ids) != 1:
-                raise GrammarSyntaxError("start takes exactly one symbol", span)
+                raise GrammarSyntaxError("start takes exactly one symbol",
+                                         self._at())
             self.start = ids[0]
         elif key == "nonterminals":
             self.nonterminals.extend(ids)
         elif key == "terminals":
             self.terminals.extend(ids)
         else:  # priority, init-labels or final-labels: a clause
-            self._check_clause(key + ":", span)
+            self._check_clause(key + ":")
             if key == "priority":
                 if len(ids) != 3 or ids[1] != ">":
-                    raise GrammarSyntaxError("expected 'priority: A > B'", span)
-                self.priorities.append((ids[0], ids[2], span))
+                    raise GrammarSyntaxError("expected 'priority: A > B'",
+                                             self._at())
+                self.priorities.append((ids[0], ids[2], self.where))
             elif key == "init-labels":
                 self.init_labels.extend(ids)
             else:
@@ -181,127 +194,112 @@ class _Parser:
     # ---- component blocks ---------------------------------------------
 
     def _component_header(self, tokens):
-        if len(tokens) < 2 or tokens[1].kind != "ID":
-            raise GrammarSyntaxError("component needs a name", tokens[0].span)
-        name, pos = tokens[1].text, 2
+        if len(tokens) < 2 or tokens[1] in _MARKS:
+            raise GrammarSyntaxError("component needs a name", self._at(0))
+        name, pos = tokens[1], 2
         entry = None
-        if pos < len(tokens) and tokens[pos].text == "entry":
-            self._check_clause("entry", tokens[pos].span)
+        if pos < len(tokens) and tokens[pos] == "entry":
+            self._check_clause("entry", pos)
             pos += 1
-            if pos >= len(tokens) or tokens[pos].text != "forbid":
-                raise GrammarSyntaxError(
-                    "entry clause needs 'forbid { ... }'", tokens[pos - 1].span
-                )
+            if pos >= len(tokens) or tokens[pos] != "forbid":
+                raise GrammarSyntaxError("entry clause needs 'forbid { ... }'",
+                                         self._at(pos - 1))
             forbid, pos = self._brace_set(tokens, pos + 1)
             permit = []
-            if pos < len(tokens) and tokens[pos].text == "permit":
+            if pos < len(tokens) and tokens[pos] == "permit":
                 permit, pos = self._brace_set(tokens, pos + 1)
             entry = RcCondition(permit, forbid)
-        if pos >= len(tokens) or tokens[pos].kind != "LBRACE":
-            raise GrammarSyntaxError(
-                "component header must end with '{'", tokens[-1].span
-            )
+        if pos >= len(tokens) or tokens[pos] != "{":
+            raise GrammarSyntaxError("component header must end with '{'",
+                                     self._at(len(tokens) - 1))
         if self.blocks and self.kind == "gc":
             raise ValidationError(
-                [f"{tokens[0].span}: a gc system has one component block"]
-            )
-        self.block = _Block(name, entry, tokens[0].span)
+                [f"{self._at(0)}: a gc system has one component block"])
+        self.block = _Block(name, entry, self.where)
         if pos + 1 < len(tokens):
-            self._block_line(tokens[pos + 1:])
+            self._block_line(tokens, pos + 1)
 
-    def _block_line(self, tokens):
-        """Read a line of the open block. Its last '}' closes the block
-        unless it ends a '{ ... }' set."""
+    def _block_line(self, tokens, first=0):
+        """Read tokens[first:], a line of the open block. Its last '}'
+        closes the block unless it ends a '{ ... }' set."""
         last = len(tokens) - 1
-        closes = tokens[last].kind == "RBRACE"
+        closes = tokens[last] == "}"
         if closes:
             i = last - 1
-            while i >= 0 and tokens[i].kind == "ID":
+            while i >= first and tokens[i] not in _MARKS:
                 i -= 1
-            closes = i < 0 or tokens[i].kind != "LBRACE"
+            closes = i < first or tokens[i] != "{"
         body = tokens[:last] if closes else tokens
-        if body:
-            if body[0].text == "order":
-                self._order_line(body)
+        if len(body) > first:
+            if body[first] == "order":
+                self._order_line(body, first)
             else:
-                self._rule_line(body)
+                self._rule_line(body, first)
         if closes:
             block, self.block = self.block, None
             if not block.rules:
-                raise ValidationError([f"{tokens[last].span}: component "
+                raise ValidationError([f"{self._at(last)}: component "
                                        f"{block.name} has no rules"])
             self.blocks.append(block)
 
     def _brace_set(self, tokens, pos):
-        if pos >= len(tokens) or tokens[pos].kind != "LBRACE":
+        if pos >= len(tokens) or tokens[pos] != "{":
             raise GrammarSyntaxError("expected '{'",
-                                     tokens[min(pos, len(tokens) - 1)].span)
-        pos += 1
-        ids = []
-        while pos < len(tokens) and tokens[pos].kind == "ID":
-            ids.append(tokens[pos].text)
-            pos += 1
-        if pos >= len(tokens) or tokens[pos].kind != "RBRACE":
+                                     self._at(min(pos, len(tokens) - 1)))
+        end = pos = pos + 1
+        while end < len(tokens) and tokens[end] not in _MARKS:
+            end += 1
+        if end >= len(tokens) or tokens[end] != "}":
             raise GrammarSyntaxError("expected '}'",
-                                     tokens[min(pos, len(tokens) - 1)].span)
-        return ids, pos + 1
+                                     self._at(min(end, len(tokens) - 1)))
+        return tokens[pos:end], end + 1
 
-    def _order_line(self, tokens):
+    def _order_line(self, tokens, first):
         # order: l1 > l2 [> l3]*
-        self._check_clause("order:", tokens[0].span)
-        pos = 2 if len(tokens) > 1 and tokens[1].kind == "COLON" else 1
-        want = "ID"
-        for t in tokens[pos:]:
-            if t.kind != want:
-                what = "a rule label" if want == "ID" else "'>'"
-                raise GrammarSyntaxError(f"expected {what}", t.span)
-            want = "GT" if want == "ID" else "ID"
-        if want == "ID" or len(tokens) - pos < 3:
+        self._check_clause("order:", first)
+        pos = first + (2 if tokens[first + 1:first + 2] == [":"] else 1)
+        for i in range(pos, len(tokens)):
+            gt = (i - pos) % 2
+            if (tokens[i] != ">") if gt else (tokens[i] in _MARKS):
+                what = "'>'" if gt else "a rule label"
+                raise GrammarSyntaxError(f"expected {what}", self._at(i))
+        if (len(tokens) - pos) % 2 == 0 or len(tokens) - pos < 3:
             raise GrammarSyntaxError("order needs 'l1 > l2 [> l3]*'",
-                                     tokens[0].span)
-        orders = self.block.orders
-        for i in range(pos, len(tokens) - 2, 2):
-            orders.append((tokens[i], tokens[i + 2]))
+                                     self._at(first))
+        self.block.orders.append((self.where, tokens, pos))
 
-    def _rule_line(self, tokens):
-        label, pos = None, 0
-        if len(tokens) >= 2 and tokens[0].kind == "ID" \
-                and tokens[1].kind == "COLON":
-            label, pos = tokens[0].text, 2
-        if pos >= len(tokens) or tokens[pos].kind != "ID":
-            raise GrammarSyntaxError("expected rule lhs", tokens[0].span)
-        lhs = tokens[pos].text
-        lhs_span = tokens[pos].span
-        pos += 1
-        if pos >= len(tokens) or tokens[pos].kind != "ARROW":
-            raise GrammarSyntaxError("expected '->'", tokens[pos - 1].span)
-        pos += 1
-        rule_clauses = ("forbid", "permit", "success", "failure")
-        rhs = []
-        while pos < len(tokens) and tokens[pos].kind == "ID" \
-                and tokens[pos].text not in rule_clauses:
-            rhs.append(tokens[pos].text)
-            pos += 1
+    def _rule_line(self, tokens, first):
+        label, pos = None, first
+        if tokens[pos + 1:pos + 2] == [":"] and tokens[pos] not in _MARKS:
+            label, pos = tokens[pos], pos + 2
+        if pos >= len(tokens) or tokens[pos] in _MARKS:
+            raise GrammarSyntaxError("expected rule lhs", self._at(first))
+        lhs_at = pos
+        if tokens[pos + 1:pos + 2] != ["->"]:
+            raise GrammarSyntaxError("expected '->'", self._at(pos))
+        end = pos = pos + 2
+        while end < len(tokens) and tokens[end] not in _RHS_END:
+            end += 1
+        rhs, pos = tokens[pos:end], end
         if rhs == ["eps"]:
             rhs = []
-        elif "eps" in rhs:
-            raise GrammarSyntaxError("'eps' must stand alone", lhs_span)
-        elif not rhs:
-            raise GrammarSyntaxError("empty rhs must be written 'eps'", lhs_span)
+        elif "eps" in rhs or not rhs:
+            raise GrammarSyntaxError("'eps' must stand alone" if rhs else
+                                     "empty rhs must be written 'eps'",
+                                     self._at(lhs_at))
         sets = {}
         while pos < len(tokens):
             t = tokens[pos]
-            if t.text not in rule_clauses:
-                raise GrammarSyntaxError(
-                    f"unexpected token {t.text!r} in rule", t.span
-                )
-            self._check_clause(t.text, t.span)
-            sets[t.text], pos = self._brace_set(tokens, pos + 1)
+            if t not in _RULE_CLAUSES:
+                raise GrammarSyntaxError(f"unexpected token {t!r} in rule",
+                                         self._at(pos))
+            self._check_clause(t, pos)
+            sets[t], pos = self._brace_set(tokens, pos + 1)
         block = self.block
         if label is None:
             label = f"r{len(block.rules) + 1}"
-        block.rules.append(Rule(lhs, tuple(rhs), label))
-        block.spans.append(lhs_span)
+        block.rules.append(Rule(tokens[lhs_at], tuple(rhs), label))
+        block.lhs.append((self.where, lhs_at))
         block.contexts.append(RcCondition(sets.get("permit", ()),
                                           sets.get("forbid", ())))
         block.fields.append((sets.get("success", ()), sets.get("failure", ())))
@@ -313,9 +311,9 @@ class _Parser:
             raise GrammarSyntaxError("missing 'start:' line", SourceSpan(1, 1, 0))
         alphabet = set(self.nonterminals) | set(self.terminals)
         violations = [
-            f"{span}: undeclared symbol {s!r}"
+            f"{_span(*at)}: undeclared symbol {s!r}"
             for block in self.blocks
-            for rule, span in zip(block.rules, block.spans)
+            for rule, at in zip(block.rules, block.lhs)
             for s in (rule.lhs, *rule.rhs) if s not in alphabet
         ]
         if violations:
@@ -333,12 +331,11 @@ class _Parser:
         if "priority:" in self.clauses:
             names = {block.name: i for i, block in enumerate(self.blocks)}
             pairs = set()
-            for (g, l, span) in self.priorities:
+            for (g, l, where) in self.priorities:
                 for n in (g, l):
                     if n not in names:
-                        raise ValidationError(
-                            [f"{span}: unknown component {n!r}"]
-                        )
+                        raise ValidationError([f"{_span(where)}: unknown "
+                                               f"component {n!r}"])
                 pairs.add((names[g], names[l]))
             component_order = close_order(pairs, size=len(self.blocks))
         system = System(
@@ -363,13 +360,15 @@ class _Parser:
         if "order:" in self.clauses:
             labels = {r.label: i for i, r in enumerate(block.rules)}
             try:
-                pairs = {(labels[g.text], labels[l.text])
-                         for g, l in block.orders}
+                pairs = {(labels[t[i]], labels[t[i + 2]])
+                         for _, t, pos in block.orders
+                         for i in range(pos, len(t) - 2, 2)}
             except KeyError:
-                t = next(t for pair in block.orders for t in pair
-                         if t.text not in labels)
-                raise ValidationError(
-                    [f"{t.span}: unknown rule label {t.text!r}"]) from None
+                where, t, i = next(
+                    (where, t, i) for where, t, pos in block.orders
+                    for i in range(pos, len(t), 2) if t[i] not in labels)
+                raise ValidationError([f"{_span(where, i)}: unknown rule "
+                                       f"label {t[i]!r}"]) from None
             order = close_order(pairs, size=len(block.rules))
         entry = block.entry
         if entry is None and "entry" in self.clauses:

@@ -253,25 +253,29 @@ def test_construction_outputs_round_trip_to_a_fixed_point():
 
 
 def test_tokenizer_pins_kinds_texts_and_spans():
-    from rrw.textio import SourceSpan, _tokenize_line
+    # a token is its text: a mark, whose kind is its text, or an identifier;
+    # each span is the one an error at that token carries
+    from rrw.textio import _MARKS, SourceSpan, _span, _tokenize
 
-    tokens = _tokenize_line("  r1: C -> C' forbid { A } > x # -> }", 3, 100)
-    assert [(t.kind, t.text, t.span) for t in tokens] == [
-        ("ID", "r1", SourceSpan(3, 3, 102, 2)),
-        ("COLON", ":", SourceSpan(3, 5, 104)),
-        ("ID", "C", SourceSpan(3, 7, 106)),
-        ("ARROW", "->", SourceSpan(3, 9, 108)),
-        ("ID", "C'", SourceSpan(3, 12, 111, 2)),
-        ("ID", "forbid", SourceSpan(3, 15, 114, 6)),
-        ("LBRACE", "{", SourceSpan(3, 22, 121)),
-        ("ID", "A", SourceSpan(3, 24, 123)),
-        ("RBRACE", "}", SourceSpan(3, 26, 125)),
-        ("GT", ">", SourceSpan(3, 28, 127)),
-        ("ID", "x", SourceSpan(3, 30, 129)),
+    where = ("  r1: C -> C' forbid { A } > x", 3, 100)
+    tokens = _tokenize(where)
+    assert [(t, "ID" if t not in _MARKS else t, _span(where, i))
+            for i, t in enumerate(tokens)] == [
+        ("r1", "ID", SourceSpan(3, 3, 102, 2)),
+        (":", ":", SourceSpan(3, 5, 104)),
+        ("C", "ID", SourceSpan(3, 7, 106)),
+        ("->", "->", SourceSpan(3, 9, 108)),
+        ("C'", "ID", SourceSpan(3, 12, 111, 2)),
+        ("forbid", "ID", SourceSpan(3, 15, 114, 6)),
+        ("{", "{", SourceSpan(3, 22, 121)),
+        ("A", "ID", SourceSpan(3, 24, 123)),
+        ("}", "}", SourceSpan(3, 26, 125)),
+        (">", ">", SourceSpan(3, 28, 127)),
+        ("x", "ID", SourceSpan(3, 30, 129)),
     ]
-    assert _tokenize_line(" \t ", 1, 0) == []
+    assert _tokenize((" \t ", 1, 0)) == []
     with pytest.raises(GrammarSyntaxError) as err:
-        _tokenize_line("A -> B, C", 2, 40)
+        _tokenize(("A -> B, C", 2, 40))
     assert err.value.span == SourceSpan(2, 7, 46)
     assert str(err.value) == "line 2, column 7: unexpected character ','"
 
