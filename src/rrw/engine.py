@@ -44,6 +44,14 @@ In the closed modes (*, >=k, t) a form is also dropped when its producer is
 the only component with an applicable rule, because the search never
 re-activates the producer.
 
+Under component priorities a component blocks a lower one when its own
+activation has a result, so deciding which components may act activates the
+higher ones. That activation becomes the move: the search reuses it instead
+of activating the component again, and each (component, form) is activated
+once. It is the whole relation, computed without a producer, so it holds
+every result that the producer's pruning keeps, and the search filters each
+result through the same ``useful`` test.
+
 Both paths are exact on complete runs. They share their layers, so the
 independent check is the reference oracle of ``equivalence.py``, which
 shares no logic with the engine (``tests/test_engine.py`` checks the naive
@@ -611,36 +619,41 @@ class _Enumeration:
         return results
 
     def allowed_components(self, form, support):
-        """Component indices permitted to act on ``form`` (entry + priority)."""
+        """The components permitted to act on ``form`` (entry + priority),
+        as a dict from index to the activation results that the priority
+        check computed, or None where it computed none. The results are the
+        whole relation (no producer), so a move may reuse them."""
         system = self.system
         live = [
             i for i, comp in enumerate(system.components)
             if _entry_ok(comp, support)
         ]
         if not self._order_pairs:
-            return live
+            return dict.fromkeys(live)
         live_set = set(live)
-        nonempty = {}
+        results = {}
 
-        def rel_nonempty(i):
-            # nonemptiness of ⇒_i^{m,>} (priority-filtered relation)
-            if i not in nonempty:
+        def rel_results(i):
+            # ⇒_i^m results, empty when i is not live or is blocked: the
+            # priority-filtered relation ⇒_i^{m,>}
+            if i not in results:
                 if i not in live_set or blocked(i):
-                    nonempty[i] = False
+                    results[i] = frozenset()
                 else:
-                    nonempty[i] = bool(
-                        self.activation(system.components[i], form)
-                    )
-            return nonempty[i]
+                    results[i] = self.activation(system.components[i], form)
+            return results[i]
 
         def blocked(i):
             return any(
-                rel_nonempty(g)
+                rel_results(g)
                 for (g, l) in self._order_pairs
                 if l == i
             )
 
-        return [i for i in live if not blocked(i)]
+        # blocked() fills ``results`` as it goes, so read them only after
+        # every component is decided
+        allowed = [i for i in live if not blocked(i)]
+        return {i: results.get(i) for i in allowed}
 
     def exhaustive(self, length):
         """True if the search was exhaustive for forms of this length: no
@@ -672,11 +685,14 @@ class _Enumeration:
         # activations of one component compose into a single one, so the
         # results were already emitted when the parent form was expanded.
         closed = self.mode.steps[1] is None
-        for i in self.allowed_components(form, frozenset(form)):
+        allowed = self.allowed_components(form, frozenset(form))
+        for i, results in allowed.items():
             if i == producer:
                 continue
             mark = i if closed else -1
-            results = self.activation(self.system.components[i], form, mark)
+            if results is None:  # else the priority check's, unpruned
+                results = self.activation(self.system.components[i], form,
+                                          mark)
             if self.multiset:
                 results = {tuple(sorted(res)) for res in results}
             for res in sorted(results):
@@ -789,9 +805,11 @@ def system_successors(system, form, mode, bounds):
     enum = _Enumeration(system, bounds, mode)
     support = frozenset(form)
     out = set()
-    for i in enum.allowed_components(form, support):
+    for i, results in enum.allowed_components(form, support).items():
         comp = system.components[i]
-        for res in enum.activation(comp, form):
+        if results is None:
+            results = enum.activation(comp, form)
+        for res in results:
             out.add((comp.name, res))
     if enum.exhausted:
         raise BudgetExceeded("budget exhausted in system_successors", partial=out)

@@ -8,6 +8,12 @@ the engine, so disagreements between the two expose real bugs. Like the
 engine, but with its own code, it searches a non-erasing system without
 component priorities only up to ``max_len``, because no form longer than
 that becomes a counted word; it always searches words, never multisets.
+
+Every mode's relation (=k, <=k, *, >=k, t) is built from one memoised
+one-step relation per search, so each (component, form) pair is expanded
+once. The oracle's budget, ``step_budget * 100`` rule applications per
+search, therefore counts each expansion's applications once, however many
+closures and step counts pass through that pair.
 """
 
 from __future__ import annotations
@@ -96,29 +102,31 @@ class _Oracle:
     # -- mode relations ---------------------------------------------------
 
     def _exactly(self, ci, form, j):
-        """Forms reachable from ``form`` in exactly j steps of component ci."""
+        """Forms reachable from ``form`` in exactly j steps of component ci.
+        j = 1 is the memoised one-step relation that every mode steps
+        through, so each (component, form) is expanded once."""
         if j == 0:
             return frozenset({form})
         key = (ci, form, j)
         if key in self._exact:
             return self._exact[key]
-        self._exact[key] = frozenset()  # cut re-entrancy; overwritten below
-        comp = self.system.components[ci]
-        out = set()
-        for nxt in self._successors(comp, form):
-            out |= self._exactly(ci, nxt, j - 1)
-        res = frozenset(out)
+        if j == 1:
+            res = frozenset(self._successors(self.system.components[ci], form))
+        else:
+            res = frozenset().union(*(
+                self._exactly(ci, nxt, j - 1)
+                for nxt in self._exactly(ci, form, 1)
+            ))
         self._exact[key] = res
         return res
 
     def _star_from(self, ci, seeds):
         """Closure of a seed set under >=0 further steps of component ci."""
-        comp = self.system.components[ci]
         seen = set(seeds)
         work = list(seeds)
         while work and not self.exhausted:
             form = work.pop()
-            for nxt in self._successors(comp, form):
+            for nxt in self._exactly(ci, form, 1):
                 if nxt not in seen:
                     seen.add(nxt)
                     work.append(nxt)

@@ -66,13 +66,12 @@ def _tokenize(where):
 
 def _span(where, i=None):
     """The span of token i of a line: an identifier spans its text, a mark
-    one character. With i None, the span of a header line: column 1, and
-    the offset just past its key."""
+    one character. With i None, the span of the whole line: its first
+    non-space character."""
     line, lineno, offset = where
     if i is None:
-        stripped = line.lstrip()
-        return SourceSpan(lineno, 1, offset + len(line) - len(stripped)
-                          + len(_HEADER_RE.match(stripped)[1]) + 1)
+        indent = len(line) - len(line.lstrip())
+        return SourceSpan(lineno, indent + 1, offset + indent)
     m = next(islice(_TOKEN_RE.finditer(line), i, None))
     return SourceSpan(lineno, m.start() + 1, offset + m.start(),
                       1 if m[0] in _MARKS else len(m[0]))
@@ -126,18 +125,16 @@ class _Parser:
         return self._build()
 
     def _at(self, i=None):
-        """The span of token i of the line being read, or of its header."""
+        """The span of token i of the line being read, or of the line."""
         return _span(self.where, i)
 
     def _line(self):
         if self.block is not None:
             self._block_line(_tokenize(self.where))
             return
-        line, lineno, offset = self.where
-        stripped = line.strip()
-        indent = len(line) - len(line.lstrip())
+        stripped = self.where[0].strip()
         if self.kind is None:
-            span = SourceSpan(lineno, 1, offset + indent)
+            span = self._at()
             parts = stripped.split()
             if len(parts) != 3 or parts[0] != "system":
                 raise GrammarSyntaxError("expected 'system <kind> <name>'",
@@ -154,8 +151,7 @@ class _Parser:
             self._component_header(_tokenize(self.where))
         else:
             raise GrammarSyntaxError(f"unexpected line {stripped!r}",
-                                     SourceSpan(lineno, indent + 1,
-                                                offset + indent))
+                                     self._at())
 
     def _check_clause(self, clause, i=None):
         """Reject a clause the kind does not carry: token i, or a header."""

@@ -611,11 +611,9 @@ def test_a_longer_workspace_changes_no_non_erasing_enumeration(name):
             enumerate_language(system, mode, 6, StepBounds(2 * 6 + 4)), text
 
 
-def test_priorities_keep_the_given_workspace():
-    # P2 outranks P3 and can always grow A, so P3 never acts and the
-    # language is empty. Every result of P2 on "A B" is longer than max_len:
-    # a workspace clamped to max_len would hide it and let P3 derive cb.
-    system = parse_system("""
+# P2 outranks P3 and can always grow A, so P3 never acts and the language
+# is empty
+GROW = """
 system pcdgs grow
 nonterminals: S A B
 terminals: b c
@@ -625,8 +623,79 @@ component P1 { S -> A B }
 component P2 { A -> A A A A }
 component P3 { B -> b
                A -> c }
-""")
+"""
+
+
+def test_priorities_keep_the_given_workspace():
+    # Every result of P2 on "A B" is longer than max_len: a workspace
+    # clamped to max_len would hide it and let P3 derive cb.
+    system = parse_system(GROW)
     mode = Mode.parse("=1")
     for enumerate_ in (enumerate_language, reference_enumerate):
         lang = enumerate_(system, mode, 2, StepBounds(8))
         assert lang.words == frozenset(), enumerate_.__name__
+
+
+# ---------------------------------------------------------------------------
+# each (component, form) is activated once per search
+# ---------------------------------------------------------------------------
+
+# the generated system gen_pcdgs_5 of ``perfbench/gen.py`` at seed 1, where
+# half of the activations under <=2 repeated a priority check's activation
+GEN_PCDGS_5 = """
+system pcdgs gen_pcdgs_5
+nonterminals: S A
+terminals: a b
+start: S
+priority: P1 > P2
+component P1 {
+  S -> b A
+  S -> a
+  A -> S
+}
+component P2 {
+  A -> a S
+  A -> b a
+}
+component P3 {
+  S -> A A
+  A -> S A
+}
+"""
+
+_PRIORITY_SYSTEMS = {
+    "pcd_chain": lambda: load_corpus("pcd_chain.rrw"),
+    "grow": lambda: parse_system(GROW),
+    "gen_pcdgs_5": lambda: parse_system(GEN_PCDGS_5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIORITY_SYSTEMS))
+def test_a_priority_check_activation_is_the_move(name, monkeypatch):
+    # the activation that decides whether a component blocks a lower one is
+    # the one its move uses, so no (component, form) is activated twice
+    from rrw.engine import _Enumeration
+
+    system = _PRIORITY_SYSTEMS[name]()
+    activation = _Enumeration.activation
+    calls = []
+
+    def recorded(enum, component, form, producer=None):
+        calls.append((component.name, form))
+        return activation(enum, component, form, producer)
+
+    monkeypatch.setattr(_Enumeration, "activation", recorded)
+    for text in MODE_GRID:
+        calls.clear()
+        enumerate_language(system, Mode.parse(text), 5, StepBounds(5))
+        assert calls, text
+        assert len(calls) == len(set(calls)), text
+
+
+def test_engine_matches_the_oracle_on_a_generated_priority_system():
+    system = parse_system(GEN_PCDGS_5)
+    bounds = StepBounds(5)
+    for text in MODE_GRID:
+        mode = Mode.parse(text)
+        assert enumerate_language(system, mode, 5, bounds) == \
+            reference_enumerate(system, mode, 5, bounds), text

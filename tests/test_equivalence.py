@@ -14,7 +14,7 @@ from rrw import (
     useful_nonterminals,
 )
 
-from conftest import load_corpus
+from conftest import CORPUS_FILES, MODE_GRID, load_corpus
 
 STAR = Mode.parse("*")
 T = Mode.parse("t")
@@ -49,6 +49,30 @@ def test_reference_agrees_with_engine_on_modes(example1):
         ref = reference_enumerate(example1, mode, 6, bounds)
         eng = enumerate_language(example1, mode, 6, bounds)
         assert ref.words == eng.words, f"disagreement under {text}"
+
+
+def test_the_oracle_expands_each_component_and_form_once(monkeypatch):
+    # every mode is built from one memoised one-step relation, so within one
+    # reference_enumerate call no (component, form) is rewritten twice
+    from rrw.equivalence import _Oracle
+
+    successors = _Oracle._successors
+    calls = []
+
+    def recorded(oracle, comp, form):
+        calls.append((comp.name, form))
+        return successors(oracle, comp, form)
+
+    monkeypatch.setattr(_Oracle, "_successors", recorded)
+    for name in CORPUS_FILES:
+        system = load_corpus(name)
+        if system.kind == "gc":
+            continue
+        for text in MODE_GRID:
+            calls.clear()
+            reference_enumerate(system, Mode.parse(text), 4, StepBounds(6))
+            assert calls, (name, text)
+            assert len(calls) == len(set(calls)), (name, text)
 
 
 def test_reference_rejects_a_negative_max_len_as_the_engine_does(example1):

@@ -316,16 +316,16 @@ PINNED_ERRORS = [
      "GrammarSyntaxError", "line 1, column 1: expected 'system <kind> "
      "<name>'", (1, 1, 0, 1)),
     ("unknown-kind", "  system cgds c\nnonterminals: S\n",
-     "ValidationError", "line 1, column 1: unknown kind 'cgds'", None),
+     "ValidationError", "line 1, column 3: unknown kind 'cgds'", None),
     ("mode", "system cdgs c\nmode: =k\n",
      "GrammarSyntaxError", "line 2, column 1: cannot parse mode '=k'",
-     (2, 1, 19, 1)),
+     (2, 1, 14, 1)),
     ("start", "system cdgs c\nstart: S T\n",
      "GrammarSyntaxError", "line 2, column 1: start takes exactly one "
-     "symbol", (2, 1, 20, 1)),
+     "symbol", (2, 1, 14, 1)),
     ("priority", _PCD_HEAD + "  priority: P Q\n",
-     "GrammarSyntaxError", "line 5, column 1: expected 'priority: A > B'",
-     (5, 1, 64, 1)),
+     "GrammarSyntaxError", "line 5, column 3: expected 'priority: A > B'",
+     (5, 3, 55, 1)),
     ("component-name", _CF_HEAD + "component { S -> a }\n",
      "GrammarSyntaxError", "line 5, column 1: component needs a name",
      (5, 1, 52, 9)),
@@ -408,6 +408,11 @@ def _outcome(text):
                          ids=[case[0] for case in PINNED_ERRORS])
 def test_each_parser_error_is_pinned(doc, kind, message, span):
     assert _outcome(doc) == (kind, message, span)
+    if span is not None:
+        # the column and the offset name the same character
+        line, column, offset, _length = span
+        line_start = sum(len(l) + 1 for l in doc.split("\n")[:line - 1])
+        assert offset == line_start + column - 1
 
 
 # a seeded set of single-character edits of the corpus and the outcome of
