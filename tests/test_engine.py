@@ -27,7 +27,8 @@ from rrw import (
     system_successors,
 )
 
-from conftest import CORPUS_DIR, CORPUS_FILES, MODE_GRID, load_corpus
+from conftest import (CORPUS_DIR, CORPUS_FILES, MODE_GRID, corpus_text,
+                      load_corpus)
 
 BOUNDS = StepBounds(workspace=16)
 
@@ -663,20 +664,15 @@ component P3 {
 }
 """
 
-_PRIORITY_SYSTEMS = {
-    "pcd_chain": lambda: load_corpus("pcd_chain.rrw"),
-    "grow": lambda: parse_system(GROW),
-    "gen_pcdgs_5": lambda: parse_system(GEN_PCDGS_5),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_PRIORITY_SYSTEMS))
-def test_a_priority_check_activation_is_the_move(name, monkeypatch):
+@pytest.mark.parametrize("text", [corpus_text("pcd_chain.rrw"), GROW,
+                                  GEN_PCDGS_5],
+                         ids=["pcd_chain", "grow", "gen_pcdgs_5"])
+def test_a_priority_check_activation_is_the_move(text, monkeypatch):
     # the activation that decides whether a component blocks a lower one is
     # the one its move uses, so no (component, form) is activated twice
     from rrw.engine import _Enumeration
 
-    system = _PRIORITY_SYSTEMS[name]()
+    system = parse_system(text)
     activation = _Enumeration.activation
     calls = []
 
@@ -685,11 +681,11 @@ def test_a_priority_check_activation_is_the_move(name, monkeypatch):
         return activation(enum, component, form, producer)
 
     monkeypatch.setattr(_Enumeration, "activation", recorded)
-    for text in MODE_GRID:
+    for mode in MODE_GRID:
         calls.clear()
-        enumerate_language(system, Mode.parse(text), 5, StepBounds(5))
-        assert calls, text
-        assert len(calls) == len(set(calls)), text
+        enumerate_language(system, Mode.parse(mode), 5, StepBounds(5))
+        assert calls, mode
+        assert len(calls) == len(set(calls)), mode
 
 
 def test_engine_matches_the_oracle_on_a_generated_priority_system():
