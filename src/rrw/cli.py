@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .constructions import CONSTRUCTIONS, apply_construction
 from .core import Mode, format_word
@@ -30,35 +29,28 @@ EXIT_DIFF = 1
 EXIT_ERROR = 2
 EXIT_INCOMPLETE = 3
 
+_BUDGET = 1_000_000  # default --step-budget and --form-budget
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible invocation (mirrors the parsed arguments)."""
 
-    command: str
-    inputs: tuple
-    modes: tuple = ()
-    max_len: int | None = None
-    workspace: int | None = None
-    step_budget: int = 1_000_000
-    form_budget: int = 1_000_000
-    output: str | None = None
-    construction: str | None = None
-    word: str | None = None
-    trace: bool = False
-    compact: bool = False
-    as_json: bool = False
+def _bounds(args, length=None) -> StepBounds:
+    """Bounds for a search up to ``length`` symbols (``--max-len`` unless
+    given, 0 for a command without it). Without ``--workspace`` the
+    workspace is 2*length+4; a negative length is left for the search to
+    reject. A command without bounds flags reports their defaults."""
+    if length is None:
+        length = getattr(args, "max_len", 0)
+    workspace = getattr(args, "workspace", None)
+    if workspace is None:
+        workspace = 2 * max(length, 0) + 4
+    return StepBounds(workspace, getattr(args, "step_budget", _BUDGET),
+                      getattr(args, "form_budget", _BUDGET))
 
-    def bounds(self, length=None) -> StepBounds:
-        """Bounds for a search up to ``length`` symbols (``max_len`` unless
-        given). Without ``--workspace`` the workspace is 2*length+4; a
-        negative length is left for the search to reject."""
-        if length is None:
-            length = self.max_len or 0
-        workspace = self.workspace
-        if workspace is None:
-            workspace = 2 * max(length, 0) + 4
-        return StepBounds(workspace, self.step_budget, self.form_budget)
+
+def _modes(args) -> list:
+    """The mode text given for each input, None where none is given."""
+    if args.command == "equiv":
+        return [args.mode_a or args.mode, args.mode_b or args.mode]
+    return [args.mode] if "mode" in args else []
 
 
 def _load(path: str):
@@ -107,21 +99,22 @@ def _emit_json(command, params, payload_key, payload, complete):
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _params(config: RunConfig, bounds=None):
-    """The invocation's parameters; ``bounds`` defaults to the config's."""
-    bounds = bounds or config.bounds()
+def _params(args, bounds=None):
+    """The invocation's parameters; ``bounds`` defaults to :func:`_bounds`."""
+    bounds = bounds or _bounds(args)
     out = {
-        "inputs": list(config.inputs),
-        "modes": list(config.modes),
-        "maxLen": config.max_len,
+        "inputs": [args.file_a, args.file_b] if args.command == "equiv"
+        else [args.file],
+        "modes": _modes(args),
+        "maxLen": getattr(args, "max_len", None),
         "workspace": bounds.workspace,
         "stepBudget": bounds.step_budget,
         "formBudget": bounds.form_budget,
     }
-    if config.construction:
-        out["construction"] = config.construction
-    if config.word is not None:
-        out["word"] = config.word
+    if getattr(args, "construction", None):
+        out["construction"] = args.construction
+    if getattr(args, "word", None) is not None:
+        out["word"] = args.word
     return out
 
 
@@ -129,8 +122,8 @@ def _params(config: RunConfig, bounds=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_parse(config: RunConfig) -> int:
-    system = _load(config.inputs[0])
+def _cmd_parse(args) -> int:
+    system = _load(args.file)
     report = {
         "kind": system.kind,
         "name": system.name,
@@ -145,8 +138,8 @@ def _cmd_parse(config: RunConfig) -> int:
         "defaultMode": None if system.default_mode is None
         else str(system.default_mode),
     }
-    if config.as_json:
-        _emit_json("parse", _params(config), "report", report, None)
+    if args.json:
+        _emit_json("parse", _params(args), "report", report, None)
     else:
         print(f"{system.kind} system {system.name}: "
               f"{len(system.nonterminals)} nonterminals, "
@@ -158,13 +151,13 @@ def _cmd_parse(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_enum(config: RunConfig) -> int:
-    system = _load(config.inputs[0])
-    mode = _mode_for(system, config.modes[0] if config.modes else None)
-    lang = enumerate_language(system, mode, config.max_len, config.bounds())
+def _cmd_enum(args) -> int:
+    system = _load(args.file)
+    mode = _mode_for(system, args.mode)
+    lang = enumerate_language(system, mode, args.max_len, _bounds(args))
     words = [format_word(w) for w in lang.sorted_words()]
-    if config.as_json:
-        _emit_json("enum", _params(config), "words", words, lang.complete)
+    if args.json:
+        _emit_json("enum", _params(args), "words", words, lang.complete)
     else:
         for word in words:
             print(word)
@@ -174,14 +167,14 @@ def _cmd_enum(config: RunConfig) -> int:
     return EXIT_OK if lang.complete else EXIT_INCOMPLETE
 
 
-def _cmd_derive(config: RunConfig) -> int:
-    system = _load(config.inputs[0])
-    target = _parse_word(config.word, system)
-    mode = _mode_for(system, config.modes[0] if config.modes else None)
-    bounds = config.bounds(max(len(target), 1))
+def _cmd_derive(args) -> int:
+    system = _load(args.file)
+    target = _parse_word(args.word, system)
+    mode = _mode_for(system, args.mode)
+    bounds = _bounds(args, max(len(target), 1))
     trace = find_derivation(system, mode, target, bounds)
     payload = {"derivable": trace is not None, "trace": None}
-    if trace is not None and config.trace:
+    if trace is not None and args.trace:
         payload["trace"] = [
             {
                 "component": step.component,
@@ -190,34 +183,32 @@ def _cmd_derive(config: RunConfig) -> int:
             }
             for step in trace.steps
         ]
-    if config.as_json:
-        _emit_json("derive", _params(config, bounds), "verdict", payload,
+    if args.json:
+        _emit_json("derive", _params(args, bounds), "verdict", payload,
                    None)
     else:
         if trace is None:
             print("not derivable within the given bounds")
         else:
             print(f"derivable in {len(trace.steps)} activation(s)")
-            if config.trace:
+            if args.trace:
                 print(format_word(trace.start))
                 for step in trace.steps:
                     print(f"  ={step.component}=> {format_word(step.result)}")
     return EXIT_OK if trace is not None else EXIT_DIFF
 
 
-def _cmd_transform(config: RunConfig) -> int:
-    system = _load(config.inputs[0])
-    mode = None
-    if config.modes and config.modes[0] is not None:
-        mode = Mode.parse(config.modes[0])
-    elif system.default_mode is not None:
-        mode = system.default_mode
+def _cmd_transform(args) -> int:
+    system = _load(args.file)
+    mode = system.default_mode
+    if args.mode is not None:
+        mode = Mode.parse(args.mode)
     out, report = apply_construction(
-        config.construction, system, mode=mode, compact=config.compact
+        args.construction, system, mode=mode, compact=args.compact
     )
     document = serialize_system(out)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(document)
     report_doc = {
         "name": report.name,
@@ -230,22 +221,23 @@ def _cmd_transform(config: RunConfig) -> int:
         "notes": list(report.notes),
         "document": document,
     }
-    if config.as_json:
-        _emit_json("transform", _params(config), "report", report_doc, None)
+    if args.json:
+        _emit_json("transform", _params(args), "report", report_doc, None)
     else:
-        if not config.output:
+        if not args.output:
             sys.stdout.write(document)
         print(report.summary(), file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_equiv(config: RunConfig) -> int:
-    system_a = _load(config.inputs[0])
-    system_b = _load(config.inputs[1])
-    mode_a = _mode_for(system_a, config.modes[0], "--mode-a")
-    mode_b = _mode_for(system_b, config.modes[1], "--mode-b")
+def _cmd_equiv(args) -> int:
+    system_a = _load(args.file_a)
+    system_b = _load(args.file_b)
+    text_a, text_b = _modes(args)
+    mode_a = _mode_for(system_a, text_a, "--mode-a")
+    mode_b = _mode_for(system_b, text_b, "--mode-b")
     verdict = bounded_equiv(
-        system_a, mode_a, system_b, mode_b, config.max_len, config.bounds()
+        system_a, mode_a, system_b, mode_b, args.max_len, _bounds(args)
     )
     payload = {
         "equal": verdict.equal,
@@ -255,8 +247,8 @@ def _cmd_equiv(config: RunConfig) -> int:
         "completeB": verdict.complete_b,
     }
     complete = verdict.complete_a and verdict.complete_b
-    if config.as_json:
-        _emit_json("equiv", _params(config), "verdict", payload, complete)
+    if args.json:
+        _emit_json("equiv", _params(args), "verdict", payload, complete)
     else:
         print(verdict.summary())
         if verdict.only_in_a:
@@ -268,8 +260,8 @@ def _cmd_equiv(config: RunConfig) -> int:
     return EXIT_DIFF if complete else EXIT_INCOMPLETE
 
 
-def _cmd_nonempty(config: RunConfig) -> int:
-    system = _load(config.inputs[0])
+def _cmd_nonempty(args) -> int:
+    system = _load(args.file)
     if system.kind == "gc":
         groups = [("P", [g.rule for g in system.gc_rules])]
     else:
@@ -281,8 +273,8 @@ def _cmd_nonempty(config: RunConfig) -> int:
             "lhs": sorted({r.lhs for r in rules}),
             "nonemptyLhs": sorted(nonempty_lhs(rules)),
         })
-    if config.as_json:
-        _emit_json("nonempty", _params(config), "report", report, None)
+    if args.json:
+        _emit_json("nonempty", _params(args), "report", report, None)
     else:
         for entry in report:
             dead = sorted(set(entry["lhs"]) - set(entry["nonemptyLhs"]))
@@ -315,20 +307,23 @@ def _build_parser():
                             "(default 2*maxLen+4, or 2*len(word)+4 for "
                             "derive; a non-erasing system without "
                             "priorities stops at maxLen, or len(word))")
-        p.add_argument("--step-budget", type=int, default=1_000_000)
-        p.add_argument("--form-budget", type=int, default=1_000_000)
+        p.add_argument("--step-budget", type=int, default=_BUDGET)
+        p.add_argument("--form-budget", type=int, default=_BUDGET)
 
     p = sub.add_parser("parse", help="parse and validate a document")
+    p.set_defaults(run=_cmd_parse)
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("enum", help="enumerate the bounded language")
+    p.set_defaults(run=_cmd_enum)
     p.add_argument("file")
     p.add_argument("--mode", default=None)
     bounds_args(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("derive", help="search a derivation for a word")
+    p.set_defaults(run=_cmd_derive)
     p.add_argument("file")
     p.add_argument("--mode", default=None)
     p.add_argument("--word", required=True)
@@ -337,6 +332,7 @@ def _build_parser():
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("transform", help="apply a construction")
+    p.set_defaults(run=_cmd_transform)
     p.add_argument("file")
     p.add_argument("--construction", required=True,
                    choices=sorted(CONSTRUCTIONS))
@@ -348,6 +344,7 @@ def _build_parser():
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("equiv", help="compare two bounded languages")
+    p.set_defaults(run=_cmd_equiv)
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--mode", default=None, help="mode for both sides")
@@ -358,74 +355,28 @@ def _build_parser():
 
     p = sub.add_parser("nonempty",
                        help="per-component nonemptiness of lhs sub-languages")
+    p.set_defaults(run=_cmd_nonempty)
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    command = args.command
-    inputs = ()
-    modes = ()
-    if command == "equiv":
-        inputs = (args.file_a, args.file_b)
-        modes = (args.mode_a or args.mode, args.mode_b or args.mode)
-    else:
-        inputs = (args.file,)
-        if hasattr(args, "mode"):
-            modes = (args.mode,)
-    return RunConfig(
-        command=command,
-        inputs=inputs,
-        modes=modes,
-        max_len=getattr(args, "max_len", None),
-        workspace=getattr(args, "workspace", None),
-        step_budget=getattr(args, "step_budget", 1_000_000),
-        form_budget=getattr(args, "form_budget", 1_000_000),
-        output=getattr(args, "output", None),
-        construction=getattr(args, "construction", None),
-        word=getattr(args, "word", None),
-        trace=getattr(args, "trace", False),
-        compact=getattr(args, "compact", False),
-        as_json=args.json,
-    )
-
-
-_DISPATCH = {
-    "parse": _cmd_parse,
-    "enum": _cmd_enum,
-    "derive": _cmd_derive,
-    "transform": _cmd_transform,
-    "equiv": _cmd_equiv,
-    "nonempty": _cmd_nonempty,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configuration; returns the process exit code."""
+def main(argv=None) -> int:
+    """Run one ``rrw`` invocation; returns the process exit code."""
+    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        status = _DISPATCH[config.command](config)
+        status = args.run(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
     except (RrwError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if not config.as_json:
+    if not args.json:
         elapsed = (time.monotonic() - started) * 1000.0
         print(f"# elapsed {elapsed:.1f} ms", file=sys.stderr)
     return status
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        config = _config_from(args)
-        return run(config)
-    except (RrwError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -820,6 +820,12 @@ def _frccd_eq2_to_cdfrc(system: System, mode):
             ),
         ))
 
+    if not comps:
+        # no rule pair can fire, so the language is empty: one component
+        # that never acts keeps the output a system
+        start = system.start
+        comps.append(Component("Z", (Rule(start, (start,)),),
+                               entry=RcCondition(forbid={start})))
     return _Parts("_entry", system.nonterminals | x_all | {sharp}, comps)
 
 

@@ -62,7 +62,12 @@ class RcCondition:
 @dataclass(frozen=True)
 class StrictOrder:
     """A strict partial order as a transitively closed set of (greater, lesser)
-    index pairs. Build through :func:`close_order`.
+    index pairs. Construction closes the given pairs, so every instance is a
+    strict order: a cycle raises :class:`CycleError` (which covers
+    irreflexivity and asymmetry: (i, j) and (j, i) close to (i, i)).
+
+    The closure is one depth-first search over the successor map from each
+    node: O(V·E) for V nodes and E input pairs.
 
     :meth:`greater_than` answers from an index (lesser -> greater set) built
     in one pass over the pairs on first use, so a per-rule query costs
@@ -72,7 +77,22 @@ class StrictOrder:
     pairs: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        succ = {}
+        for g, l in self.pairs:
+            succ.setdefault(g, set()).add(l)
+        closed = set()
+        for a, direct in succ.items():
+            reached = set()
+            stack = list(direct)
+            while stack:
+                b = stack.pop()
+                if b not in reached:
+                    reached.add(b)
+                    stack.extend(succ.get(b, ()))
+            if a in reached:
+                raise CycleError(f"order closure contains ({a},{a})")
+            closed.update((a, b) for b in reached)
+        object.__setattr__(self, "pairs", frozenset(closed))
 
     @cached_property
     def _greater(self):
@@ -90,33 +110,16 @@ class StrictOrder:
 
 
 def close_order(pairs, size=None) -> StrictOrder:
-    """Transitively close a set of (greater, lesser) index pairs.
-
-    The closure is one depth-first search over the successor map from each
-    node: O(V·E) for V nodes and E input pairs.
-
-    Raises :class:`CycleError` if the closure would contain (i, i) (which
-    covers asymmetry: (i, j) and (j, i) close to (i, i)). With ``size`` given,
-    raises :class:`IndexError` for indices outside ``range(size)``.
+    """The :class:`StrictOrder` closing a set of (greater, lesser) index
+    pairs. With ``size`` given, raises :class:`IndexError` for indices
+    outside ``range(size)``; a cycle raises :class:`CycleError`.
     """
-    succ = {}
-    for g, l in pairs:
-        if size is not None and not (0 <= g < size and 0 <= l < size):
-            raise IndexError(f"order pair ({g},{l}) references a missing rule")
-        succ.setdefault(g, set()).add(l)
-    closed = set()
-    for a, direct in succ.items():
-        reached = set()
-        stack = list(direct)
-        while stack:
-            b = stack.pop()
-            if b not in reached:
-                reached.add(b)
-                stack.extend(succ.get(b, ()))
-        if a in reached:
-            raise CycleError(f"order closure contains ({a},{a})")
-        closed.update((a, b) for b in reached)
-    return StrictOrder(frozenset(closed))
+    if size is not None:
+        for g, l in pairs:
+            if not (0 <= g < size and 0 <= l < size):
+                raise IndexError(
+                    f"order pair ({g},{l}) references a missing rule")
+    return StrictOrder(pairs)
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,14 @@ class Component:
 
         For ordered components the forbid set is the set of left-hand sides of
         strictly greater rules, which is exactly the applicability condition.
+        The table is computed once per component; this stays a method so
+        that a wrapper set on the class (the benchmark's call counter) sees
+        every lookup.
         """
+        return self._conditions
+
+    @cached_property
+    def _conditions(self):
         out = []
         for i, rule in enumerate(self.rules):
             permit = frozenset()
@@ -283,27 +293,10 @@ class System:
         raise KeyError(name)
 
 
-def _check_order_strict(order: StrictOrder, size: int, where: str, out: list):
-    pairs = order.pairs
-    for (g, l) in sorted(pairs):
+def _check_order_range(order: StrictOrder, size: int, where: str, out: list):
+    for (g, l) in sorted(order.pairs):
         if not (0 <= g < size and 0 <= l < size):
             out.append(f"{where}: order pair ({g},{l}) out of range")
-        if g == l:
-            out.append(f"{where}: order is not irreflexive at {g}")
-        if (l, g) in pairs:
-            out.append(f"{where}: order is not asymmetric on ({g},{l})")
-    # Closed iff succ[b] ⊆ succ[a] for every pair (a, b); each missing (a, d)
-    # is reported once.
-    succ = {}
-    for (a, b) in pairs:
-        succ.setdefault(a, set()).add(b)
-    missing = set()
-    for (a, b) in pairs:
-        below = succ.get(b)
-        if below and not below <= succ[a]:
-            missing.update((a, d) for d in below - succ[a])
-    for (a, d) in sorted(missing):
-        out.append(f"{where}: order is not transitively closed at ({a},{d})")
 
 
 def validate(system: System) -> list:
@@ -364,7 +357,7 @@ def validate(system: System) -> list:
     if system.component_order is not None and "priority:" not in carries:
         v.append("component order is only allowed in pcdgs systems")
     if system.component_order is not None:
-        _check_order_strict(
+        _check_order_range(
             system.component_order, len(system.components), "component order", v
         )
 
@@ -380,7 +373,7 @@ def validate(system: System) -> list:
         if comp.order is not None and "order:" not in carries:
             v.append(f"{where}: rule order not allowed in kind {system.kind}")
         if comp.order is not None:
-            _check_order_strict(comp.order, len(comp.rules), where, v)
+            _check_order_range(comp.order, len(comp.rules), where, v)
         if comp.contexts is not None:
             if "forbid" not in carries:
                 v.append(f"{where}: rule contexts not allowed in kind {system.kind}")

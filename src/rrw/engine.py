@@ -498,27 +498,12 @@ class _Enumeration:
         self.bounds = bounds
         self.mode = mode
         self.multiset = multiset
-        self._conds = {}
         self._tables = {}
         self._stable = {}
         self._restricted = {}
         self._acting = {}
         self.truncated = False
         self.exhausted = False
-        self._eff = [
-            (c, self.conds(c)) for c in system.components
-        ]
-        self._order_pairs = (
-            system.component_order.pairs
-            if system.component_order is not None
-            else frozenset()
-        )
-
-    def conds(self, component):
-        key = id(component)
-        if key not in self._conds:
-            self._conds[key] = component.effective_conditions()
-        return self._conds[key]
 
     def position_table(self, component, symbol, budget):
         """The cached :func:`_position_table` of ``symbol`` and its
@@ -526,7 +511,7 @@ class _Enumeration:
         key = (id(component), symbol)
         if key not in self._tables:
             self._tables[key] = _position_table(
-                component, self.conds(component), symbol, self.mode,
+                component, component.effective_conditions(), symbol, self.mode,
                 self.bounds.workspace, budget,
             )
         return self._tables[key]
@@ -554,9 +539,10 @@ class _Enumeration:
             return True
         maximal = self.mode.variant == "t"
         acting = []
-        for i, (comp, conds) in enumerate(self._eff):
+        for i, comp in enumerate(self.system.components):
             if not _entry_ok(comp, support):
                 continue
+            conds = comp.effective_conditions()
             for (lhs, permit, forbid) in conds:
                 if lhs in support and permit <= support \
                         and not (forbid & support):
@@ -582,7 +568,7 @@ class _Enumeration:
         key = (id(component), frozenset(form))
         if key not in self._stable:
             self._stable[key] = _stable_rules(
-                component, self.conds(component), key[1]
+                component, component.effective_conditions(), key[1]
             )
         enabled = self._stable[key]
         if enabled is None:
@@ -599,7 +585,7 @@ class _Enumeration:
         """Exact ⇒_i^m results within bounds, on the product path where that
         is exact. With a ``producer`` the product path drops results that
         :meth:`useful` rejects; None returns the whole relation."""
-        conds = self.conds(component)
+        conds = component.effective_conditions()
         if not _has_applicable(conds, form):
             return frozenset()  # every mode makes at least one application
         budget = _Budget(self.bounds.step_budget, self.bounds.form_budget)
@@ -628,7 +614,8 @@ class _Enumeration:
             i for i, comp in enumerate(system.components)
             if _entry_ok(comp, support)
         ]
-        if not self._order_pairs:
+        order = system.component_order
+        if not order:
             return dict.fromkeys(live)
         live_set = set(live)
         results = {}
@@ -644,11 +631,7 @@ class _Enumeration:
             return results[i]
 
         def blocked(i):
-            return any(
-                rel_results(g)
-                for (g, l) in self._order_pairs
-                if l == i
-            )
+            return any(rel_results(g) for g in order.greater_than(i))
 
         # blocked() fills ``results`` as it goes, so read them only after
         # every component is decided
@@ -901,7 +884,7 @@ def _activation_witness(enum, component, form, result):
     ``len(result)`` for non-erasing rules; otherwise by the length that
     rewriting the positions one after another can reach.
     """
-    conds = enum.conds(component)
+    conds = component.effective_conditions()
     workspace = enum.bounds.workspace
     if all(r.rhs for r in component.rules):
         limit = len(result)

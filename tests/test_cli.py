@@ -272,3 +272,48 @@ def test_transform_reports_the_mode_given_to_a_mode_free_construction(
                              "--construction", "frc-to-ord", "--mode", "=2")
     assert status == 0
     assert "modes: =2 -> =2" in err
+
+
+@pytest.mark.parametrize("word, status, text", [
+    ("eps", 1, "not derivable within the given bounds"),
+    ("a a", 0, "derivable in 4 activation(s)"),
+    ("A", 0, "derivable in 0 activation(s)"),  # the start symbol
+    ("q", 2, "error: cannot read word 'q' over the alphabet"),
+    ("a q", 2, "error: unknown symbol 'q' in word"),
+], ids=["eps", "spaced", "start", "unknown", "unknown-spaced"])
+def test_derive_reads_the_word(capsys, word, status, text):
+    got, out, err = run_cli(capsys, "derive", EXAMPLE1, "--mode", "t",
+                            "--word", word)
+    assert got == status
+    assert text in (out + err).splitlines()
+
+
+def test_derive_reads_a_symbol_of_several_letters(capsys, tmp_path):
+    doc = tmp_path / "multi.rrw"
+    doc.write_text("system cf multi\nnonterminals: S\nterminals: ab c\n"
+                   "start: S\ncomponent P { S -> ab }\n", encoding="utf-8")
+    status, out, _ = run_cli(capsys, "derive", str(doc), "--mode", "t",
+                             "--word", "ab", "--trace")
+    assert status == 0
+    assert out.splitlines() == ["derivable in 1 activation(s)", "S",
+                                "  =P=> ab"]
+
+
+def test_enum_without_a_mode_or_a_default_exits_2(capsys):
+    status, out, err = run_cli(capsys, "enum", EXAMPLE1, "--max-len", "4")
+    assert status == 2
+    assert out == ""
+    assert "error: --mode is required (the document declares no default)" \
+        in err
+
+
+def test_transform_of_a_system_where_no_rule_pair_can_fire(capsys, tmp_path):
+    doc = tmp_path / "dead.rrw"
+    doc.write_text("system frccdgs dead\nnonterminals: S A\n"
+                   "terminals: a b\nstart: S\n"
+                   "component P1 { S -> S b forbid { S } }\n",
+                   encoding="utf-8")
+    status, out, _ = run_cli(capsys, "transform", str(doc), "--construction",
+                             "frccd-eq2-to-cdfrc", "--mode", "=2")
+    assert status == 0
+    assert rrw.parse_system(out).kind == "entry-cdgs"

@@ -531,6 +531,64 @@ def test_construction_chain_keeps_the_language(stem, mode_text, chain):
         assert verdict.equal, (name, verdict.summary())
 
 
+def test_frccd_eq2_to_cdfrc_when_no_rule_pair_can_fire():
+    # S -> S b needs S present and forbids it, so no =2 activation exists
+    system = parse_system(
+        "system frccdgs dead\nnonterminals: S A\nterminals: a b\n"
+        "start: S\ncomponent P1 { S -> S b forbid { S } }\n")
+    mode = Mode.parse("=2")
+    out, _ = apply_construction("frccd-eq2-to-cdfrc", system, mode=mode)
+    assert validate(out) == []
+    assert bounded_equiv(system, mode, out, mode, 6, StepBounds(14)).equal
+
+
+# Inputs on which a construction changes the bounded language. Engine and
+# oracle agree on both sides of each; the builders stay as they are until
+# the paper's theorem statements are in the repo to check them against.
+_ENTRY_PAIRS = """system entry-cdgs pairs
+nonterminals: S A B
+terminals: a
+start: S
+component P1 entry forbid { } { S -> A B
+                                B -> A S }
+component P2 entry forbid { } { S -> A
+                                A -> a }
+"""
+_FRCCD_LOOPS = """system frccdgs loops
+nonterminals: S
+terminals: a b
+start: S
+component P1 { S -> b forbid { S }
+               S -> b S
+               S -> S a }
+component P2 { S -> S
+               S -> a b }
+"""
+
+
+def _counterexample(name, document, mode_text, words):
+    return pytest.param(name, document, mode_text, id=name,
+                        marks=pytest.mark.xfail(strict=True, reason=words))
+
+
+@pytest.mark.parametrize("name, document, mode_text", [
+    _counterexample("cdfrc-eq2-to-eqk", _ENTRY_PAIRS, "=3",
+                    "output misses aaa, aaaaa"),
+    _counterexample("frccd-to-eq2", _FRCCD_LOOPS, ">=2",
+                    "output derives aba, bab"),
+    _counterexample("frccd-eq2-to-k", _FRCCD_LOOPS, "=3",
+                    "output derives ba, baaa, bbaa, bbba"),
+])
+def test_construction_keeps_the_language_on_a_counterexample(
+        name, document, mode_text):
+    system = parse_system(document)
+    mode_in, mode_out = CONSTRUCTIONS[name].preserved(Mode.parse(mode_text))
+    out, _ = apply_construction(name, system, mode=Mode.parse(mode_text))
+    verdict = bounded_equiv(system, mode_in, out, mode_out, 5,
+                            StepBounds(14))
+    assert verdict.equal, verdict.summary()
+
+
 def test_readme_table_restates_the_contracts():
     readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Constructions\n", 1)[1].split("\n## ", 1)[0]

@@ -64,8 +64,7 @@ def test_close_order_idempotent(pairs):
     assert close_order(first.pairs).pairs == first.pairs
 
 
-# Reference closure and checker, written here so that they share no code
-# with rrw.core.
+# Reference closure, written here so that it shares no code with rrw.core.
 
 def _warshall(pairs, nodes):
     reach = set(pairs)
@@ -74,23 +73,6 @@ def _warshall(pairs, nodes):
             if (i, k) in reach:
                 reach.update((i, j) for j in nodes if (k, j) in reach)
     return reach
-
-
-def _reference_violations(pairs, size, where):
-    found = set()
-    for (g, l) in pairs:
-        if not (0 <= g < size and 0 <= l < size):
-            found.add(f"{where}: order pair ({g},{l}) out of range")
-        if g == l:
-            found.add(f"{where}: order is not irreflexive at {g}")
-        if (l, g) in pairs:
-            found.add(f"{where}: order is not asymmetric on ({g},{l})")
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            if b == c and (a, d) not in pairs:
-                found.add(f"{where}: order is not transitively closed "
-                          f"at ({a},{d})")
-    return found
 
 
 def _ordered_system(size, order):
@@ -121,18 +103,22 @@ def test_close_order_matches_warshall(pairs, size):
 
 @given(ORDER_PAIRS, st.integers(1, 8))
 def test_validate_reports_each_order_violation_once(pairs, size):
-    violations = validate(_ordered_system(size, StrictOrder(pairs)))
-    assert len(violations) == len(set(violations))
-    assert set(violations) == _reference_violations(pairs, size, "component P")
-    unclosed = [v for v in violations if "transitively closed" in v]
-    assert unclosed == sorted(unclosed, key=lambda v: tuple(
-        int(x) for x in v[v.rindex("(") + 1:-1].split(",")))
+    # a StrictOrder is closed when built, so validate has only the range
+    # of its closure left to check
+    closure = _warshall(pairs, range(8))
+    if any(a == b for (a, b) in closure):
+        with pytest.raises(CycleError):
+            StrictOrder(pairs)
+        return
+    assert validate(_ordered_system(size, StrictOrder(pairs))) == [
+        f"component P: order pair ({g},{l}) out of range"
+        for (g, l) in sorted(closure) if g >= size or l >= size]
 
 
-def test_missing_transitive_pair_reported_once():
+def test_missing_transitive_pair_is_closed_when_built():
     order = StrictOrder({(0, 1), (0, 2), (1, 3), (2, 3)})
-    assert validate(_ordered_system(4, order)) == [
-        "component P: order is not transitively closed at (0,3)"]
+    assert (0, 3) in order.pairs
+    assert validate(_ordered_system(4, order)) == []
 
 
 def test_long_chain_closes_and_validates():

@@ -359,29 +359,47 @@ def _step(component, result, *applications, mode=STAR):
     return TraceStep(component, mode, applications, tuple(result))
 
 
-@pytest.mark.parametrize("name, start, steps", [
-    ("ocdgs_example1.rrw", "aaa", []),
-    ("gc_fin.rrw", "b", []),
-    ("ocdgs_example1.rrw", None, [_step("P9", "A", mode=T)]),
-    ("ocdgs_example1.rrw", None, [_step("P1", "B", (7, 0), mode=T)]),
-    ("gc_choice.rrw", None, [_step("nope", "S")]),
-    ("gc_fin.rrw", None, [_step("l1", "AA", (0, 5))]),
+@pytest.mark.parametrize("name, start, steps, message", [
+    ("ocdgs_example1.rrw", "aaa", [], "not at the start symbol"),
+    ("gc_fin.rrw", "b", [], "not at the start symbol"),
+    ("ocdgs_example1.rrw", None, [_step("P9", "A", mode=T)],
+     "no component 'P9'"),
+    ("ocdgs_example1.rrw", None, [_step("P1", "B", (7, 0), mode=T)],
+     "rule 7 not applicable"),
+    ("gc_choice.rrw", None, [_step("nope", "S")],
+     "cannot move to label 'nope'"),
+    ("gc_fin.rrw", None, [_step("l1", "AA", (0, 5))], "lhs not at position"),
     ("gc_fin.rrw", None, [_step("l1", "AA", (0, 0)),
                           _step("l3", "bA", (2, 0)),
-                          _step("l3", "bb", (2, 1))]),
-    ("gc_fin.rrw", None, [_step("l2", "S")]),
-    ("gc_fin.rrw", None, [_step("l1", "AA", (0, 0))]),
+                          _step("l3", "bb", (2, 1))],
+     "cannot move to label 'l3'"),
+    ("gc_fin.rrw", None, [_step("l2", "S")], "cannot move to label 'l2'"),
+    ("gc_fin.rrw", None, [_step("l1", "AA", (0, 0))],
+     "cannot move to a final label"),
+    ("ocdgs_example1.rrw", None, [_step("P1", "B", (0, 0), mode=T),
+                                  _step("P2", "AA", (1, 0), mode=T),
+                                  _step("P1", "BA", (0, 0), mode=T)],
+     "t-activation left a live form"),
+    ("gc_fin.rrw", None, [_step("l1", "AA", (0, 0), (0, 0))],
+     "applies the rule at its label once"),
+    ("gc_fin.rrw", None, [_step("l1", "AA", (1, 0))],
+     "applies the rule at its label once"),
+    ("gc_fin.rrw", None, [_step("l1", "AA", (0, 0)), _step("l2", "AA")],
+     "failure branch taken on an applicable rule"),
+    ("gc_fin.rrw", None, [_step("l1", "AB", (0, 0))],
+     "form differs from record"),
 ], ids=["not-the-start", "gc-not-the-start", "unknown-component",
         "rule-index", "unknown-label", "position", "not-a-successor",
-        "not-initial", "not-final"])
-def test_replay_trace_rejects_a_malformed_trace(name, start, steps):
+        "not-initial", "not-final", "t-live", "gc-two-applications",
+        "gc-other-rule", "gc-false-failure", "gc-other-result"])
+def test_replay_trace_rejects_a_malformed_trace(name, start, steps, message):
     # the first two replayed to aaa and b, which neither system derives; the
-    # next four raised KeyError or IndexError; the last three replayed
+    # next four raised KeyError or IndexError; the next three replayed
     # although the control graph allows none of them. A start of None is
     # the system's start symbol.
     system = load_corpus(name)
     start = (system.start,) if start is None else tuple(start)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         replay_trace(system, DerivationTrace(start, tuple(steps)))
 
 
@@ -695,3 +713,23 @@ def test_engine_matches_the_oracle_on_a_generated_priority_system():
         mode = Mode.parse(text)
         assert enumerate_language(system, mode, 5, bounds) == \
             reference_enumerate(system, mode, 5, bounds), text
+
+
+def test_a_class_level_wrapper_sees_every_condition_lookup(example1):
+    # the benchmark counts calls by wrapping the method on the class, which
+    # an attribute cached on the instance would bypass
+    expected = enumerate_language(example1, T, 8, BOUNDS)
+    original = Component.effective_conditions
+    calls = []
+
+    def counted(self):
+        calls.append(self.name)
+        return original(self)
+
+    Component.effective_conditions = counted
+    try:
+        got = enumerate_language(example1, T, 8, BOUNDS)
+    finally:
+        Component.effective_conditions = original
+    assert calls
+    assert got == expected
