@@ -281,6 +281,28 @@ class System:
         use, not a field). Every enumeration asks, so it is computed once."""
         return all(len(r.rhs) > 0 for r in self.all_rules())
 
+    @cached_property
+    def weights(self) -> dict:
+        """Least terminal yield of each symbol, computed once like
+        ``non_erasing``: 1 for a terminal; for a nonterminal the least
+        fixpoint over all rules of the system, ignoring regulation and mode,
+        and ``inf`` when it derives no terminal word. A regulated derivation
+        is also a context-free one, so no form derives a word shorter than
+        its weight, the sum over its symbols, and no rule lowers it."""
+        inf = float("inf")
+        weights = dict.fromkeys(self.alphabet, inf)
+        weights.update(dict.fromkeys(self.terminals, 1))
+        rules = self.all_rules()
+        changed = True
+        while changed:
+            changed = False
+            for r in rules:
+                w = sum(weights.get(s, inf) for s in r.rhs)
+                if w < weights.get(r.lhs, inf):
+                    weights[r.lhs] = w
+                    changed = True
+        return weights
+
     def all_rules(self):
         if self.kind == "gc":
             return [g.rule for g in self.gc_rules]

@@ -79,6 +79,15 @@ The search goes no further than the semantics require:
   to that length. Under component priorities it keeps the given workspace,
   because a higher component blocks a lower one whenever it has any result,
   however long;
+* a workspace cut leaves the search incomplete only when the cut form can
+  still yield a counted word. A regulated derivation is also a context-free
+  one, so no form derives a word shorter than its weight, the sum of its
+  symbols' least terminal yields (``System.weights``). A cut counts only
+  when the cut form weighs at most the counted length
+  (:meth:`_Enumeration.hides`), which makes erasing systems such as
+  ``cf_star`` complete. Only cut forms are weighed: activations drop no form
+  by weight. Under priorities every cut counts unless the system is
+  non-erasing, for the reason above;
 * on a one-letter terminal alphabet :func:`enumerate_language` searches
   multisets: each activation result is sorted before it is stored. Every
   regulation (rule orders, random context, entry conditions, priorities,
@@ -94,6 +103,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Component, Mode, format_word
 from .errors import BudgetExceeded, UnknownLabel
@@ -105,7 +115,9 @@ class StepBounds:
 
     workspace: maximum sentential-form length explored; an upper bound,
         which enumeration and derivation search lower to ``max_len`` (the
-        target's length) for a non-erasing system without priorities;
+        target's length) for a non-erasing system without priorities. A
+        cut of a form that weighs more than that length leaves them
+        complete (see the module docstring);
     step_budget: maximum rule applications per activation (in mode_apply,
         enumeration, derivation search and its trace rebuild); a graph
         control move is one application, so there it never binds;
@@ -210,8 +222,10 @@ def component_successors(component, form):
     return out
 
 
-def _step_layer(component, conds, forms, workspace, budget):
-    """One ⇒ layer over a set of forms. Returns (successors, truncated)."""
+def _step_layer(component, conds, forms, workspace, budget, hides):
+    """One ⇒ layer over a set of forms. Returns (successors, truncated):
+    truncated when the workspace cut a successor that ``hides`` counts (see
+    :meth:`_Enumeration.hides`; None counts every cut)."""
     out = set()
     truncated = False
     for form in forms:
@@ -220,7 +234,9 @@ def _step_layer(component, conds, forms, workspace, budget):
             if lhs in support and permit <= support and not (forbid & support):
                 rhs = component.rules[i].rhs
                 if len(form) - 1 + len(rhs) > workspace:
-                    truncated = True
+                    truncated = truncated or hides is None or hides(
+                        len(form) - 1 + len(rhs), _apply_at, form,
+                        component.rules[i], form.index(lhs))
                     continue
                 for pos, s in enumerate(form):
                     if s == lhs:
@@ -238,7 +254,7 @@ def _has_applicable(conds, form):
     return False
 
 
-def _step_layers(component, conds, seed, mode, workspace, budget):
+def _step_layers(component, conds, seed, mode, workspace, budget, hides):
     """The ⇒ layers from the forms ``seed`` that ``mode`` needs. Returns
     (layers, truncated).
 
@@ -254,7 +270,7 @@ def _step_layers(component, conds, seed, mode, workspace, budget):
     truncated = False
     for _ in range(cap):
         layer, trunc = _step_layer(component, conds, layers[-1], workspace,
-                                   budget)
+                                   budget, hides)
         truncated = truncated or trunc
         layers.append(layer)
     if hi is None:
@@ -262,7 +278,7 @@ def _step_layers(component, conds, seed, mode, workspace, budget):
         visited = set(frontier)
         while frontier and not budget.exhausted:
             nxt, trunc = _step_layer(component, conds, frontier, workspace,
-                                     budget)
+                                     budget, hides)
             truncated = truncated or trunc
             frontier = nxt - visited
             visited |= frontier
@@ -273,11 +289,11 @@ def _step_layers(component, conds, seed, mode, workspace, budget):
     return layers, truncated
 
 
-def _naive_mode(component, conds, form, mode, workspace, budget):
+def _naive_mode(component, conds, form, mode, workspace, budget, hides=None):
     """Exact ⇒_i^m result set: the forms of the layers from ``lo`` steps on.
     Returns (frozenset, truncated)."""
     layers, truncated = _step_layers(component, conds, {form}, mode,
-                                     workspace, budget)
+                                     workspace, budget, hides)
     return frozenset().union(*layers[mode.steps[0]:]), truncated
 
 
@@ -309,12 +325,14 @@ _SUPPORT_CAP = 64  # max supports explored per abstract support graph
 _PRODUCT_MIN_SITES = 4
 
 
-def _position_table(component, conds, symbol, mode, workspace, budget):
+def _position_table(component, conds, symbol, mode, workspace, budget,
+                    hides):
     """Per-position (subform -> step-value set) table for the product path:
     each subform of the :func:`_step_layers` from ``(symbol,)`` with the
-    indices of its layers. Returns (table, truncated)."""
+    indices of its layers. Returns (table, truncated); a cut subform is
+    weighed alone, a lower bound on any form that holds it."""
     layers, truncated = _step_layers(component, conds, {(symbol,)}, mode,
-                                     workspace, budget)
+                                     workspace, budget, hides)
     table = {}
     for j, layer in enumerate(layers):
         for f in layer:
@@ -410,6 +428,9 @@ def _assemble(enum, tables, workspace, budget, producer):
     With a ``producer`` (see :meth:`_Enumeration.useful`), partial choices
     whose every completion has a useless support are cut; None keeps every
     result.
+
+    A partial choice cut by the workspace is weighed by its lightest
+    completion (:meth:`_Enumeration.completion`).
     """
     n = len(tables)
     if not all(tables):
@@ -460,7 +481,9 @@ def _assemble(enum, tables, workspace, budget, producer):
         for f, values in tables[i].items():
             new_len = length + len(f)
             if new_len + min_tail[i + 1] > workspace:
-                truncated = True
+                truncated = truncated or enum.hides(
+                    new_len + min_tail[i + 1], enum.completion, prefix + f,
+                    tables, i + 1)
                 continue
             # an explicit loop: a set comprehension is a function call on
             # Python 3.11, which shows on this innermost loop
@@ -493,12 +516,14 @@ class _Enumeration:
     moves of that search: configurations are forms, a move is a component
     activation. :class:`_GcEnumeration` overrides the four moves."""
 
-    def __init__(self, system, bounds, mode, multiset=False):
+    def __init__(self, system, bounds, mode, multiset=False, limit=None):
         self.system = system
         self.bounds = bounds
         self.mode = mode
         self.multiset = multiset
+        self.limit = limit
         self._tables = {}
+        self._lightest = {}
         self._stable = {}
         self._restricted = {}
         self._acting = {}
@@ -512,7 +537,7 @@ class _Enumeration:
         if key not in self._tables:
             self._tables[key] = _position_table(
                 component, component.effective_conditions(), symbol, self.mode,
-                self.bounds.workspace, budget,
+                self.bounds.workspace, budget, self.hides,
             )
         return self._tables[key]
 
@@ -593,7 +618,7 @@ class _Enumeration:
         if product is None:
             results, trunc = _naive_mode(
                 component, conds, form, self.mode, self.bounds.workspace,
-                budget
+                budget, self.hides
             )
         else:
             results, trunc = _product_results(
@@ -638,9 +663,50 @@ class _Enumeration:
         allowed = [i for i in live if not blocked(i)]
         return {i: results.get(i) for i in allowed}
 
+    def hides(self, length, build, *args):
+        """Whether a workspace cut may hide a counted word. The cut dropped
+        forms of ``length`` or more symbols, the lightest of which
+        ``build(*args)`` builds. No form derives a word lighter than itself
+        (``System.weights``), so a cut counts only when it weighs at most
+        the counted length ``limit``. Without a limit (under priorities)
+        every cut counts. A form weighs at least ``least`` per symbol, which
+        decides most cuts without a sum, and nothing is weighed once one
+        cut has counted."""
+        limit = self.limit
+        if limit is None or self.truncated:
+            return True
+        if length * self.least > limit:
+            return False
+        weights = self.system.weights
+        return sum(map(weights.__getitem__, build(*args))) <= limit
+
+    def completion(self, form, tables, i):
+        """``form`` followed by the lightest subform of each position table
+        in ``tables[i:]``: the lightest result that extends ``form``. A
+        table's lightest subform is found once per search."""
+        weight = self.system.weights.__getitem__
+        for table in tables[i:]:
+            key = id(table)  # ``_tables`` keeps every table for the search
+            if key not in self._lightest:
+                self._lightest[key] = min(
+                    table, key=lambda f: sum(map(weight, f)))
+            form += self._lightest[key]
+        return form
+
+    @cached_property
+    def least(self):
+        """A lower bound on the weight of every symbol, found at the first
+        cut weighed: 1 in a non-erasing system, which then needs no weight
+        table until a cut passes this bound, else the least weight."""
+        if self.system.non_erasing:
+            return 1
+        return min(self.system.weights.values(), default=0)
+
     def exhaustive(self, length):
         """True if the search was exhaustive for forms of this length: no
-        budget ran out, and no workspace truncation can hide such a form."""
+        budget ran out, and no counted workspace cut (:meth:`hides`) can hide
+        such a form; under priorities, every cut counts unless the system is
+        non-erasing and the workspace reaches the length."""
         return not self.exhausted and (
             not self.truncated
             or (self.system.non_erasing and self.bounds.workspace >= length)
@@ -710,7 +776,8 @@ class _GcEnumeration(_Enumeration):
         configurations longer than the workspace are cut."""
         for nxt in sorted(gc_successors(self.system, config)):
             if len(nxt.form) > self.bounds.workspace:
-                self.truncated = True
+                # the cut form is itself the lightest it hides
+                self.truncated = self.hides(len(nxt.form), tuple, nxt.form)
             else:
                 yield nxt, config.label, None
 
@@ -733,15 +800,16 @@ class _GcEnumeration(_Enumeration):
 def _enumeration(system, bounds, mode, length, multiset=False):
     """The search state for ``system``: over (form, label) configurations
     for graph control, over forms (or sorted forms, with ``multiset``) for
-    every other kind. The workspace of a non-erasing system without
-    priorities is clamped to ``length``, the longest form the caller counts
-    (see the module docstring)."""
-    if length < bounds.workspace and system.non_erasing and not (
-            system.component_order and system.component_order.pairs):
+    every other kind. ``length`` is the longest word the caller counts.
+    Without priorities it bounds the weight of a counted cut, and the
+    workspace of a non-erasing system is clamped to it (see the module
+    docstring)."""
+    priorities = bool(system.component_order)
+    if length < bounds.workspace and system.non_erasing and not priorities:
         bounds = StepBounds(max(length, 1), bounds.step_budget,
                             bounds.form_budget)
     cls = _GcEnumeration if system.kind == "gc" else _Enumeration
-    return cls(system, bounds, mode, multiset)
+    return cls(system, bounds, mode, multiset, None if priorities else length)
 
 
 def _search(enum, target=None):
@@ -823,8 +891,9 @@ def gc_successors(system, config):
 def enumerate_language(system, mode, max_len, bounds):
     """Breadth-first bounded language computation.
 
-    complete=True iff the closure was exhausted within bounds, or every
-    truncation is covered by the non-erasing workspace guarantee.
+    complete=True iff the search was exhaustive
+    (:meth:`_Enumeration.exhaustive`): no budget ran out, and no form that
+    the workspace cut weighs ``max_len`` or less.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -845,8 +914,8 @@ def find_derivation(system, mode, target, bounds):
     """A replayable trace deriving ``target``, or None when the search was
     exhaustive within the bounds and did not reach it.
 
-    Raises :class:`BudgetExceeded` when a budget, or a workspace truncation
-    that the non-erasing guarantee does not cover, cut the search.
+    Raises :class:`BudgetExceeded` when a budget ran out, or a workspace cut
+    may have hidden the target (:meth:`_Enumeration.exhaustive`).
     """
     target = tuple(target)
     enum = _enumeration(system, bounds, mode, len(target))

@@ -4,10 +4,18 @@
 scratch: memoized recursion over exact step counts and worklist closures,
 with applicability re-derived directly from the regulation data instead of
 the engine's normalized condition tables. It shares only the data model with
-the engine, so disagreements between the two expose real bugs. Like the
-engine, but with its own code, it searches a non-erasing system without
-component priorities only up to ``max_len``, because no form longer than
-that becomes a counted word; it always searches words, never multisets.
+the engine, so disagreements between the two expose real bugs. It always
+searches words, never multisets.
+
+In a system without component priorities the oracle expands only forms that
+can still yield a counted word: a form whose weight (``System.weights``, the
+least terminal yield of its symbols) exceeds ``max_len`` is dropped before
+the workspace test, with one comparison per (form, rule) against the rule's
+precomputed weight growth. No rule lowers a weight, so every later form is
+dropped with it, and a workspace cut counts only within the weight. A form
+holding a symbol of no terminal yield weighs ``inf`` and is never expanded.
+Under priorities a longer form may still block a component, so nothing is
+dropped there and every cut counts unless the system is non-erasing.
 
 Every mode's relation (=k, <=k, *, >=k, t) is built from one memoised
 one-step relation per search, so each (component, form) pair is expanded
@@ -49,13 +57,21 @@ class EquivVerdict:
 
 
 class _Oracle:
-    def __init__(self, system: System, bounds: StepBounds):
+    def __init__(self, system: System, bounds: StepBounds,
+                 limit=float("inf")):
         self.system = system
         self.bounds = bounds
+        self.limit = limit
         self.applied = 0
         self.exhausted = False
         self.truncated = False
         self._exact = {}
+        self._weight = weight = system.weights.__getitem__
+        self._growth = {
+            comp.name: [sum(map(weight, r.rhs)) - weight(r.lhs)
+                        for r in comp.rules]
+            for comp in system.components
+        }
 
     # -- independent applicability test ---------------------------------
 
@@ -79,9 +95,13 @@ class _Oracle:
 
     def _successors(self, comp, form):
         out = []
+        weight = sum(map(self._weight, form))
+        growth = self._growth[comp.name]
         for idx, rule in enumerate(comp.rules):
             if not self._applicable(comp, idx, form):
                 continue
+            if weight + growth[idx] > self.limit:
+                continue  # every successor by this rule is too heavy
             if len(form) - 1 + len(rule.rhs) > self.bounds.workspace:
                 self.truncated = True
                 continue
@@ -187,19 +207,26 @@ class _Oracle:
 
 
 def _oracle_gc(system, max_len, bounds):
+    w = system.weights
     words = set()
     truncated = False
     steps = 0
     exhausted = False
     by_label = {g.label: g for g in system.gc_rules}
+    growth = {g.label: sum(w[s] for s in g.rule.rhs) - w[g.rule.lhs]
+              for g in system.gc_rules}
     seen = set()
-    work = [((system.start,), l) for l in system.init_labels]
+    work = []
+    if w[system.start] <= max_len:
+        work = [((system.start,), l) for l in system.init_labels]
     seen.update(work)
     while work:
         form, label = work.pop()
         g = by_label[label]
         nxts = []
         if g.rule.lhs in form:
+            if sum(w[s] for s in form) + growth[label] > max_len:
+                continue
             for pos in range(len(form)):
                 if form[pos] == g.rule.lhs:
                     nf = form[:pos] + g.rule.rhs + form[pos + 1:]
@@ -227,9 +254,8 @@ def _oracle_gc(system, max_len, bounds):
                 words.add(nf)
         if exhausted:
             break
-    complete = not exhausted and (
-        not truncated or (system.non_erasing and bounds.workspace >= max_len)
-    )
+    # every cut form weighs at most max_len: a heavier one was dropped first
+    complete = not exhausted and not truncated
     return BoundedLanguage(frozenset(words), max_len, complete)
 
 
@@ -237,19 +263,13 @@ def reference_enumerate(system, mode, max_len, bounds) -> BoundedLanguage:
     """Bounded language via the independent naive oracle."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if bounds.workspace > max_len and system.non_erasing and not (
-            system.component_order and system.component_order.pairs):
-        # no rule shortens a form, so a form longer than max_len never
-        # becomes a counted word (under priorities a longer form may still
-        # block a component)
-        bounds = StepBounds(max(max_len, 1), bounds.step_budget,
-                            bounds.form_budget)
     if system.kind == "gc":
         return _oracle_gc(system, max_len, bounds)
-    oracle = _Oracle(system, bounds)
+    limit = float("inf") if system.component_order else max_len
+    oracle = _Oracle(system, bounds, limit)
     words = set()
     seen = {(system.start,)}
-    work = [(system.start,)]
+    work = [(system.start,)] if system.weights[system.start] <= limit else []
     while work and not oracle.exhausted:
         form = work.pop()
         if all(s in system.terminals for s in form):

@@ -52,6 +52,29 @@ def test_enum_incomplete_exits_3(capsys):
     assert "INCOMPLETE" in err
 
 
+def test_enum_of_an_erasing_system_is_complete(capsys):
+    # every form that the default workspace cuts weighs more than max_len
+    status, out, err = run_cli(
+        capsys, "enum", str(CORPUS_DIR / "cf_star.rrw"),
+        "--mode", "*", "--max-len", "6",
+    )
+    assert status == 0
+    assert out.splitlines() == ["eps"] + ["a" * n for n in range(1, 7)]
+    assert "# 7 word(s), complete" in err
+
+
+@pytest.mark.parametrize("word", ["aa", "aaaa"])
+def test_derive_in_an_erasing_system_decides_not_derivable(capsys, word):
+    # under =2 cf_star derives the odd powers of a only, and no cut form
+    # weighs at most len(word)
+    status, out, _ = run_cli(
+        capsys, "derive", str(CORPUS_DIR / "cf_star.rrw"), "--mode", "=2",
+        "--word", word,
+    )
+    assert status == 1
+    assert "not derivable" in out
+
+
 def test_derive_found_and_not_found(capsys):
     status, out, _ = run_cli(
         capsys, "derive", EXAMPLE1, "--mode", "t", "--word", "aaaa",

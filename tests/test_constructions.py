@@ -20,9 +20,11 @@ from rrw import (
     apply_construction,
     bounded_equiv,
     close_order,
+    enumerate_language,
     frc_to_ordered_component,
     ordered_to_frc_component,
     parse_system,
+    reference_enumerate,
     rule_applicable,
     serialize_system,
     validate,
@@ -554,6 +556,15 @@ component P1 entry forbid { } { S -> A B
 component P2 entry forbid { } { S -> A
                                 A -> a }
 """
+_ENTRY_TAILS = """system entry-cdgs tails
+nonterminals: S
+terminals: a b
+start: S
+component P1 entry forbid { } { S -> b
+                                S -> S b
+                                S -> a a }
+component P2 entry forbid { } { S -> a a }
+"""
 _FRCCD_LOOPS = """system frccdgs loops
 nonterminals: S
 terminals: a b
@@ -566,27 +577,50 @@ component P2 { S -> S
 """
 
 
-def _counterexample(name, document, mode_text, words):
-    return pytest.param(name, document, mode_text, id=name,
-                        marks=pytest.mark.xfail(strict=True, reason=words))
+# (construction, input document, mode argument, how the output differs)
+_COUNTEREXAMPLES = [
+    ("cdfrc-eq2-to-eqk", _ENTRY_PAIRS, "=3", "output misses aaa, aaaaa"),
+    ("frccd-to-eq2", _FRCCD_LOOPS, ">=2", "output derives aba, bab"),
+    ("frccd-eq2-to-k", _FRCCD_LOOPS, "=3",
+     "output derives ba, baaa, bbaa, bbba"),
+    ("cdfrc-geqk-to-geq2", _ENTRY_TAILS, ">=2", "output misses bb, aab"),
+]
 
 
-@pytest.mark.parametrize("name, document, mode_text", [
-    _counterexample("cdfrc-eq2-to-eqk", _ENTRY_PAIRS, "=3",
-                    "output misses aaa, aaaaa"),
-    _counterexample("frccd-to-eq2", _FRCCD_LOOPS, ">=2",
-                    "output derives aba, bab"),
-    _counterexample("frccd-eq2-to-k", _FRCCD_LOOPS, "=3",
-                    "output derives ba, baaa, bbaa, bbba"),
-])
-def test_construction_keeps_the_language_on_a_counterexample(
-        name, document, mode_text):
+def _both_sides(name, document, mode_text):
+    """(system, mode) of the input and of the output, under the modes the
+    contract says give the same language."""
     system = parse_system(document)
     mode_in, mode_out = CONSTRUCTIONS[name].preserved(Mode.parse(mode_text))
     out, _ = apply_construction(name, system, mode=Mode.parse(mode_text))
-    verdict = bounded_equiv(system, mode_in, out, mode_out, 5,
-                            StepBounds(14))
+    return (system, mode_in), (out, mode_out)
+
+
+@pytest.mark.parametrize("name, document, mode_text", [
+    pytest.param(name, document, mode_text, id=name,
+                 marks=pytest.mark.xfail(strict=True, reason=words))
+    for name, document, mode_text, words in _COUNTEREXAMPLES
+])
+def test_construction_keeps_the_language_on_a_counterexample(
+        name, document, mode_text):
+    (a, mode_a), (b, mode_b) = _both_sides(name, document, mode_text)
+    verdict = bounded_equiv(a, mode_a, b, mode_b, 5, StepBounds(14))
     assert verdict.equal, verdict.summary()
+
+
+@pytest.mark.parametrize("name, document, mode_text", [
+    pytest.param(name, document, mode_text, id=name)
+    for name, document, mode_text, _words in _COUNTEREXAMPLES
+])
+def test_each_counterexample_is_decided_on_both_sides(
+        name, document, mode_text):
+    # the expected failures above are wrong languages, not cut searches:
+    # engine and oracle give the same complete language on each side
+    for system, mode in _both_sides(name, document, mode_text):
+        fast = enumerate_language(system, mode, 5, StepBounds(14))
+        slow = reference_enumerate(system, mode, 5, StepBounds(14))
+        assert fast.complete and slow.complete, system.name
+        assert fast.words == slow.words, system.name
 
 
 def test_readme_table_restates_the_contracts():

@@ -18,7 +18,9 @@ from rrw import (
     validate,
 )
 
-from conftest import MODE_GRID, load_corpus
+from conftest import CORPUS_FILES, MODE_GRID, load_corpus
+
+INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +298,60 @@ def test_effective_conditions_fold_order_into_forbids():
     conds = comp.effective_conditions()
     assert conds[0] == ("C", frozenset(), frozenset())
     assert conds[1] == ("B", frozenset(), frozenset({"C"}))
+
+
+# ---------------------------------------------------------------------------
+# least-yield weights
+# ---------------------------------------------------------------------------
+
+def test_weights_of_hand_computed_systems():
+    assert load_corpus("ocdgs_example1.rrw").weights == {
+        "A": 1, "B": 2, "C": 1, "a": 1}
+    assert load_corpus("cf_star.rrw").weights == {"S": 0, "a": 1}
+    # B only ever rewrites to a form holding B again: no terminal yield
+    system = System(
+        kind="cf", name="dead", nonterminals={"S", "B"},
+        terminals={"a", "b"}, start="S",
+        components=(Component("P", (
+            Rule("S", ("a",)), Rule("S", ("B", "a")), Rule("B", ("b", "B")),
+        )),),
+    )
+    assert system.weights == {"S": 1, "B": INF, "a": 1, "b": 1}
+
+
+def _shortest_yields(system, longest=6):
+    """The length of the shortest terminal word derived from each symbol by
+    context-free rewriting with every rule of the system, breadth first over
+    leftmost derivations whose forms hold at most ``longest`` symbols; INF
+    when none is found."""
+    by_lhs = {}
+    for rule in system.all_rules():
+        by_lhs.setdefault(rule.lhs, []).append(rule.rhs)
+    shortest = {}
+    for symbol in system.alphabet:
+        best = INF
+        seen = {(symbol,)}
+        frontier = [(symbol,)]
+        while frontier:
+            nxt = []
+            for form in frontier:
+                pos = next((i for i, s in enumerate(form)
+                            if s in system.nonterminals), None)
+                if pos is None:
+                    best = min(best, len(form))
+                    continue
+                for rhs in by_lhs.get(form[pos], ()):
+                    new = form[:pos] + rhs + form[pos + 1:]
+                    if len(new) <= longest and new not in seen:
+                        seen.add(new)
+                        nxt.append(new)
+            frontier = nxt
+        shortest[symbol] = best
+    return shortest
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_weights_are_the_shortest_terminal_yields(name):
+    # the oracle prunes by the same table, so this search is its check
+    system = load_corpus(name)
+    assert system.weights == _shortest_yields(system)

@@ -10,6 +10,7 @@ from rrw import (
     System,
     bounded_equiv,
     enumerate_language,
+    parse_system,
     reference_enumerate,
     useful_nonterminals,
 )
@@ -82,6 +83,92 @@ def test_reference_rejects_a_negative_max_len_as_the_engine_does(example1):
             enumerate_(example1, T, -1, StepBounds(4))
         errors.append(str(err.value))
     assert errors[0] == errors[1] == "max_len must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_engine_and_oracle_agree_on_completeness(name):
+    # criterion 4's bounds under every mode: a workspace cut counts only
+    # when the cut form weighs at most max_len, so every case is complete,
+    # cf_star with its erasing rule included
+    system = load_corpus(name)
+    bounds = StepBounds(6 if name == "ocdgs_example1.rrw" else 10)
+    for text in ("*",) if system.kind == "gc" else MODE_GRID:
+        mode = Mode.parse(text)
+        fast = enumerate_language(system, mode, 6, bounds)
+        slow = reference_enumerate(system, mode, 6, bounds)
+        assert (fast.words, fast.complete) == (slow.words, slow.complete), \
+            text
+        assert fast.complete, text
+
+
+UNPRODUCTIVE = """system cf unproductive
+nonterminals: S B
+terminals: a
+start: S
+component P1 { S -> a S B
+               S -> S B
+               B -> eps }
+"""
+
+
+@pytest.mark.parametrize("text", MODE_GRID)
+def test_an_unproductive_start_gives_an_empty_complete_language(text):
+    # every form holds S, which derives no terminal word, so no cut can
+    # hide a word, although B is erased
+    system = parse_system(UNPRODUCTIVE)
+    for enumerate_ in (enumerate_language, reference_enumerate):
+        lang = enumerate_(system, Mode.parse(text), 4, StepBounds(10))
+        assert (lang.words, lang.complete) == (frozenset(), True), \
+            enumerate_.__name__
+
+
+NULLABLE = """system cf nullable
+nonterminals: S
+terminals: a
+start: S
+component P1 { S -> S S
+               S -> a
+               S -> eps }
+"""
+SPREAD = """system cf spread
+nonterminals: S A B
+terminals: a
+start: S
+component P1 { S -> A A A A
+               A -> B B
+               B -> a
+               B -> eps }
+"""
+
+
+GC_NULLABLE = """system gc gc_nullable
+nonterminals: S
+terminals: a
+start: S
+init-labels: l1
+final-labels: l3
+component rules { l1: S -> S S success { l1 l2 l3 }
+                  l2: S -> eps success { l1 l2 l3 }
+                  l3: S -> a success { l1 l2 l3 } }
+"""
+
+
+@pytest.mark.parametrize("document, max_len", [
+    pytest.param(NULLABLE, 3, id="nullable"),
+    pytest.param(SPREAD, 0, id="spread"),
+    pytest.param(GC_NULLABLE, 3, id="gc-nullable"),
+])
+def test_a_cut_within_the_weight_still_counts(document, max_len):
+    # nullable symbols grow a form past the workspace without adding
+    # weight, so the cut form may still yield a counted word. In SPREAD
+    # under =k and <=k, where every form with an a is too heavy, each such
+    # cut falls in the product path's assembly of position tables
+    system = parse_system(document)
+    for text in ("*",) if system.kind == "gc" else MODE_GRID:
+        for enumerate_ in (enumerate_language, reference_enumerate):
+            lang = enumerate_(system, Mode.parse(text), max_len,
+                              StepBounds(6))
+            assert not lang.complete, (text, enumerate_.__name__)
 
 
 def test_equiv_identical_systems(example1):
