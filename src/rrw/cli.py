@@ -8,11 +8,16 @@ results.
 ``--json`` output is deterministic: identical inputs and flags produce
 byte-identical documents (timing is therefore reported as null and, in
 human mode, printed to stderr instead).
+
+:func:`main` returns the exit code and may be called any number of times
+in one process. It builds the argument parser on its first call and reuses
+it afterwards; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -291,6 +296,7 @@ def _cmd_nonempty(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rrw",

@@ -303,6 +303,22 @@ class System:
                     changed = True
         return weights
 
+    @cached_property
+    def growth(self) -> dict:
+        """How much each rule raises a form's weight (``weights``): the
+        weight of its right-hand side less that of its left-hand side. Keyed
+        by component name, with a tuple over the component's rules in order,
+        or in a gc system by label, with the growth of that label's rule.
+        Computed once per system, like ``weights``."""
+        weights = self.weights
+
+        def grows(rule):
+            return sum(map(weights.__getitem__, rule.rhs)) - weights[rule.lhs]
+
+        table = {c.name: tuple(map(grows, c.rules)) for c in self.components}
+        table.update((g.label, grows(g.rule)) for g in self.gc_rules)
+        return table
+
     def all_rules(self):
         if self.kind == "gc":
             return [g.rule for g in self.gc_rules]

@@ -1,21 +1,23 @@
 """Reference enumerator (oracle), bounded equivalence, nonemptiness analysis.
 
 :func:`reference_enumerate` re-implements the bounded-language semantics from
-scratch: memoized recursion over exact step counts and worklist closures,
-with applicability re-derived directly from the regulation data instead of
-the engine's normalized condition tables. It shares only the data model with
-the engine, so disagreements between the two expose real bugs. It always
-searches words, never multisets.
+scratch: a memoised one-step relation, stepped layer by layer in a loop for
+exact step counts and closed by worklists, with applicability re-derived
+directly from the regulation data instead of the engine's normalized
+condition tables. It shares only the data model with the engine, so
+disagreements between the two expose real bugs. It always searches words,
+never multisets.
 
 In a system without component priorities the oracle expands only forms that
 can still yield a counted word: a form whose weight (``System.weights``, the
 least terminal yield of its symbols) exceeds ``max_len`` is dropped before
 the workspace test, with one comparison per (form, rule) against the rule's
-precomputed weight growth. No rule lowers a weight, so every later form is
-dropped with it, and a workspace cut counts only within the weight. A form
-holding a symbol of no terminal yield weighs ``inf`` and is never expanded.
-Under priorities a longer form may still block a component, so nothing is
-dropped there and every cut counts unless the system is non-erasing.
+weight growth (``System.growth``, computed once per system). No rule lowers
+a weight, so every later form is dropped with it, and a workspace cut
+counts only within the weight. A form holding a symbol of no terminal yield
+weighs ``inf`` and is never expanded. Under priorities a longer form may
+still block a component, so nothing is dropped there and every cut counts
+unless the system is non-erasing.
 
 Every mode's relation (=k, <=k, *, >=k, t) is built from one memoised
 one-step relation per search, so each (component, form) pair is expanded
@@ -65,13 +67,9 @@ class _Oracle:
         self.applied = 0
         self.exhausted = False
         self.truncated = False
-        self._exact = {}
-        self._weight = weight = system.weights.__getitem__
-        self._growth = {
-            comp.name: [sum(map(weight, r.rhs)) - weight(r.lhs)
-                        for r in comp.rules]
-            for comp in system.components
-        }
+        self._next = {}
+        self._weight = system.weights.__getitem__
+        self._growth = system.growth
 
     # -- independent applicability test ---------------------------------
 
@@ -121,24 +119,25 @@ class _Oracle:
 
     # -- mode relations ---------------------------------------------------
 
-    def _exactly(self, ci, form, j):
-        """Forms reachable from ``form`` in exactly j steps of component ci.
-        j = 1 is the memoised one-step relation that every mode steps
-        through, so each (component, form) is expanded once."""
-        if j == 0:
-            return frozenset({form})
-        key = (ci, form, j)
-        if key in self._exact:
-            return self._exact[key]
-        if j == 1:
-            res = frozenset(self._successors(self.system.components[ci], form))
-        else:
-            res = frozenset().union(*(
-                self._exactly(ci, nxt, j - 1)
-                for nxt in self._exactly(ci, form, 1)
-            ))
-        self._exact[key] = res
+    def _step(self, ci, form):
+        """The memoised one-step relation of component ci, which every mode
+        steps through, so each (component, form) is expanded once."""
+        res = self._next.get((ci, form))
+        if res is None:
+            comp = self.system.components[ci]
+            res = frozenset(self._successors(comp, form))
+            self._next[ci, form] = res
         return res
+
+    def _layers(self, ci, form, k):
+        """The sets of forms reachable from ``form`` in exactly 1, ..., k
+        steps of component ci, found one layer after another in a loop, so
+        a large k cannot exhaust Python's call stack."""
+        layers = [self._step(ci, form)]
+        for _ in range(k - 1):
+            layers.append(frozenset().union(
+                *[self._step(ci, f) for f in layers[-1]]))
+        return layers
 
     def _star_from(self, ci, seeds):
         """Closure of a seed set under >=0 further steps of component ci."""
@@ -146,7 +145,7 @@ class _Oracle:
         work = list(seeds)
         while work and not self.exhausted:
             form = work.pop()
-            for nxt in self._exactly(ci, form, 1):
+            for nxt in self._step(ci, form):
                 if nxt not in seen:
                     seen.add(nxt)
                     work.append(nxt)
@@ -160,16 +159,14 @@ class _Oracle:
             reach = self._star_from(ci, {form})
             return frozenset(f for f in reach if self._stuck(comp, f))
         if mode.variant == "*":
-            return self._star_from(ci, self._exactly(ci, form, 1))
+            return self._star_from(ci, self._step(ci, form))
+        layers = self._layers(ci, form, mode.k)
         if mode.variant == "=":
-            return self._exactly(ci, form, mode.k)
+            return layers[-1]
         if mode.variant == "<=":
-            out = set()
-            for j in range(1, mode.k + 1):
-                out |= self._exactly(ci, form, j)
-            return frozenset(out)
+            return frozenset().union(*layers)
         # ">="
-        return self._star_from(ci, self._exactly(ci, form, mode.k))
+        return self._star_from(ci, layers[-1])
 
     # -- system level ------------------------------------------------------
 
@@ -213,8 +210,7 @@ def _oracle_gc(system, max_len, bounds):
     steps = 0
     exhausted = False
     by_label = {g.label: g for g in system.gc_rules}
-    growth = {g.label: sum(w[s] for s in g.rule.rhs) - w[g.rule.lhs]
-              for g in system.gc_rules}
+    growth = system.growth
     seen = set()
     work = []
     if w[system.start] <= max_len:

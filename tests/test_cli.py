@@ -210,18 +210,78 @@ def test_json_schema_fields(capsys):
     assert doc["verdict"]["equal"] is True
 
 
-def test_derive_trace_json_ignores_the_hash_seed():
+def fresh_python(*argv, **env):
+    """stdout of ``python argv`` in a new interpreter that imports this
+    checkout's rrw."""
     src = str(pathlib.Path(rrw.__file__).resolve().parent.parent)
-    argv = [sys.executable, "-m", "rrw.cli", "derive",
-            str(CORPUS_DIR / "cdgs_pair.rrw"), "--mode", "=1", "--word", "aa",
-            "--trace", "--json"]
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        done = subprocess.run(argv, env=env, capture_output=True, check=True)
-        outputs.append(done.stdout)
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, check=True).stdout
+
+
+def test_derive_trace_json_ignores_the_hash_seed():
+    argv = ["-m", "rrw.cli", "derive", str(CORPUS_DIR / "cdgs_pair.rrw"),
+            "--mode", "=1", "--word", "aa", "--trace", "--json"]
+    outputs = [fresh_python(*argv, PYTHONHASHSEED=seed) for seed in "01"]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["verdict"]["derivable"] is True
+
+
+COUNT_PARSER_BUILDS = """
+import argparse, contextlib, io, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    if self.prog == "rrw":  # not a sub-parser
+        built.append(self)
+
+argparse.ArgumentParser.__init__ = counting
+import rrw.cli
+print(len(built))
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(2):
+        rrw.cli.main(["parse", sys.argv[1]])
+print(len(built))
+"""
+
+
+def test_main_builds_its_parser_once_and_import_builds_none():
+    out = fresh_python("-c", COUNT_PARSER_BUILDS, EXAMPLE1)
+    assert out.split() == [b"0", b"1"]
+
+
+def test_calls_that_reuse_the_parser_are_independent(capsys):
+    # each call starts from the parser's defaults, whatever the calls
+    # before it gave or failed to parse
+    calls = [
+        ("enum", EXAMPLE1, "--mode", "*", "--max-len", "6",
+         "--workspace", "8", "--json"),
+        ("enum", EXAMPLE1, "--mode", "*", "--max-len", "6", "--json"),
+        ("enum", EXAMPLE1, "--mode", "*"),
+        ("--help",),
+        ("derive", EXAMPLE1, "--mode", "t", "--word", "aaaa", "--trace",
+         "--json"),
+        ("transform", EXAMPLE1, "--construction", "ord-to-frc", "--json"),
+    ]
+
+    def run(argv):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        return status, capsys.readouterr().out
+
+    first = [run(argv) for argv in calls]
+    assert [run(argv) for argv in calls] == first
+    assert [status for status, _ in first] == [0, 0, 2, 0, 0, 0]
+    assert json.loads(first[0][1])["params"]["workspace"] == 8
+    assert json.loads(first[1][1])["params"]["workspace"] == 16
+    assert first[3][1].startswith("usage: rrw ")
+    derive = fresh_python("-m", "rrw.cli", *calls[4])
+    assert derive.decode("utf-8") == first[4][1]
 
 
 def test_gc_derive_starved_form_budget_exits_3(capsys):

@@ -14,6 +14,7 @@ from rrw import (
     System,
     close_order,
     format_word,
+    parse_system,
     shortlex_key,
     validate,
 )
@@ -317,6 +318,20 @@ def test_weights_of_hand_computed_systems():
         )),),
     )
     assert system.weights == {"S": 1, "B": INF, "a": 1, "b": 1}
+
+
+def test_growth_of_hand_computed_systems():
+    # weights A 1, B 2, C 1, a 1: only A -> B makes a form heavier
+    system = load_corpus("ocdgs_example1.rrw")
+    assert system.growth == {"P1": (1, 0), "P2": (0, 0), "P3": (0, 0)}
+    assert system.growth is system.growth  # computed once per system
+    # a gc system's table is keyed by label; S weighs 1 (S -> a)
+    gc = parse_system(
+        "system gc grow\nnonterminals: S\nterminals: a\nstart: S\n"
+        "init-labels: l1\nfinal-labels: l2\n"
+        "component rules { l1: S -> a S a success { l1 l2 }\n"
+        "                  l2: S -> a }\n")
+    assert gc.growth == {"l1": 2, "l2": 0}
 
 
 def _shortest_yields(system, longest=6):

@@ -76,6 +76,16 @@ def test_the_oracle_expands_each_component_and_form_once(monkeypatch):
             assert len(calls) == len(set(calls)), (name, text)
 
 
+@pytest.mark.parametrize("text", ["=1200", ">=1200"])
+def test_the_oracle_takes_more_steps_than_the_call_stack_holds(
+        entry_witness, text):
+    # an activation of k steps is found layer by layer, not by k nested calls
+    lang = reference_enumerate(entry_witness, Mode.parse(text), 4,
+                               StepBounds(6))
+    assert lang.words == {("a",) * n for n in (1, 2, 4)}
+    assert lang.complete
+
+
 def test_reference_rejects_a_negative_max_len_as_the_engine_does(example1):
     errors = []
     for enumerate_ in (reference_enumerate, enumerate_language):
