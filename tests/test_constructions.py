@@ -1,6 +1,8 @@
 """Tests for the grammar-to-grammar transformations."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from rrw import (
     ModeError,
     PermitPresent,
     RcCondition,
+    RrwError,
     Rule,
     StepBounds,
     System,
@@ -30,7 +33,7 @@ from rrw import (
     validate,
 )
 
-from conftest import CORPUS_DIR, MODE_GRID, load_corpus
+from conftest import CORPUS_DIR, CORPUS_FILES, MODE_GRID, load_corpus
 
 T = Mode.parse("t")
 
@@ -641,3 +644,140 @@ def test_readme_table_restates_the_contracts():
             " -> ".join(contract.preserves),
             contract.output_kind,
         ], row[0]
+
+
+# ---------------------------------------------------------------------------
+# every output pinned
+# ---------------------------------------------------------------------------
+
+# Inputs that reach builder branches no corpus file reaches, kept out of
+# corpus/ so that the benchmark's corpus workloads stay as they are.
+_PINNED_INPUTS = {
+    # cdfrc-eq2-to-eqk splits the single-rule P1 into marker, joint and
+    # nested components (S occurs in its own right-hand side); P2's second
+    # rule rewrites to the first rule's left-hand side
+    "entry_single": """system entry-cdgs single
+nonterminals: S A B
+terminals: a b
+start: S
+component P1 { S -> A S A }
+component P2 entry forbid { S } { A -> a
+                                  A -> A }
+component P3 { B -> b
+               S -> B }
+""",
+    # an erasing rule: frccd-eq2-to-k marks the empty word with lam'
+    "frccd_erasing": """system frccdgs erasing
+nonterminals: S A
+terminals: a
+start: S
+component P1 { S -> A S
+               S -> eps }
+component P2 { A -> a forbid { S } }
+""",
+    # frccd-eq2-to-cdfrc: B -> c may follow A -> b only; S -> S b forbids
+    # its own left-hand side, so it never fires inside another rule; in P3,
+    # A -> A a fires only inside the output of S -> A, never after it
+    "frccd_one_way": """system frccdgs one_way
+nonterminals: S A B
+terminals: a b c
+start: S
+component P1 { S -> A B
+               S -> S b forbid { S } }
+component P2 { A -> b forbid { B }
+               B -> c }
+component P3 { S -> A forbid { A }
+               A -> A a }
+""",
+    # no rule pair can fire under =2 (S -> S b forbids its left-hand side)
+    "frccd_dead": """system frccdgs dead
+nonterminals: S A
+terminals: a b
+start: S
+component P1 { S -> S b forbid { S } }
+""",
+    # an entry permit set, which the forbid-only constructions refuse
+    "entry_permit": """system entry-cdgs permit
+nonterminals: S A
+terminals: a
+start: S
+component P1 entry forbid { A } permit { S } { S -> A A }
+component P2 { A -> a }
+""",
+    # the final label l2 is in its own success set, so the compact
+    # gc-to-ocdgs ends on the label or on its twin
+    "gc_self_final": """system gc self_final
+nonterminals: S
+terminals: a
+start: S
+init-labels: l1
+final-labels: l2
+component rules { l1: S -> S S success { l2 }
+                  l2: S -> a success { l2 } }
+""",
+}
+
+
+def _pinned_systems():
+    """(name, system) for every corpus file and every pinned inline input."""
+    for name in CORPUS_FILES:
+        yield name, load_corpus(name)
+    for name, text in _PINNED_INPUTS.items():
+        yield "inline:" + name, parse_system(text)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _component_text(comp):
+    """A rendering of one component that does not depend on set order."""
+    def cond(c):
+        return None if c is None else (sorted(c.permit), sorted(c.forbid))
+    return repr((
+        comp.name, [(r.lhs, r.rhs, r.label) for r in comp.rules],
+        None if comp.order is None else sorted(comp.order.pairs),
+        None if comp.contexts is None else [cond(c) for c in comp.contexts],
+        cond(comp.entry),
+    ))
+
+
+def _construction_outputs():
+    """Every construction on every pinned input, with no mode and then each
+    mode of MODE_GRID, plain and compact: the sha256 of the serialized
+    output and its report, or the name of the error raised. Both component
+    conversions on every component of every pinned input as well."""
+    out = {}
+    for file, system in _pinned_systems():
+        for name in CONSTRUCTIONS:
+            for text in (None,) + MODE_GRID:
+                mode = None if text is None else Mode.parse(text)
+                for compact in (False, True):
+                    key = (f"{name} {file} {text or '-'} "
+                           f"{'compact' if compact else 'plain'}")
+                    try:
+                        built, report = apply_construction(
+                            name, system, mode=mode, compact=compact)
+                    except (RrwError, ValueError) as err:
+                        out[key] = type(err).__name__
+                    else:
+                        out[key] = _digest(serialize_system(built)
+                                           + report.summary())
+        for comp in system.components:
+            for convert in (frc_to_ordered_component, ordered_to_frc_component):
+                out[f"{convert.__name__} {file} {comp.name}"] = _digest(
+                    _component_text(convert(comp)))
+    return out
+
+
+# written from _construction_outputs() before the builders were rewritten;
+# the tests do not regenerate it
+CONSTRUCTION_OUTPUTS = CORPUS_DIR.parent / "tests" / "construction_outputs.json"
+
+
+def test_every_construction_output_is_pinned():
+    expected = json.loads(CONSTRUCTION_OUTPUTS.read_text(encoding="utf-8"))
+    got = _construction_outputs()
+    assert sorted(got) == sorted(expected)
+    changed = [key for key in expected if got[key] != expected[key]]
+    assert not changed, changed[:10]
