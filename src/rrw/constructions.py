@@ -18,6 +18,7 @@ public as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -101,19 +102,19 @@ def _parking_symbols(system, scheme, levels):
 def _layered_component(name, top, middle, bottom):
     """Build an ordered component with every top rule above every middle rule
     and every middle rule above every bottom rule."""
-    rules = tuple(top) + tuple(middle) + tuple(bottom)
-    pairs = set()
-    nt = len(top)
-    nm = len(middle)
-    uppers = range(nt) if nm == 0 else range(nt, nt + nm)
-    for t in range(nt):
-        for m in range(nt, nt + nm):
-            pairs.add((t, m))
-    for m in uppers:
-        for b in range(nt + nm, len(rules)):
-            pairs.add((m, b))
-    order = close_order(pairs, size=len(rules))
-    return Component(name=name, rules=rules, order=order)
+    rules = (*top, *middle, *bottom)
+    t, m = len(top), len(top) + len(middle)
+    uppers = range(t) if m == t else range(t, m)
+    pairs = {(g, l) for g in range(t) for l in range(t, m)}
+    pairs.update((g, l) for g in uppers for l in range(m, len(rules)))
+    return Component(name, rules, order=close_order(pairs, size=len(rules)))
+
+
+def _frc_component(name, entries):
+    """A forbid-regulated component with one rule lhs -> rhs forbidding
+    ``forbid`` per (lhs, rhs, forbid) entry, in order."""
+    return Component(name, [Rule(a, w) for a, w, _ in entries],
+                     contexts=[RcCondition(forbid=f) for _, _, f in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -128,37 +129,24 @@ def frc_to_ordered_component(component: Component, avoid=()) -> Component:
     applicable-rule relation on the original rules is preserved on every form
     (maximal-derivation stuckness is not: the added rules can fire).
     """
-    taken = set(avoid)
+    n = len(component.rules)
+    forbids = ([ctx.forbid for ctx in component.contexts]
+               if component.contexts is not None else [frozenset()] * n)
+    taken = set(avoid).union(*forbids)
     for rule in component.rules:
         taken.add(rule.lhs)
         taken.update(rule.rhs)
-    if component.contexts is not None:
-        for ctx in component.contexts:
-            taken.update(ctx.forbid)
-    scheme = FreshNameScheme(taken)
-    dead = scheme.fresh("X_f")
-
-    rules = [Rule(r.lhs, r.rhs) for r in component.rules]
-    guard_index = {}
-    guards = []
-    forbids = [
-        component.contexts[i].forbid if component.contexts is not None
-        else frozenset()
-        for i in range(len(component.rules))
-    ]
+    dead = FreshNameScheme(taken).fresh("X_f")
+    guard = {}  # forbidden symbol -> index of its rule X -> X_f
     for forbid in forbids:
         for sym in sorted(forbid):
-            if sym not in guard_index:
-                guard_index[sym] = len(rules) + len(guards)
-                guards.append(Rule(sym, (dead,)))
-    pairs = set()
-    for i, forbid in enumerate(forbids):
-        for sym in forbid:
-            pairs.add((guard_index[sym], i))
-    order = close_order(pairs, size=len(rules) + len(guards))
-    return Component(
-        name=component.name, rules=tuple(rules) + tuple(guards), order=order
-    )
+            guard.setdefault(sym, n + len(guard))
+    rules = [Rule(r.lhs, r.rhs) for r in component.rules]
+    rules += [Rule(sym, (dead,)) for sym in guard]
+    pairs = {(guard[sym], i) for i, forbid in enumerate(forbids)
+             for sym in forbid}
+    return Component(name=component.name, rules=tuple(rules),
+                     order=close_order(pairs, size=len(rules)))
 
 
 def ordered_to_frc_component(component: Component) -> Component:
@@ -167,16 +155,12 @@ def ordered_to_frc_component(component: Component) -> Component:
     Rule r gets forbid set {lhs(r') | r' > r}; applicability agrees with the
     ordered original on every form, including stuckness.
     """
-    contexts = []
-    for i in range(len(component.rules)):
-        forbid = frozenset()
-        if component.order is not None:
-            forbid = frozenset(
-                component.rules[g].lhs for g in component.order.greater_than(i)
-            )
-        contexts.append(RcCondition(forbid=forbid))
-    rules = tuple(Rule(r.lhs, r.rhs) for r in component.rules)
-    return Component(name=component.name, rules=rules, contexts=tuple(contexts))
+    rules, order = component.rules, component.order
+    return _frc_component(component.name, [
+        (r.lhs, r.rhs, frozenset(
+            () if order is None
+            else (rules[g].lhs for g in order.greater_than(i))))
+        for i, r in enumerate(rules)])
 
 
 def _frc_to_ord(system: System, mode):
@@ -338,109 +322,67 @@ def _ocdgs_t_to_ord(system: System, mode):
     no applicable rule left. Compare the input in maximal mode against the
     output's plain closure.
     """
-    n = len(system.components)
+    ids = range(1, len(system.components) + 1)
+    moves = [(i, j) for i in ids for j in ids if i != j]
     nts = sorted(system.nonterminals)
     scheme = FreshNameScheme(system.alphabet)
-    marked = {
-        (a, i): scheme.fresh(f"{a}_{i}")
-        for a in nts for i in range(1, n + 1)
-    }
-    trans = {
-        (a, i, j): scheme.fresh(f"{a}_{i}to{j}")
-        for a in nts for i in range(1, n + 1) for j in range(1, n + 1)
-    }
+    marked = {(a, i): scheme.fresh(f"{a}_{i}") for a in nts for i in ids}
+    trans = {(a, i, j): scheme.fresh(f"{a}_{i}to{j}")
+             for a in nts for i in ids for j in ids}
 
     def mark(form, i):
         return tuple(
             marked[(s, i)] if s in system.nonterminals else s for s in form
         )
 
-    rules = []
+    # each rule under its role, in output order: ("rule", i, r) is rule r of
+    # component i; ("loop", a, k) keeps a_k silent, ("tloop", a, l, k) the
+    # transition symbol a_ltok; ("trans", a, i, j) and ("remark", a, i, j)
+    # hand a_i over from component i to j
+    rules = {("start", i): Rule(system.start, (marked[(system.start, i)],))
+             for i in ids}
+    for i, comp in enumerate(system.components, start=1):
+        for r, rule in enumerate(comp.rules):
+            rules["rule", i, r] = Rule(marked[(rule.lhs, i)],
+                                       mark(rule.rhs, i))
+    for a in nts:
+        for k in ids:
+            rules["loop", a, k] = Rule(marked[(a, k)], (marked[(a, k)],))
+    for a in nts:
+        for l, k in moves:
+            t = trans[(a, l, k)]
+            rules["tloop", a, l, k] = Rule(t, (t,))
+    for i, j in moves:
+        for a in nts:
+            rules["trans", a, i, j] = Rule(marked[(a, i)], (trans[(a, i, j)],))
+    for i, j in moves:
+        for a in nts:
+            rules["remark", a, i, j] = Rule(trans[(a, i, j)],
+                                            (marked[(a, j)],))
+
+    # the order, as every role of ``higher`` above every role of ``lower``
+    at = {role: index for index, role in enumerate(rules)}
     pairs = set()
 
-    def add(rule):
-        rules.append(rule)
-        return len(rules) - 1
+    def above(higher, lower):
+        pairs.update(product([at[g] for g in higher], [at[l] for l in lower]))
 
-    for i in range(1, n + 1):
-        add(Rule(system.start, (marked[(system.start, i)],)))
-
-    marked_rule_idx = {}  # (component index, rule position) -> rule index
-    for ci, comp in enumerate(system.components, start=1):
-        for ri, rule in enumerate(comp.rules):
-            marked_rule_idx[(ci, ri)] = add(
-                Rule(marked[(rule.lhs, ci)], mark(rule.rhs, ci))
-            )
-        if comp.order is not None:
-            for (g, l) in comp.order.pairs:
-                pairs.add((marked_rule_idx[(ci, g)], marked_rule_idx[(ci, l)]))
-
-    loop_idx = {}
-    for a in nts:
-        for k in range(1, n + 1):
-            loop_idx[(a, k)] = add(Rule(marked[(a, k)], (marked[(a, k)],)))
-    tloop_idx = {}
-    for a in nts:
-        for l in range(1, n + 1):
-            for k in range(1, n + 1):
-                if l != k:
-                    tloop_idx[(a, l, k)] = add(
-                        Rule(trans[(a, l, k)], (trans[(a, l, k)],))
-                    )
-    trans_idx = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                for a in nts:
-                    trans_idx[(a, i, j)] = add(
-                        Rule(marked[(a, i)], (trans[(a, i, j)],))
-                    )
-    remark_idx = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                for a in nts:
-                    remark_idx[(a, i, j)] = add(
-                        Rule(trans[(a, i, j)], (marked[(a, j)],))
-                    )
-
-    for ci, comp in enumerate(system.components, start=1):
-        for ri in range(len(comp.rules)):
-            p = marked_rule_idx[(ci, ri)]
-            for a in nts:
-                for k in range(1, n + 1):
-                    if k != ci:
-                        pairs.add((loop_idx[(a, k)], p))
-            for j in range(1, n + 1):
-                if j != ci:
-                    for a in nts:
-                        pairs.add((p, trans_idx[(a, ci, j)]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for a in nts:
-                t = trans_idx[(a, i, j)]
-                for b in nts:
-                    for l in range(1, n + 1):
-                        if l == i:
-                            continue
-                        for k in range(1, n + 1):
-                            if k != j and l != k:
-                                pairs.add((tloop_idx[(b, l, k)], t))
-            for a in nts:
-                r = remark_idx[(a, i, j)]
-                for b in nts:
-                    for l in range(1, n + 1):
-                        if l != j:
-                            pairs.add((loop_idx[(b, l)], r))
-                    for kk in range(1, n + 1):
-                        for l in range(1, n + 1):
-                            if l != j and kk != l:
-                                pairs.add((tloop_idx[(b, kk, l)], r))
+    for i, comp in enumerate(system.components, start=1):
+        for g, l in comp.order.pairs if comp.order is not None else ():
+            above([("rule", i, g)], [("rule", i, l)])
+        body = [("rule", i, r) for r in range(len(comp.rules))]
+        above([("loop", a, k) for a in nts for k in ids if k != i], body)
+        above(body, [("trans", a, i, j) for j in ids if j != i for a in nts])
+    for i, j in moves:
+        above([("tloop", b, l, k) for b in nts for l, k in moves
+               if l != i and k != j],
+              [("trans", a, i, j) for a in nts])
+        above([("loop", b, l) for b in nts for l in ids if l != j]
+              + [("tloop", b, k, l) for b in nts for k, l in moves if l != j],
+              [("remark", a, i, j) for a in nts])
 
     order = close_order(pairs, size=len(rules))
-    comp = Component("P", tuple(rules), order=order)
+    comp = Component("P", tuple(rules.values()), order=order)
     nonterminals = {system.start} | set(marked.values()) | set(trans.values())
     return _Parts("_flat", nonterminals, (comp,))
 
@@ -456,14 +398,9 @@ def _frccd_merge(system: System, mode: Mode):
     other modes are rejected because the merged component could mix rules
     from different components inside one activation.
     """
-    rules = []
-    contexts = []
-    for comp in system.components:
-        for i, rule in enumerate(comp.rules):
-            rules.append(Rule(rule.lhs, rule.rhs))
-            contexts.append(RcCondition(forbid=comp.contexts[i].forbid))
-    return _Parts("_one", system.nonterminals, (
-        Component("P", tuple(rules), contexts=tuple(contexts)),))
+    return _Parts("_one", system.nonterminals, (_frc_component("P", [
+        (rule.lhs, rule.rhs, ctx.forbid) for comp in system.components
+        for rule, ctx in zip(comp.rules, comp.contexts)]),))
 
 
 def _frccd_to_eq2(system: System, mode: Mode):
@@ -485,65 +422,35 @@ def _frccd_to_eq2(system: System, mode: Mode):
     x_sym = _parking_symbols(system, scheme, range(1, k + 1))
     x_all = frozenset(x_sym.values())
 
-    comps = [Component(
-        "Pinit",
-        (Rule(system.start, (system.start,)),
-         Rule(start, (guard, system.start))),
-        contexts=(RcCondition(), RcCondition()),
-    )]
+    no_forbid = frozenset()
+    comps = [_frc_component("Pinit", [
+        (system.start, (system.start,), no_forbid),
+        (start, (guard, system.start), no_forbid)])]
     orig_nts = frozenset(system.nonterminals)
-    for ci, comp in enumerate(system.components):
-        yi = comp_guard[ci]
+    for ci, comp in enumerate(system.components, start=1):
+        yi = comp_guard[ci - 1]
         others = guards - {yi}
-        w_i = []
-        for rule in comp.rules:
-            if rule.rhs not in w_i:
-                w_i.append(rule.rhs)
+        w_i = dict.fromkeys(rule.rhs for rule in comp.rules)
         x_i = frozenset(x_sym[(l, w)] for l in range(1, k + 1) for w in w_i)
 
-        def load_rules(level, stay=frozenset()):
-            rules, ctxs = [], []
-            for j, rule in enumerate(comp.rules):
-                rules.append(Rule(rule.lhs, (x_sym[(level, rule.rhs)],)))
-                ctxs.append(RcCondition(
-                    forbid=comp.contexts[j].forbid | x_all | stay
-                ))
-            return rules, ctxs
+        def load(level, stay):
+            return [(rule.lhs, (x_sym[(level, rule.rhs)],),
+                     ctx.forbid | x_all | stay)
+                    for rule, ctx in zip(comp.rules, comp.contexts)]
 
-        def unload_rules(level):
-            rules, ctxs = [], []
-            for w in w_i:
-                rules.append(Rule(x_sym[(level, w)], w))
-                ctxs.append(RcCondition(forbid=others))
-            return rules, ctxs
+        def unload(level):
+            return [(x_sym[(level, w)], w, others) for w in w_i]
 
-        rules, ctxs = load_rules(1, stay=guards - {guard})
-        rules.append(Rule(guard, (yi,)))
-        ctxs.append(RcCondition())
-        comps.append(Component(f"P{ci + 1}_0", tuple(rules), contexts=tuple(ctxs)))
-
+        comps.append(_frc_component(f"P{ci}_0", load(1, guards - {guard})
+                                    + [(guard, (yi,), no_forbid)]))
         for level in range(1, k):
-            rules, ctxs = unload_rules(level)
-            more, mctx = load_rules(level + 1, stay=others)
-            comps.append(Component(
-                f"P{ci + 1}_{level}",
-                tuple(rules + more), contexts=tuple(ctxs + mctx),
-            ))
+            comps.append(_frc_component(
+                f"P{ci}_{level}", unload(level) + load(level + 1, others)))
         if mode.variant == ">=":
-            rules, ctxs = unload_rules(k)
-            more, mctx = load_rules(k, stay=others)
-            comps.append(Component(
-                f"P{ci + 1}_{k}",
-                tuple(rules + more), contexts=tuple(ctxs + mctx),
-            ))
-        rules, ctxs = unload_rules(k)
-        rules.append(Rule(yi, (guard,)))
-        ctxs.append(RcCondition(forbid=others | x_i))
-        rules.append(Rule(yi, ()))
-        ctxs.append(RcCondition(forbid=orig_nts))
-        comps.append(Component(
-            f"P{ci + 1}_{k + 1}", tuple(rules), contexts=tuple(ctxs),
-        ))
+            comps.append(_frc_component(f"P{ci}_{k}",
+                                        unload(k) + load(k, others)))
+        comps.append(_frc_component(f"P{ci}_{k + 1}", unload(k) + [
+            (yi, (guard,), others | x_i), (yi, (), orig_nts)]))
 
     nonterminals = system.nonterminals | x_all | guards | {start}
     return _Parts("_eq2", nonterminals, comps, start=start)
@@ -561,17 +468,12 @@ def _frccd_eq2_to_k(system: System, mode: Mode):
     k = mode.k
     scheme = FreshNameScheme(system.alphabet)
 
-    markable = []
-    for comp in system.components:
-        for rule in comp.rules:
-            s = rule.rhs[0] if rule.rhs else None
-            if s not in markable:
-                markable.append(s)
-    mark_sym = {}
-    for s in markable:
-        base = s if s is not None else "lam"
-        for level in range(1, k + 1):
-            mark_sym[(s, level)] = scheme.fresh(base + "'" * level)
+    markable = dict.fromkeys(rule.rhs[0] if rule.rhs else None
+                             for comp in system.components
+                             for rule in comp.rules)
+    mark_sym = {(s, level): scheme.fresh(("lam" if s is None else s)
+                                         + "'" * level)
+                for s in markable for level in range(1, k + 1)}
     m_all = frozenset(mark_sym.values())
     m_ge2 = frozenset(
         v for (s, level), v in mark_sym.items() if level >= 2
@@ -581,56 +483,36 @@ def _frccd_eq2_to_k(system: System, mode: Mode):
     x_all = frozenset(x_sym.values())
 
     def marked(w, level):
-        if not w:
-            return (mark_sym[(None, level)],)
-        return (mark_sym[(w[0], level)],) + tuple(w[1:])
+        return (mark_sym[(w[0] if w else None, level)],) + w[1:]
 
     comps = []
-    for ci, comp in enumerate(system.components):
+    for ci, comp in enumerate(system.components, start=1):
         firsts = {r.rhs[0] for r in comp.rules if r.rhs}
-        rules, ctxs = [], []
-        for j, rule in enumerate(comp.rules):
-            fj = comp.contexts[j].forbid
-            rules.append(Rule(rule.lhs, (x_sym[(1, rule.rhs)],)))
-            ctxs.append(RcCondition(forbid=fj | m_all | x_all))
-            for t in range(1, k - 2):
-                lhs = x_sym[(t, rule.rhs)]
-                rules.append(Rule(lhs, (x_sym[(t + 1, rule.rhs)],)))
-                ctxs.append(RcCondition(forbid=fj | m_all | (x_all - {lhs})))
-            lhs = x_sym[(k - 2, rule.rhs)]
-            rules.append(Rule(lhs, marked(rule.rhs, 1)))
-            ctxs.append(RcCondition(forbid=fj | m_all | (x_all - {lhs})))
-            rules.append(Rule(rule.lhs, marked(rule.rhs, k - 1)))
-            ctxs.append(RcCondition(forbid=fj | m_ge2 | x_all))
+        # a dict, so that rules sharing a right-hand side add each entry once
+        entries = {}
+        for rule, ctx in zip(comp.rules, comp.contexts):
+            fj = ctx.forbid
+            chain = [x_sym[(t, rule.rhs)] for t in range(1, k - 1)]
+            entries[rule.lhs, (chain[0],), fj | m_all | x_all] = None
+            for x, w in zip(chain, [(y,) for y in chain[1:]]
+                            + [marked(rule.rhs, 1)]):
+                entries[x, w, fj | m_all | (x_all - {x})] = None
+            entries[rule.lhs, marked(rule.rhs, k - 1),
+                    fj | m_ge2 | x_all] = None
             if rule.lhs in firsts:
-                rules.append(Rule(mark_sym[(rule.lhs, 1)], marked(rule.rhs, k)))
-                ctxs.append(RcCondition(forbid=fj | m_ge2 | x_all))
-        # drop duplicates introduced by rules sharing a right-hand side
-        seen, dedup_rules, dedup_ctxs = set(), [], []
-        for rule, ctx in zip(rules, ctxs):
-            key = (rule.lhs, rule.rhs, ctx.forbid)
-            if key not in seen:
-                seen.add(key)
-                dedup_rules.append(rule)
-                dedup_ctxs.append(ctx)
-        comps.append(Component(
-            f"P{ci + 1}", tuple(dedup_rules), contexts=tuple(dedup_ctxs),
-        ))
+                entries[mark_sym[(rule.lhs, 1)], marked(rule.rhs, k),
+                        fj | m_ge2 | x_all] = None
+        comps.append(_frc_component(f"P{ci}", entries))
 
-    rules, ctxs = [], []
+    entries = []
     for s in markable:
-        for level in range(k, 1, -1):
-            rules.append(Rule(mark_sym[(s, level)],
-                              (mark_sym[(s, level - 1)],)))
-            ctxs.append(RcCondition(forbid=x_all))
-        rules.append(Rule(mark_sym[(s, 1)], (s,) if s is not None else ()))
-        ctxs.append(RcCondition(forbid=x_all))
+        entries += [(mark_sym[(s, level)], (mark_sym[(s, level - 1)],), x_all)
+                    for level in range(k, 1, -1)]
+        entries.append((mark_sym[(s, 1)], () if s is None else (s,), x_all))
         if mode.variant == ">=":
-            for level in range(1, k + 1):
-                rules.append(Rule(mark_sym[(s, level)],
-                                  (mark_sym[(s, level)],)))
-                ctxs.append(RcCondition(forbid=x_all))
-    comps.append(Component("Preset", tuple(rules), contexts=tuple(ctxs)))
+            entries += [(mark_sym[(s, level)], (mark_sym[(s, level)],), x_all)
+                        for level in range(1, k + 1)]
+    comps.append(_frc_component("Preset", entries))
 
     notes = ()
     if mode.variant == ">=":
@@ -666,42 +548,27 @@ def _cdfrc_to_frccd(system: System, mode: Mode):
     checker = [scheme.fresh(f"Y_F{i}") for i in range(1, n + 1)]
     loops = mode.variant != "t"
 
-    comps = []
-    rules = [Rule(start, (guard, system.start))]
-    ctxs = [RcCondition()]
+    no_forbid = frozenset()
+    init = [(start, (guard, system.start), no_forbid)]
     if loops:
-        rules.append(Rule(guard, (guard,)))
-        ctxs.append(RcCondition())
-    comps.append(Component("P0", tuple(rules), contexts=tuple(ctxs)))
-
+        init.append((guard, (guard,), no_forbid))
+    comps = [_frc_component("P0", init)]
     for i, comp in enumerate(system.components):
-        fi = comp.entry.forbid if comp.entry is not None else frozenset()
-        rules = [Rule(guard, (checker[i],))]
-        ctxs = [RcCondition(forbid=fi)]
-        for j in range(n):
-            if j == i and not loops:
-                continue
-            rules.append(Rule(checker[j], (checker[i],)))
-            ctxs.append(RcCondition(forbid=fi))
-        comps.append(Component(f"PF{i + 1}", tuple(rules),
-                               contexts=tuple(ctxs)))
+        fi = comp.entry.forbid if comp.entry is not None else no_forbid
+        comps.append(_frc_component(f"PF{i + 1}", [
+            (lhs, (checker[i],), fi)
+            for lhs in [guard] + [c for j, c in enumerate(checker)
+                                  if loops or j != i]]))
         body_forbid = frozenset(
             [guard] + [checker[j] for j in range(n) if j != i]
         )
-        rules = [Rule(r.lhs, r.rhs) for r in comp.rules]
-        ctxs = [RcCondition(forbid=body_forbid) for _ in comp.rules]
-        comps.append(Component(f"P{i + 1}", tuple(rules),
-                               contexts=tuple(ctxs)))
+        comps.append(_frc_component(f"P{i + 1}", [
+            (r.lhs, r.rhs, body_forbid) for r in comp.rules]))
 
     orig_nts = frozenset(system.nonterminals)
-    rules, ctxs = [], []
-    for sym in [guard] + checker:
-        rules.append(Rule(sym, ()))
-        ctxs.append(RcCondition(forbid=orig_nts))
-        if loops:
-            rules.append(Rule(sym, (sym,)))
-            ctxs.append(RcCondition(forbid=orig_nts))
-    comps.append(Component("Pend", tuple(rules), contexts=tuple(ctxs)))
+    comps.append(_frc_component("Pend", [
+        (sym, w, orig_nts) for sym in [guard] + checker
+        for w in ([(), (sym,)] if loops else [()])]))
 
     nonterminals = system.nonterminals | {start, guard} | set(checker)
     return _Parts("_frccd", nonterminals, comps, start=start)
@@ -733,59 +600,42 @@ def _frccd_eq2_to_cdfrc(system: System, mode):
     scheme = FreshNameScheme(system.alphabet)
     sharp = scheme.fresh("sharp")
 
-    # rule occurrences deduplicated by content (lhs, rhs, forbid)
+    # each component's rules as distinct (lhs, rhs, forbid) triples, and
+    # each triple's number in order of first appearance; the dicts below
+    # keep their keys in order of first appearance too
     rule_key = {}
     comp_rules = []
     for comp in system.components:
-        keys = []
-        for i, rule in enumerate(comp.rules):
-            key = (rule.lhs, rule.rhs, comp.contexts[i].forbid)
-            if key not in rule_key:
-                rule_key[key] = len(rule_key)
-            if key not in keys:
-                keys.append(key)
+        keys = list(dict.fromkeys(
+            (r.lhs, r.rhs, ctx.forbid)
+            for r, ctx in zip(comp.rules, comp.contexts)))
+        for key in keys:
+            rule_key.setdefault(key, len(rule_key))
         comp_rules.append(keys)
 
-    doubles = []
-    pair_set = []
-    nested = []
-    marker_needed = []
+    doubles = {}
+    pair_set = {}     # unordered pair -> the pair in its first order
+    nested = {}
+    marker_needed = {}
     for keys in comp_rules:
-        for p in keys:
-            a, w, f = p
-            if f.isdisjoint(w) and p not in doubles:
-                doubles.append(p)
+        doubles.update((p, None) for p in keys if p[2].isdisjoint(p[1]))
         for i, p in enumerate(keys):
             for p2 in keys[i + 1:]:
                 if _pairs_compatible(p, p2):
-                    if {p, p2} not in [set(x) for x in pair_set]:
-                        pair_set.append((p, p2))
-                    for q in (p, p2):
-                        if q not in marker_needed:
-                            marker_needed.append(q)
-        for p in keys:
-            for p2 in keys:
-                if p == p2:
-                    continue
-                a, w, f = p
-                a2, w2, f2 = p2
-                if a2 in f2:
-                    continue  # the inner rule can never fire anywhere
-                for pos, s in enumerate(w):
-                    if s != a2:
-                        continue
-                    xi, eta = w[:pos], w[pos + 1:]
-                    if f2.isdisjoint(xi + eta):
-                        entry = (p, p2, xi, eta)
-                        if entry not in nested:
-                            nested.append(entry)
-                        if p not in marker_needed:
-                            marker_needed.append(p)
+                    pair_set.setdefault(frozenset((p, p2)), (p, p2))
+                    marker_needed.update(((p, None), (p2, None)))
+        for p, (a2, w2, f2) in permutations(keys, 2):
+            if a2 in f2:
+                continue  # the inner rule can never fire anywhere
+            w = p[1]
+            for pos, s in enumerate(w):
+                xi, eta = w[:pos], w[pos + 1:]
+                if s == a2 and f2.isdisjoint(xi + eta):
+                    nested[p, (a2, w2, f2), xi, eta] = None
+                    marker_needed[p] = None
 
-    x_sym = {}
-    for key, idx in sorted(rule_key.items(), key=lambda kv: kv[1]):
-        if key in marker_needed:
-            x_sym[key] = scheme.fresh(f"X_p{idx + 1}")
+    x_sym = {key: scheme.fresh(f"X_p{idx + 1}")
+             for key, idx in rule_key.items() if key in marker_needed}
     x_all = frozenset(x_sym.values())
 
     comps = []
@@ -802,7 +652,7 @@ def _frccd_eq2_to_cdfrc(system: System, mode):
             f"M{mi + 1}", (Rule(a, (sharp,)), Rule(sharp, (xp,))),
             entry=RcCondition(forbid=f | {sharp, xp}),
         ))
-    for ji, (p, p2) in enumerate(pair_set):
+    for ji, (p, p2) in enumerate(pair_set.values()):
         (a, w, f), (a2, w2, f2) = p, p2
         comps.append(Component(
             f"J{ji + 1}", (Rule(x_sym[p], w), Rule(x_sym[p2], w2)),
@@ -858,24 +708,24 @@ def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
         )
     x_all = frozenset(s for pair in x_pair.values() for s in pair)
 
-    proto = []  # (name, rules, entry forbid)
+    proto = []  # (name, two rules, entry forbid)
     for comp in system.components:
         entry = comp.entry.forbid if comp.entry is not None else frozenset()
         if len(comp.rules) == 2:
-            proto.append((comp.name, list(comp.rules),
+            proto.append((comp.name, comp.rules,
                           entry | x_all | ({sharp} if sharp else frozenset())))
             continue
         rule = comp.rules[0]
         a, w, f = rule.lhs, rule.rhs, entry
         xp, xq = x_pair[comp.name]
         proto.append((f"{comp.name}_m1",
-                      [Rule(a, (sharp,)), Rule(sharp, (xp,))],
+                      (Rule(a, (sharp,)), Rule(sharp, (xp,))),
                       f | {sharp, xp}))
         proto.append((f"{comp.name}_m2",
-                      [Rule(a, (sharp,)), Rule(sharp, (xq,))],
+                      (Rule(a, (sharp,)), Rule(sharp, (xq,))),
                       f | {sharp, xq}))
         proto.append((f"{comp.name}_j",
-                      [Rule(xp, w), Rule(xq, w)],
+                      (Rule(xp, w), Rule(xq, w)),
                       f | {sharp} | (x_all - {xp, xq})))
         if a not in f:
             for pos, s in enumerate(w):
@@ -884,52 +734,40 @@ def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
                 xi, eta = w[:pos], w[pos + 1:]
                 if f.isdisjoint(xi + eta):
                     proto.append((f"{comp.name}_n{pos + 1}",
-                                  [Rule(xp, (sharp,)), Rule(sharp, xi + w + eta)],
+                                  (Rule(xp, (sharp,)),
+                                   Rule(sharp, xi + w + eta)),
                                   f | {sharp} | (x_all - {xp})))
 
-    chain_counter = [0]
-    chain_all = set()
-
-    def chain_rule(rule):
-        links = []
-        for _ in range(k - 2):
-            chain_counter[0] += 1
-            links.append(scheme.fresh(f"c{chain_counter[0]}"))
-        chain_all.update(links)
-        out = [Rule(rule.lhs, (links[0],))]
-        for a, b in zip(links, links[1:]):
-            out.append(Rule(a, (b,)))
-        out.append(Rule(links[-1], rule.rhs))
-        return out
-
-    comps = []
-    entries = []
-    for name, rules, entry in proto:
-        if rules[0].rhs == (rules[1].lhs,) and rules[0].lhs != rules[1].lhs:
-            new_rules = [rules[0]] + chain_rule(rules[1])
-        elif rules[1].rhs == (rules[0].lhs,) and rules[0].lhs != rules[1].lhs:
-            new_rules = chain_rule(rules[0]) + [rules[1]]
-        else:
-            first = min(range(2), key=lambda i: (rules[i].lhs, rules[i].rhs))
-            new_rules = []
-            for i in (0, 1):
-                if i == first:
-                    new_rules.extend(chain_rule(rules[i]))
-                else:
-                    new_rules.append(rules[i])
-        comps.append((name, tuple(new_rules)))
-        entries.append(entry)
-
-    chain_all = frozenset(chain_all)
+    # component c prolongs one rule through the counters links[c*(k-2):]
+    m = k - 2
+    links = [scheme.fresh(f"c{i}") for i in range(1, len(proto) * m + 1)]
+    chain_all = frozenset(links)
     built = tuple(
-        Component(name, rules, entry=RcCondition(forbid=entry | chain_all))
-        for (name, rules), entry in zip(comps, entries)
+        Component(name, _prolonged(rules, links[c * m:(c + 1) * m]),
+                  entry=RcCondition(forbid=entry | chain_all))
+        for c, (name, rules, entry) in enumerate(proto)
     )
     nonterminals = system.nonterminals | x_all | chain_all
     if sharp:
         nonterminals = nonterminals | {sharp}
     return _Parts(f"_eq{k}", nonterminals, built, notes=(
         "prolongation rule choice is a documented heuristic",))
+
+
+def _prolonged(rules, links):
+    """The two rules, one of them rewritten through the chain ``links``:
+    the rule that a marker rule hands over to, else the least."""
+    r0, r1 = rules
+    if r0.rhs == (r1.lhs,) and r0.lhs != r1.lhs:
+        i = 1
+    elif r1.rhs == (r0.lhs,) and r0.lhs != r1.lhs:
+        i = 0
+    else:
+        i = min((0, 1), key=lambda i: (rules[i].lhs, rules[i].rhs))
+    lhs, rhs = rules[i].lhs, rules[i].rhs
+    chain = [Rule(a, w) for a, w in zip([lhs, *links],
+                                         [(x,) for x in links] + [rhs])]
+    return (*chain, r1) if i == 0 else (r0, *chain)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,14 @@ The search goes no further than the semantics require:
 * a workspace cut leaves the search incomplete only when the cut form can
   still yield a counted word. A regulated derivation is also a context-free
   one, so no form derives a word shorter than its weight, the sum of its
-  symbols' least terminal yields (``System.weights``). A cut counts only
-  when the cut form weighs at most the counted length
-  (:meth:`_Enumeration.hides`), which makes erasing systems such as
-  ``cf_star`` complete. Only cut forms are weighed: activations drop no form
-  by weight. Under priorities every cut counts unless the system is
-  non-erasing, for the reason above;
+  symbols' least terminal yields (``System.weights``), and no rule lowers
+  a weight. A cut counts only when the cut form weighs at most the counted
+  length, or for a derivation the target's weight, which is its length
+  when it is a terminal word (:meth:`_Enumeration.hides`). In a
+  non-erasing system a cut form longer than that length never counts.
+  This makes erasing systems such as ``cf_star`` complete. Only cut forms
+  are weighed: activations drop no form by weight. Under priorities every
+  cut counts unless the system is non-erasing, for the reason above;
 * on a one-letter terminal alphabet :func:`enumerate_language` searches
   multisets: each activation result is sorted before it is stored. Every
   regulation (rule orders, random context, entry conditions, priorities,
@@ -103,9 +105,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import Component, Mode, format_word
+from .core import Component, Mode, format_word, shortlex_key
 from .errors import BudgetExceeded, UnknownLabel
 
 
@@ -116,8 +117,8 @@ class StepBounds:
     workspace: maximum sentential-form length explored; an upper bound,
         which enumeration and derivation search lower to ``max_len`` (the
         target's length) for a non-erasing system without priorities. A
-        cut of a form that weighs more than that length leaves them
-        complete (see the module docstring);
+        cut of a form that weighs more than ``max_len`` (the target's
+        weight) leaves them complete (see the module docstring);
     step_budget: maximum rule applications per activation (in mode_apply,
         enumeration, derivation search and its trace rebuild); a graph
         control move is one application, so there it never binds;
@@ -143,7 +144,7 @@ class BoundedLanguage:
     complete: bool
 
     def sorted_words(self):
-        return sorted(self.words, key=lambda w: (len(w), w))
+        return sorted(self.words, key=shortlex_key)
 
 
 @dataclass(frozen=True, order=True)
@@ -516,12 +517,14 @@ class _Enumeration:
     moves of that search: configurations are forms, a move is a component
     activation. :class:`_GcEnumeration` overrides the four moves."""
 
-    def __init__(self, system, bounds, mode, multiset=False, limit=None):
+    def __init__(self, system, bounds, mode, multiset=False, limit=None,
+                 length=None):
         self.system = system
         self.bounds = bounds
         self.mode = mode
         self.multiset = multiset
         self.limit = limit
+        self.length = length
         self._tables = {}
         self._lightest = {}
         self._stable = {}
@@ -664,18 +667,19 @@ class _Enumeration:
         return {i: results.get(i) for i in allowed}
 
     def hides(self, length, build, *args):
-        """Whether a workspace cut may hide a counted word. The cut dropped
+        """Whether a workspace cut may hide a counted form. The cut dropped
         forms of ``length`` or more symbols, the lightest of which
-        ``build(*args)`` builds. No form derives a word lighter than itself
+        ``build(*args)`` builds. No form derives a form lighter than itself
         (``System.weights``), so a cut counts only when it weighs at most
-        the counted length ``limit``. Without a limit (under priorities)
-        every cut counts. A form weighs at least ``least`` per symbol, which
-        decides most cuts without a sum, and nothing is weighed once one
-        cut has counted."""
+        ``limit``, the weight of the heaviest counted form. Without a limit
+        (under priorities) every cut counts. A non-erasing system never
+        shortens a form, so there a cut longer than the counted length
+        ``self.length`` counts for nothing, which decides most cuts without
+        a sum; nothing is weighed once one cut has counted."""
         limit = self.limit
         if limit is None or self.truncated:
             return True
-        if length * self.least > limit:
+        if self.system.non_erasing and length > self.length:
             return False
         weights = self.system.weights
         return sum(map(weights.__getitem__, build(*args))) <= limit
@@ -692,15 +696,6 @@ class _Enumeration:
                     table, key=lambda f: sum(map(weight, f)))
             form += self._lightest[key]
         return form
-
-    @cached_property
-    def least(self):
-        """A lower bound on the weight of every symbol, found at the first
-        cut weighed: 1 in a non-erasing system, which then needs no weight
-        table until a cut passes this bound, else the least weight."""
-        if self.system.non_erasing:
-            return 1
-        return min(self.system.weights.values(), default=0)
 
     def exhaustive(self, length):
         """True if the search was exhaustive for forms of this length: no
@@ -797,19 +792,23 @@ class _GcEnumeration(_Enumeration):
         return TraceStep(move, Mode("*"), apps, result.form)
 
 
-def _enumeration(system, bounds, mode, length, multiset=False):
+def _enumeration(system, bounds, mode, length, multiset=False, weight=None):
     """The search state for ``system``: over (form, label) configurations
     for graph control, over forms (or sorted forms, with ``multiset``) for
-    every other kind. ``length`` is the longest word the caller counts.
-    Without priorities it bounds the weight of a counted cut, and the
-    workspace of a non-erasing system is clamped to it (see the module
-    docstring)."""
+    every other kind. ``length`` is the longest form the caller counts, and
+    ``weight`` the heaviest (``length`` when None, as for terminal words).
+    Without priorities ``weight`` bounds the weight of a counted cut, and
+    the workspace of a non-erasing system is clamped to ``length`` (see the
+    module docstring)."""
     priorities = bool(system.component_order)
     if length < bounds.workspace and system.non_erasing and not priorities:
         bounds = StepBounds(max(length, 1), bounds.step_budget,
                             bounds.form_budget)
     cls = _GcEnumeration if system.kind == "gc" else _Enumeration
-    return cls(system, bounds, mode, multiset, None if priorities else length)
+    if weight is None:
+        weight = length
+    return cls(system, bounds, mode, multiset,
+               None if priorities else weight, length)
 
 
 def _search(enum, target=None):
@@ -915,10 +914,16 @@ def find_derivation(system, mode, target, bounds):
     exhaustive within the bounds and did not reach it.
 
     Raises :class:`BudgetExceeded` when a budget ran out, or a workspace cut
-    may have hidden the target (:meth:`_Enumeration.exhaustive`).
+    may have hidden the target (:meth:`_Enumeration.exhaustive`): a cut
+    form that weighs no more than the target, and in a non-erasing system
+    is no longer than it.
     """
     target = tuple(target)
-    enum = _enumeration(system, bounds, mode, len(target))
+    # a cut form may reach the target only if it weighs no more than the
+    # target; a symbol that the system lacks weighs 1, like a terminal
+    weights = system.weights
+    enum = _enumeration(system, bounds, mode, len(target),
+                        weight=sum(weights.get(s, 1) for s in target))
     enum.keep(frozenset(target))
     parents, _words, hit = _search(enum, target)
     if hit is not None:

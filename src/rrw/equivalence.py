@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Mode, System
+from .core import Mode, System, shortlex_key
 from .engine import BoundedLanguage, StepBounds, enumerate_language
 
 
@@ -294,9 +294,8 @@ def bounded_equiv(a, mode_a, b, mode_b, max_len, bounds) -> EquivVerdict:
     """
     la = enumerate_language(a, mode_a, max_len, bounds)
     lb = enumerate_language(b, mode_b, max_len, bounds)
-    key = lambda w: (len(w), w)
-    only_a = tuple(sorted(la.words - lb.words, key=key)[:20])
-    only_b = tuple(sorted(lb.words - la.words, key=key)[:20])
+    only_a = tuple(sorted(la.words - lb.words, key=shortlex_key)[:20])
+    only_b = tuple(sorted(lb.words - la.words, key=shortlex_key)[:20])
     equal = (
         la.complete and lb.complete and not only_a and not only_b
     )

@@ -409,13 +409,12 @@ def _written_labels(rules) -> list:
     return out
 
 
-def _fmt_rule(rule: Rule, index: int, context, gc: GcRule | None,
-              label: str | None = None) -> str:
+def _fmt_rule(rule: Rule, label: str, index: int, context=None,
+              gc: GcRule | None = None) -> str:
+    """One rule line. A gc rule is written under its gc label, any other
+    rule under ``label`` unless that is the parser's default r<index+1>."""
     parts = []
-    label = rule.label if label is None else label
-    if label is not None and label != f"r{index + 1}":
-        parts.append(f"{label}:")
-    elif gc is not None:
+    if gc is not None or label != f"r{index + 1}":
         parts.append(f"{label}:")
     parts.append(rule.lhs)
     parts.append("->")
@@ -434,7 +433,9 @@ def _fmt_rule(rule: Rule, index: int, context, gc: GcRule | None,
 
 
 def serialize_system(system: System) -> str:
-    """Canonical document for a validated system; parse(serialize(s)) = s."""
+    """Canonical document for a validated system: parse(serialize(s)) = s
+    for a parsed system, and serialize(parse(serialize(s))) = serialize(s)
+    for any."""
     out = [f"system {system.kind} {system.name}"]
     if system.default_mode is not None:
         out.append(f"mode: {system.default_mode}")
@@ -446,7 +447,7 @@ def serialize_system(system: System) -> str:
         out.append("final-labels: " + " ".join(sorted(system.final_labels)))
         out.append("component rules {")
         for i, g in enumerate(system.gc_rules):
-            out.append("  " + _fmt_rule(g.rule, i, None, g))
+            out.append("  " + _fmt_rule(g.rule, g.label, i, gc=g))
         out.append("}")
         out.append("")
         return "\n".join(out)
@@ -465,7 +466,7 @@ def serialize_system(system: System) -> str:
         labels = _written_labels(comp.rules)
         for i, rule in enumerate(comp.rules):
             ctx = comp.contexts[i] if comp.contexts is not None else None
-            out.append("  " + _fmt_rule(rule, i, ctx, None, labels[i]))
+            out.append("  " + _fmt_rule(rule, labels[i], i, ctx))
         if comp.order is not None:
             for (g, l) in sorted(comp.order.pairs):
                 out.append(f"  order: {labels[g]} > {labels[l]}")

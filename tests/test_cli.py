@@ -400,3 +400,60 @@ def test_transform_of_a_system_where_no_rule_pair_can_fire(capsys, tmp_path):
                              "frccd-eq2-to-cdfrc", "--mode", "=2")
     assert status == 0
     assert rrw.parse_system(out).kind == "entry-cdgs"
+
+
+def test_derive_of_a_word_heavier_than_its_length(capsys, tmp_path):
+    # S => B C => B, and B weighs 3: the cut of B C at workspace 1 may hide
+    # the word, so the search is cut, not exhaustive
+    doc = tmp_path / "nt.rrw"
+    doc.write_text("system cf t\nnonterminals: S B C\nterminals: a\n"
+                   "start: S\ncomponent P {\nS -> B C\nC -> eps\n"
+                   "B -> a a a\n}\n", encoding="utf-8")
+    argv = ("derive", str(doc), "--mode", "=1", "--word", "B")
+    status, _, err = run_cli(capsys, *argv, "--workspace", "1")
+    assert status == 3
+    assert "was cut by the bounds" in err
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert "derivable in 2 activation(s)" in out
+
+
+def test_budget_exits_of_enum_and_derive_exit_3(capsys, tmp_path):
+    # the product assembly of P2 on A A A A runs out of forms; the trace of
+    # a found derivation cannot be rebuilt within the step budget
+    four = tmp_path / "four.rrw"
+    four.write_text("system cdgs four\nnonterminals: S A\nterminals: a b\n"
+                    "start: S\ncomponent P1 { S -> A A A A }\n"
+                    "component P2 { A -> a\n A -> b }\n", encoding="utf-8")
+    status, _, err = run_cli(capsys, "enum", str(four), "--mode", "*",
+                             "--max-len", "4", "--form-budget", "10")
+    assert status == 3
+    assert "INCOMPLETE" in err
+    chain = tmp_path / "chain.rrw"
+    chain.write_text("system cdgs chain\nnonterminals: S A B C D\n"
+                     "terminals: a\nstart: S\ncomponent P1 { S -> A A A A }\n"
+                     "component P2 { A -> B\n B -> C\n C -> D\n D -> a }\n",
+                     encoding="utf-8")
+    status, _, err = run_cli(capsys, "derive", str(chain), "--mode", "t",
+                             "--word", "aaaa", "--step-budget", "10")
+    assert status == 3
+    assert "could not rebuild the P2 activation" in err
+
+
+def test_parse_json_reports_the_shape(capsys):
+    status, out, _ = run_cli(capsys, "parse", EXAMPLE1, "--json")
+    assert status == 0
+    report = json.loads(out)["report"]
+    assert report["kind"] == "ocdgs"
+    assert [c["name"] for c in report["components"]] == ["P1", "P2", "P3"]
+    assert report["gcRules"] == 0
+
+
+def test_nonempty_json_and_graph_control(capsys):
+    status, out, _ = run_cli(capsys, "nonempty", EXAMPLE1, "--json")
+    assert status == 0
+    report = json.loads(out)["report"]
+    assert [entry["component"] for entry in report] == ["P1", "P2", "P3"]
+    status, out, _ = run_cli(capsys, "nonempty", GC_CHOICE)
+    assert status == 0
+    assert out == "P: nonempty for A, S\n"

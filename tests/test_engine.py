@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from rrw import (
+    BudgetExceeded,
     Component,
     DerivationTrace,
     GcConfig,
@@ -733,3 +734,141 @@ def test_a_class_level_wrapper_sees_every_condition_lookup(example1):
         Component.effective_conditions = original
     assert calls
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# budget exits, the support cap and weighed derivation targets
+# ---------------------------------------------------------------------------
+
+# P2 acts on four sites at once, so it takes the product path
+FOUR_SITES = """system cdgs four
+nonterminals: S A
+terminals: a b
+start: S
+component P1 { S -> A A A A }
+component P2 { A -> a
+               A -> b }
+"""
+
+
+@pytest.mark.parametrize("bounds", [StepBounds(4, form_budget=10),
+                                    StepBounds(4, step_budget=5)],
+                         ids=["forms", "steps"])
+def test_a_product_assembly_out_of_budget_ends_incomplete(bounds):
+    from rrw.engine import _Enumeration
+
+    system = parse_system(FOUR_SITES)
+    p2 = system.component_named("P2")
+    form = ("A",) * 4
+    whole = _Enumeration(system, StepBounds(4), STAR).activation(p2, form)
+    enum = _Enumeration(system, bounds, STAR)
+    assert enum.product_component(p2, form) is p2
+    assert enum.activation(p2, form) < whole
+    assert enum.exhausted
+    assert not enumerate_language(system, STAR, 4, bounds).complete
+
+
+def test_mode_apply_and_system_successors_out_of_steps_raise():
+    system = parse_system(FOUR_SITES)
+    p2 = system.component_named("P2")
+    form = ("A",) * 4
+    starved = StepBounds(4, step_budget=3)
+    with pytest.raises(BudgetExceeded) as err:
+        mode_apply(p2, form, STAR, starved)
+    assert err.value.partial < mode_apply(p2, form, STAR, StepBounds(4))
+    with pytest.raises(BudgetExceeded):
+        system_successors(system, form, STAR, starved)
+
+
+# a derivation the search finds within 8 steps per activation, whose
+# activation A A A A => a a a a needs 16 steps to rebuild one application
+# at a time
+CHAIN = """system cdgs chain
+nonterminals: S A B C D
+terminals: a
+start: S
+component P1 { S -> A A A A }
+component P2 { A -> B
+               B -> C
+               C -> D
+               D -> a }
+"""
+
+
+@pytest.mark.parametrize("step_budget, found", [(8, False), (15, False),
+                                                (16, True)])
+def test_a_trace_that_cannot_be_rebuilt_is_a_cut_search(step_budget, found):
+    system = parse_system(CHAIN)
+    bounds = StepBounds(4, step_budget=step_budget)
+    if found:
+        trace = find_derivation(system, T, ("a",) * 4, bounds)
+        assert replay_trace(system, trace) == ("a",) * 4
+        return
+    with pytest.raises(BudgetExceeded, match="could not rebuild the P2"):
+        find_derivation(system, T, ("a",) * 4, bounds)
+
+
+def wide_support_system(n=6):
+    """P2 rewrites X1 through X2 ... X{n} to a; its rule Z -> a, ordered
+    above X1 -> X2, makes it regulated. From {X1} more supports are
+    reachable than the support graph explores."""
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    rules = "\n".join(f"  {a} -> {b}" for a, b in zip(xs, xs[1:] + ["a"]))
+    return parse_system(
+        f"system ocdgs wide\nnonterminals: S Z {' '.join(xs)}\n"
+        f"terminals: a\nstart: S\ncomponent P1 {{ S -> X1 X1 X1 X1 }}\n"
+        f"component P2 {{\n{rules}\n  X3 -> a a\n  Z -> a\n"
+        f"  order: r{n + 2} > r1\n}}\n")
+
+
+def test_past_the_support_cap_an_activation_stays_naive():
+    from rrw.engine import _Enumeration, _support_graph
+
+    system = wide_support_system()
+    p2 = system.component_named("P2")
+    walk = list(_support_graph(p2, p2.effective_conditions(),
+                               frozenset({"X1"})))
+    assert walk[-1] is None
+    assert _Enumeration(system, BOUNDS, T).product_component(
+        p2, ("X1",) * 4) is None
+    for text in ("t", "*", "=1", ">=2"):
+        mode = Mode.parse(text)
+        fast = enumerate_language(system, mode, 6, StepBounds(8))
+        assert fast == reference_enumerate(system, mode, 6, StepBounds(8))
+        assert fast.complete, text
+
+
+# S => B C => B, and B weighs 3 (B -> a a a): a cut of B C, which weighs 3,
+# may hide the target B although B is one symbol long
+HEAVY_TARGET = """system cf heavy
+nonterminals: S B C
+terminals: a
+start: S
+component P { S -> B C
+              C -> eps
+              B -> a a a }
+"""
+
+
+def test_a_cut_as_heavy_as_the_target_leaves_the_search_cut():
+    system = parse_system(HEAVY_TARGET)
+    eq1 = Mode.parse("=1")
+    with pytest.raises(BudgetExceeded):
+        find_derivation(system, eq1, ("B",), StepBounds(1))
+    trace = find_derivation(system, eq1, ("B",), StepBounds(6))
+    assert replay_trace(system, trace) == ("B",)
+
+
+def test_a_non_erasing_search_drops_cuts_longer_than_the_target():
+    # A weighs 3, but the only cut form, a a, is longer than A and a
+    # non-erasing system never shortens a form
+    system = parse_system(
+        "system cf long\nnonterminals: S A\nterminals: a\nstart: S\n"
+        "component P { S -> a a\n  A -> a a a }\n")
+    assert find_derivation(system, Mode.parse("=1"), ("A",),
+                           StepBounds(4)) is None
+
+
+def test_a_target_symbol_the_system_lacks_weighs_one():
+    assert find_derivation(singleton_system(), STAR, ("q",),
+                           StepBounds(4)) is None

@@ -240,6 +240,35 @@ def test_unlabelled_rule_does_not_collide_with_explicit_positional_label():
     assert serialize_system(again) == text
 
 
+def test_a_code_built_gc_system_round_trips():
+    from rrw import GcRule, Rule, System, validate
+
+    system = System(
+        kind="gc", name="built", nonterminals={"S"}, terminals={"a"},
+        start="S", init_labels={"p1"}, final_labels={"p1"},
+        gc_rules=(GcRule("p1", Rule("S", ("a",)), success={"p1"}),),
+    )
+    assert validate(system) == []
+    text = serialize_system(system)
+    assert "  p1: S -> a success { p1 }" in text.splitlines()
+    again = parse_system(text)
+    assert [(g.label, g.rule.lhs, g.rule.rhs, g.success)
+            for g in again.gc_rules] == [("p1", "S", ("a",), {"p1"})]
+    assert serialize_system(again) == text
+
+
+def test_an_entry_permit_set_round_trips():
+    doc = ("system entry-cdgs permit\nnonterminals: S A\nterminals: a\n"
+           "start: S\ncomponent P1 entry forbid { A } permit { S } "
+           "{ S -> A A }\ncomponent P2 { A -> a }\n")
+    system = parse_system(doc)
+    entry = system.component_named("P1").entry
+    assert (entry.forbid, entry.permit) == ({"A"}, {"S"})
+    text = serialize_system(system)
+    assert "component P1 entry forbid { A } permit { S } {" in text
+    assert parse_system(text) == system
+
+
 def test_construction_outputs_round_trip_to_a_fixed_point():
     from rrw import apply_construction
     from test_acceptance import diff_cases
