@@ -770,8 +770,10 @@ def _construction_outputs():
     return out
 
 
-# written from _construction_outputs() before the builders were rewritten;
-# the tests do not regenerate it
+# written from _construction_outputs() before the builders were rewritten to
+# state each output rule once; the tests do not regenerate it. A change that
+# mends a builder (against a restated theorem) rewrites that builder's
+# entries and no others.
 CONSTRUCTION_OUTPUTS = CORPUS_DIR.parent / "tests" / "construction_outputs.json"
 
 
