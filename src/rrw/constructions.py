@@ -554,7 +554,7 @@ def _cdfrc_to_frccd(system: System, mode: Mode):
         init.append((guard, (guard,), no_forbid))
     comps = [_frc_component("P0", init)]
     for i, comp in enumerate(system.components):
-        fi = comp.entry.forbid if comp.entry is not None else no_forbid
+        fi = comp.entry.forbid
         comps.append(_frc_component(f"PF{i + 1}", [
             (lhs, (checker[i],), fi)
             for lhs in [guard] + [c for j, c in enumerate(checker)
@@ -710,7 +710,7 @@ def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
 
     proto = []  # (name, two rules, entry forbid)
     for comp in system.components:
-        entry = comp.entry.forbid if comp.entry is not None else frozenset()
+        entry = comp.entry.forbid
         if len(comp.rules) == 2:
             proto.append((comp.name, comp.rules,
                           entry | x_all | ({sharp} if sharp else frozenset())))
@@ -790,7 +790,7 @@ def _cdfrc_to_pcd(system: System, mode: Mode):
     pairs = set()
     used_dead = False
     for i, comp in enumerate(system.components):
-        forbid = comp.entry.forbid if comp.entry is not None else frozenset()
+        forbid = comp.entry.forbid
         if not forbid:
             continue
         rules = []
@@ -870,7 +870,7 @@ def _cdfrc_geqk_to_geq2(system: System, mode: Mode):
         entry=RcCondition(forbid=orig_nts | (y_all - {guard})),
     ))
     for i, comp in enumerate(system.components, start=1):
-        fi = comp.entry.forbid if comp.entry is not None else frozenset()
+        fi = comp.entry.forbid
         body = tuple(Rule(r.lhs, r.rhs) for r in comp.rules)
         comps.append(Component(
             f"Pick{i}",
@@ -953,15 +953,19 @@ class Contract:
 
     def check(self, system: System, mode=None, compact=False):
         """Return this contract; raise unless ``system``, ``mode`` and
-        ``compact`` lie within it."""
+        ``compact`` lie within it: :class:`KindError` for a kind outside
+        it, ``ValidationError`` for a system that ``validate`` rejects (a
+        builder relies on every invariant of its input kind),
+        :class:`PermitPresent`, :class:`ModeError` or ``ValueError``."""
         if system.kind not in self.kinds.split():
             raise KindError(
                 f"{self.name} expects kind in {sorted(self.kinds.split())}, "
                 f"got {system.kind}"
             )
+        check(system)
         if self.forbid_entries:
             for comp in system.components:
-                if comp.entry is not None and comp.entry.permit:
+                if comp.entry.permit:
                     raise PermitPresent(
                         f"{self.name}: component {comp.name} has entry permit "
                         "symbols; only forbid-style entry conditions are "
@@ -1022,8 +1026,9 @@ def apply_construction(name, system, mode=None, compact=False):
     ``cdfrc-eq2-to-eqk``), whose k is taken from it. Mode-free
     constructions may be given a mode, which must lie in their contract.
     ``compact`` selects the erasing variant of ``gc-to-ocdgs``. Raises
-    ``KeyError`` for an unknown name, :class:`KindError`, :class:`ModeError`
-    or :class:`PermitPresent` outside the contract, and ``ValueError`` for
+    ``KeyError`` for an unknown name, :class:`KindError`, ``ValidationError``
+    for an input that ``validate`` rejects, :class:`ModeError` or
+    :class:`PermitPresent` outside the contract, and ``ValueError`` for
     ``compact`` elsewhere. Returns the validated output system and its
     report. The report's modes come from the contract's mode map applied to
     ``mode``; a mode-free construction called without one reports the map's

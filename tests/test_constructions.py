@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from rrw import (
     Rule,
     StepBounds,
     System,
+    ValidationError,
     apply_construction,
     bounded_equiv,
     close_order,
@@ -468,6 +470,18 @@ def test_apply_construction_rejects_wrong_kind():
         apply_construction("cdfrc-eq2-to-eqk", witness, mode=Mode.parse("=3"))
 
 
+def test_apply_construction_rejects_an_invalid_input():
+    # validate says "kind frccdgs requires per-rule contexts"; the builder
+    # used to fail on it with a TypeError
+    system = System(
+        kind="frccdgs", name="bare", nonterminals=frozenset({"S"}),
+        terminals=frozenset({"a"}), start="S",
+        components=(Component("P", (Rule("S", ("a",)),)),),
+    )
+    with pytest.raises(ValidationError, match="requires per-rule contexts"):
+        apply_construction("frccd-merge", system, Mode.parse("*"))
+
+
 # ---------------------------------------------------------------------------
 # the CONSTRUCTIONS table
 # ---------------------------------------------------------------------------
@@ -509,6 +523,10 @@ def test_apply_construction_enforces_the_table(name):
                     if contract.accepts(Mode.parse(t)))
         with pytest.raises(ValueError):
             apply_construction(name, system, mode=mode, compact=True)
+    # an input that validate rejects never reaches the builder
+    broken = replace(system, start=system.start + "_undeclared")
+    with pytest.raises(ValidationError, match="is not a nonterminal"):
+        apply_construction(name, broken)
 
 
 # Each step is applied to the previous step's output in the mode that the
