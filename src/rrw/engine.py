@@ -13,9 +13,13 @@ paths, both from the layers of one function, :func:`_step_layers`:
   reduces to lhs presence, a derivation decomposes into independent
   per-position derivations whose step counts add up, and the results are
   assembled from one table per symbol (``_position_table``): the subforms
-  of the layers from that symbol, each with its layer indices. It is exact
-  within the workspace for every mode and never falls back to the naive
-  path.
+  of the layers from that symbol, each with its layer indices. The
+  assembly (``_assemble``) goes position by position over a map from each
+  prefix to the set of its step sums, an int bitmask, so adding a table
+  entry's values is one shift-or per value and equal prefixes are stored
+  once; a run of equal symbols whose table has one subform is taken in one
+  move. It is exact within the workspace for every mode and never falls
+  back to the naive path.
 
 Which path runs where:
 
@@ -91,14 +95,21 @@ The search goes no further than the semantics require:
   are weighed: activations drop no form by weight. Under priorities every
   cut counts unless the system is non-erasing, for the reason above;
 * on a one-letter terminal alphabet :func:`enumerate_language` searches
-  multisets: each activation result is sorted before it is stored. Every
-  regulation (rule orders, random context, entry conditions, priorities,
-  mode-t stuckness, the workspace) reads only how often each symbol occurs,
-  never where, so activating a permuted form gives the permutations of the
-  same results, and the sorted search reaches exactly the multisets of the
-  word search. Over one letter a word is its multiset, so the words and the
-  ``complete`` flag are those of the word search. :func:`find_derivation`
-  and graph control search words, because a trace needs positions.
+  multisets (Parikh images): every form is sorted. Every regulation (rule
+  orders, random context, entry conditions, priorities, mode-t stuckness,
+  the workspace) reads only how often each symbol occurs, never where, and
+  rewriting is context-free, so activating a permuted form gives the
+  permutations of the same results, and the sorted search reaches exactly
+  the multisets of the word search. Over one letter a word is its
+  multiset, so the words and the ``complete`` flag are those of the word
+  search. The activations work on multisets from start to end: a naive
+  layer applies each enabled rule once per form, at the first occurrence
+  of its lhs, and sorts the result, so the step budget counts one
+  application per rule and form; the position tables hold sorted subforms,
+  and the assembly keys its map by sorted prefixes, so the orderings of a
+  partial result merge as they are built and each merged prefix is one
+  push. :func:`find_derivation`, :func:`mode_apply`, graph control and the
+  trace rebuild search words, because a trace needs positions.
 """
 
 from __future__ import annotations
@@ -120,10 +131,18 @@ class StepBounds:
         cut of a form that weighs more than ``max_len`` (the target's
         weight) leaves them complete (see the module docstring);
     step_budget: maximum rule applications per activation (in mode_apply,
-        enumeration, derivation search and its trace rebuild); a graph
-        control move is one application, so there it never binds;
+        enumeration and derivation search); a graph control move is one
+        application, so there it never binds. A product-path activation
+        spends one step per partial result that its assembly stores, each
+        merged prefix once (a run taken in one move spends one per
+        position). In a multiset search (see the module docstring) a naive
+        layer applies each enabled rule once per form, at the first
+        occurrence of its lhs, so one step is one application per rule and
+        form;
     form_budget: maximum configurations stored per enumeration or search,
-        and results assembled per product-path activation.
+        results assembled per product-path activation, and states stored
+        per search that rebuilds the applications of one activation on a
+        found derivation's trace.
     """
 
     workspace: int
@@ -223,10 +242,14 @@ def component_successors(component, form):
     return out
 
 
-def _step_layer(component, conds, forms, workspace, budget, hides):
+def _step_layer(component, conds, forms, workspace, budget, hides,
+                multiset):
     """One ⇒ layer over a set of forms. Returns (successors, truncated):
     truncated when the workspace cut a successor that ``hides`` counts (see
-    :meth:`_Enumeration.hides`; None counts every cut)."""
+    :meth:`_Enumeration.hides`; None counts every cut). With ``multiset``
+    the forms are sorted, each enabled rule is applied once, at the first
+    occurrence of its lhs (every occurrence gives the same multiset), and
+    each successor is sorted."""
     out = set()
     truncated = False
     for form in forms:
@@ -238,6 +261,12 @@ def _step_layer(component, conds, forms, workspace, budget, hides):
                     truncated = truncated or hides is None or hides(
                         len(form) - 1 + len(rhs), _apply_at, form,
                         component.rules[i], form.index(lhs))
+                    continue
+                if multiset:
+                    if not budget.spend_steps():
+                        return out, truncated
+                    pos = form.index(lhs)
+                    out.add(tuple(sorted(form[:pos] + rhs + form[pos + 1:])))
                     continue
                 for pos, s in enumerate(form):
                     if s == lhs:
@@ -255,9 +284,11 @@ def _has_applicable(conds, form):
     return False
 
 
-def _step_layers(component, conds, seed, mode, workspace, budget, hides):
-    """The ⇒ layers from the forms ``seed`` that ``mode`` needs. Returns
-    (layers, truncated).
+def _step_layers(component, conds, seed, mode, workspace, budget, hides,
+                 multiset):
+    """The ⇒ layers from the forms ``seed`` that ``mode`` needs, over sorted
+    forms with ``multiset`` (see :func:`_step_layer`). Returns (layers,
+    truncated).
 
     With (lo, hi) = ``mode.steps`` and cap = hi, or lo when hi is None,
     ``layers[j]`` holds the forms reached in exactly j steps for j < cap,
@@ -271,7 +302,7 @@ def _step_layers(component, conds, seed, mode, workspace, budget, hides):
     truncated = False
     for _ in range(cap):
         layer, trunc = _step_layer(component, conds, layers[-1], workspace,
-                                   budget, hides)
+                                   budget, hides, multiset)
         truncated = truncated or trunc
         layers.append(layer)
     if hi is None:
@@ -279,7 +310,7 @@ def _step_layers(component, conds, seed, mode, workspace, budget, hides):
         visited = set(frontier)
         while frontier and not budget.exhausted:
             nxt, trunc = _step_layer(component, conds, frontier, workspace,
-                                     budget, hides)
+                                     budget, hides, multiset)
             truncated = truncated or trunc
             frontier = nxt - visited
             visited |= frontier
@@ -290,11 +321,12 @@ def _step_layers(component, conds, seed, mode, workspace, budget, hides):
     return layers, truncated
 
 
-def _naive_mode(component, conds, form, mode, workspace, budget, hides=None):
-    """Exact ⇒_i^m result set: the forms of the layers from ``lo`` steps on.
-    Returns (frozenset, truncated)."""
+def _naive_mode(component, conds, form, mode, workspace, budget, hides=None,
+                multiset=False):
+    """Exact ⇒_i^m result set: the forms of the layers from ``lo`` steps on,
+    sorted with ``multiset``. Returns (frozenset, truncated)."""
     layers, truncated = _step_layers(component, conds, {form}, mode,
-                                     workspace, budget, hides)
+                                     workspace, budget, hides, multiset)
     return frozenset().union(*layers[mode.steps[0]:]), truncated
 
 
@@ -327,17 +359,19 @@ _PRODUCT_MIN_SITES = 4
 
 
 def _position_table(component, conds, symbol, mode, workspace, budget,
-                    hides):
-    """Per-position (subform -> step-value set) table for the product path:
-    each subform of the :func:`_step_layers` from ``(symbol,)`` with the
-    indices of its layers. Returns (table, truncated); a cut subform is
-    weighed alone, a lower bound on any form that holds it."""
+                    hides, multiset):
+    """Per-position table for the product path: each subform of the
+    :func:`_step_layers` from ``(symbol,)`` (sorted with ``multiset``),
+    mapped to the ascending tuple of the indices of its layers, the step
+    values that :func:`_assemble` shifts its sum masks by. Returns (table,
+    truncated); a cut subform is weighed alone, a lower bound on any form
+    that holds it."""
     layers, truncated = _step_layers(component, conds, {(symbol,)}, mode,
-                                     workspace, budget, hides)
+                                     workspace, budget, hides, multiset)
     table = {}
     for j, layer in enumerate(layers):
         for f in layer:
-            table.setdefault(f, set()).add(j)
+            table[f] = table.get(f, ()) + (j,)
     return table, truncated
 
 
@@ -420,88 +454,143 @@ def _product_results(enum, component, form, budget, producer):
 
 
 def _assemble(enum, tables, workspace, budget, producer):
-    """DFS over per-position choices with support, length and step pruning.
+    """The results of one product-path activation, built position by
+    position over a map from each prefix to its step sums, with support,
+    length and step pruning.
 
     Step values add up across positions: with (lo, hi) = ``mode.steps`` and
     cap as in :func:`_step_layers`, a sum saturates at cap + 1 when hi is
-    set and at cap otherwise, and a result needs a sum in lo..cap.
+    set and at cap otherwise, and a result needs a sum in lo..cap. A set of
+    sums is an int mask (bit s for sum s), so adding a table entry's values
+    is one shift-or per value.
 
-    With a ``producer`` (see :meth:`_Enumeration.useful`), partial choices
-    whose every completion has a useless support are cut; None keeps every
+    In a multiset search (``enum.multiset``) the tables hold sorted
+    subforms and each prefix is sorted, so the permutations of one multiset
+    merge into one entry as they are built. Each new entry of the map is one
+    push on the step budget. Equal symbols share one table, and a run of
+    positions whose table has one subform is taken in one move that spends
+    one push per position, as the positions one by one would.
+
+    With a ``producer`` (see :meth:`_Enumeration.useful`), a prefix whose
+    every completion has a useless support is dropped; None keeps every
     result.
 
-    A partial choice cut by the workspace is weighed by its lightest
-    completion (:meth:`_Enumeration.completion`).
+    A prefix cut by the workspace is weighed by its lightest completion
+    (:meth:`_Enumeration.completion`).
     """
     n = len(tables)
     if not all(tables):
         return frozenset(), False  # some position has no valid yield
-    # minimal total length of positions i..n-1
+    # minimal total length of positions i..n-1, and with a producer the
+    # achievable support unions of positions i..n-1 (None = too many to
+    # track) with a memo of the prefix supports that can still complete to
+    # a useful one; the positions of a run of one table share both once the
+    # unions stop growing
     min_tail = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        min_tail[i] = min_tail[i + 1] + min(len(f) for f in tables[i])
-    # achievable support unions of positions i..n-1 (None = too many to track)
     tail_sups = [None] * (n + 1)
     if producer is not None:
-        tail_sups[n] = {frozenset()}
-        for i in range(n - 1, -1, -1):
-            if tail_sups[i + 1] is None:
-                break
-            sups = set()
-            for f in tables[i]:
-                fs = frozenset(f)
-                sups.update(fs | t for t in tail_sups[i + 1])
-                if len(sups) > 64:
-                    sups = None
-                    break
-            tail_sups[i] = sups
+        tail_sups[n] = ({frozenset()}, {})
+    shortest = 0
+    for i in range(n - 1, -1, -1):
+        table = tables[i]
+        same = i + 1 < n and tables[i + 1] is table
+        if not same:
+            shortest = min(map(len, table))
+        min_tail[i] = min_tail[i + 1] + shortest
+        if tail_sups[i + 1] is None:
+            continue
+        sups = tail_sups[i + 1][0]
+        grown = {frozenset(f) | t for f in table for t in sups}
+        if same and grown == sups:
+            tail_sups[i] = tail_sups[i + 1]
+        elif len(grown) <= 64:
+            tail_sups[i] = (grown, {})
 
     lo, hi = enum.mode.steps
     cap = lo if hi is None else hi
-    saturate = cap if hi is None else cap + 1
-    kept = frozenset(range(lo, cap + 1))
-    results = set()
+    top = 1 << (cap if hi is None else cap + 1)  # the saturated sum
+    below = top - 1
+    # a mask without these bits holds only the saturated sum, above hi
+    himask = -1 if hi is None else below
+    kept = (1 << cap + 1) - (1 << lo)
+    multiset = enum.multiset
+    states = {(): (1, frozenset())}
     truncated = False
-    stack = [(0, (), 0, frozenset(), {0})]
-    while stack:
-        i, prefix, length, support, sums = stack.pop()
-        if i == n:
-            if not kept.isdisjoint(sums) and (
-                producer is None or enum.useful(support, producer)
-            ):
-                if budget.spend_form():
-                    results.add(prefix)
-                else:
-                    truncated = True
-                    break
-            continue
-        if tail_sups[i] is not None and not any(
-            enum.useful(support | t, producer) for t in tail_sups[i]
-        ):
-            continue
-        for f, values in tables[i].items():
-            new_len = length + len(f)
-            if new_len + min_tail[i + 1] > workspace:
-                truncated = truncated or enum.hides(
-                    new_len + min_tail[i + 1], enum.completion, prefix + f,
-                    tables, i + 1)
-                continue
-            # an explicit loop: a set comprehension is a function call on
-            # Python 3.11, which shows on this innermost loop
-            new_sums = set()
-            for a in sums:
-                for b in values:
-                    new_sums.add(min(a + b, saturate))
-            if hi is not None and min(new_sums) > hi:
-                continue
-            if not budget.spend_steps():
+    i = 0
+    while i < n:
+        table = tables[i]
+        j = i + 1
+        if len(table) == 1:
+            while j < n and tables[j] is table:
+                j += 1
+            (f, values), = table.items()
+            run = 1
+            for _ in range(j - i):
+                run = _add_sums(run, values, top, below)
+            f *= j - i
+            if multiset:
+                f = tuple(sorted(f))
+            choices = ((f, _bits(run), frozenset(f)),)
+        else:
+            choices = [(f, values, frozenset(f))
+                       for f, values in table.items()]
+        pushes = j - i
+        tail, sups = min_tail[j], tail_sups[j]
+        nxt = {}
+        for prefix, (sums, support) in states.items():
+            length = len(prefix)
+            for f, values, symbols in choices:
+                if length + len(f) + tail > workspace:
+                    truncated = truncated or enum.hides(
+                        length + len(f) + tail, enum.completion, prefix + f,
+                        tables, j)
+                    continue
+                new = _add_sums(sums, values, top, below)
+                if not new & himask:
+                    continue
+                key = prefix + f
+                if multiset:
+                    key = tuple(sorted(key))
+                old = nxt.get(key)
+                if old is not None:
+                    nxt[key] = (old[0] | new, old[1])
+                    continue
+                grown = support | symbols
+                if sups is not None:
+                    viable = sups[1].get(grown)
+                    if viable is None:
+                        viable = sups[1][grown] = any(
+                            enum.useful(grown | t, producer) for t in sups[0])
+                    if not viable:
+                        continue
+                if not budget.spend_steps(pushes):
+                    return frozenset(), True
+                nxt[key] = (new, grown)
+        states = nxt
+        i = j
+
+    # the pruning above already tested each result's support
+    results = set()
+    for form, (sums, _support) in states.items():
+        if sums & kept:
+            if not budget.spend_form():
                 truncated = True
-                stack.clear()
                 break
-            stack.append(
-                (i + 1, prefix + f, new_len, support | frozenset(f), new_sums)
-            )
+            results.add(form)
     return frozenset(results), truncated
+
+
+def _add_sums(sums, values, top, below):
+    """The mask of the sums of ``sums`` and ``values``, saturated at
+    ``top``."""
+    new = 0
+    for b in values:
+        new |= sums << b
+    return new & below | top if new > below else new
+
+
+def _bits(mask):
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +604,9 @@ def _entry_ok(component, support):
 class _Enumeration:
     """Shared caches and counters for one search under one mode, and the
     moves of that search: configurations are forms, a move is a component
-    activation. :class:`_GcEnumeration` overrides the four moves."""
+    activation. :class:`_GcEnumeration` overrides the four moves. With
+    ``multiset`` the forms are sorted and every activation keeps them so
+    (see the module docstring)."""
 
     def __init__(self, system, bounds, mode, multiset=False, limit=None,
                  length=None):
@@ -540,7 +631,7 @@ class _Enumeration:
         if key not in self._tables:
             self._tables[key] = _position_table(
                 component, component.effective_conditions(), symbol, self.mode,
-                self.bounds.workspace, budget, self.hides,
+                self.bounds.workspace, budget, self.hides, self.multiset,
             )
         return self._tables[key]
 
@@ -621,7 +712,7 @@ class _Enumeration:
         if product is None:
             results, trunc = _naive_mode(
                 component, conds, form, self.mode, self.bounds.workspace,
-                budget, self.hides
+                budget, self.hides, self.multiset
             )
         else:
             results, trunc = _product_results(
@@ -722,8 +813,7 @@ class _Enumeration:
         fixed order: allowed components by index, each activation's results
         sorted. The move is the activated component's index; the mark is
         the producer that the successor's own expansion skips. In a
-        multiset search each result is sorted first, which merges its
-        permutations."""
+        multiset search the activations give sorted results."""
         # Re-activating the producing component is redundant for
         # transitively closed modes: two consecutive >=k (or *, or t)
         # activations of one component compose into a single one, so the
@@ -737,8 +827,6 @@ class _Enumeration:
             if results is None:  # else the priority check's, unpruned
                 results = self.activation(self.system.components[i], form,
                                           mark)
-            if self.multiset:
-                results = {tuple(sorted(res)) for res in results}
             for res in sorted(results):
                 if self.useful(frozenset(res), mark):
                     yield res, i, mark
@@ -956,7 +1044,11 @@ def _activation_witness(enum, component, form, result):
     it has a leftmost witness, which is searched first; a naive-path one
     gets the unrestricted search. Intermediate forms are bounded by
     ``len(result)`` for non-erasing rules; otherwise by the length that
-    rewriting the positions one after another can reach.
+    rewriting the positions one after another can reach. Each search
+    stores at most ``form_budget`` states: it visits one state per
+    application and position, about n·L for n positions rewritten through
+    L steps each, where the activation spent about n + L steps, so the step
+    budget would refuse to rebuild results that the search reached.
     """
     conds = component.effective_conditions()
     workspace = enum.bounds.workspace
@@ -1014,7 +1106,7 @@ def _witness(component, conds, form, result, mode, leftmost, limit, budget):
                     nxt = (cur[:pos] + rhs + cur[pos + 1:],
                            pos if leftmost else 0, steps)
                     if nxt not in parents:
-                        if not budget.spend_steps():
+                        if not budget.spend_form():
                             return None
                         parents[nxt] = (state, (i, pos))
                         if done and nxt[0] == result:

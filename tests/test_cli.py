@@ -43,6 +43,18 @@ def test_enum_prints_shortlex_words(capsys):
     assert out.splitlines() == ["a", "aa", "aaaa", "aaaaaaaa"]
 
 
+@pytest.mark.parametrize("mode", ["*", ">=1"])
+def test_enum_of_every_power_up_to_16_is_complete(capsys, mode):
+    # under these modes ocdgs_example1 derives every a^n; its activations
+    # over one letter are assembled on multisets
+    status, out, _ = run_cli(capsys, "enum", EXAMPLE1, "--mode", mode,
+                             "--max-len", "16", "--json")
+    assert status == 0
+    result = json.loads(out)
+    assert result["complete"]
+    assert result["words"] == ["a" * n for n in range(1, 17)]
+
+
 def test_enum_incomplete_exits_3(capsys):
     status, _, err = run_cli(
         capsys, "enum", str(CORPUS_DIR / "cf_star.rrw"),
@@ -420,7 +432,8 @@ def test_derive_of_a_word_heavier_than_its_length(capsys, tmp_path):
 
 def test_budget_exits_of_enum_and_derive_exit_3(capsys, tmp_path):
     # the product assembly of P2 on A A A A runs out of forms; the trace of
-    # a found derivation cannot be rebuilt within the step budget
+    # a found derivation cannot be rebuilt within the form budget, though
+    # the step budget that let the search find it is enough
     four = tmp_path / "four.rrw"
     four.write_text("system cdgs four\nnonterminals: S A\nterminals: a b\n"
                     "start: S\ncomponent P1 { S -> A A A A }\n"
@@ -435,9 +448,12 @@ def test_budget_exits_of_enum_and_derive_exit_3(capsys, tmp_path):
                      "component P2 { A -> B\n B -> C\n C -> D\n D -> a }\n",
                      encoding="utf-8")
     status, _, err = run_cli(capsys, "derive", str(chain), "--mode", "t",
-                             "--word", "aaaa", "--step-budget", "10")
+                             "--word", "aaaa", "--form-budget", "10")
     assert status == 3
     assert "could not rebuild the P2 activation" in err
+    status, _, _ = run_cli(capsys, "derive", str(chain), "--mode", "t",
+                           "--word", "aaaa", "--step-budget", "10")
+    assert status == 0
 
 
 def test_parse_json_reports_the_shape(capsys):

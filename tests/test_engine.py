@@ -1,5 +1,6 @@
 """Tests for the derivation semantics and bounded enumeration."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -425,7 +426,8 @@ def _random_forms(symbols, rng, count, lengths):
 def test_product_path_matches_naive_path():
     """``_Enumeration.activation`` against the naive closure on every non-gc
     corpus component, mode of ``MODE_GRID`` and seeded random form; the
-    product path runs in every mode.
+    product path runs in every mode. In a multiset search both paths give
+    the sorted image of the word search's results on the sorted form.
 
     Equal whenever the naive path is not truncated. When it is, the product
     path may return a strict superset (it bounds subforms, not whole forms,
@@ -443,6 +445,7 @@ def test_product_path_matches_naive_path():
     bounds = StepBounds(10)
     compared = specialised = supersets = against_oracle = 0
     product_runs = dict.fromkeys(MODE_GRID, 0)
+    multiset_runs = dict.fromkeys(MODE_GRID, 0)
     for name in CORPUS_FILES:
         system = load_corpus(name)
         if system.kind == "gc":
@@ -456,6 +459,7 @@ def test_product_path_matches_naive_path():
         for text in MODE_GRID:
             mode = Mode.parse(text)
             enum = _Enumeration(system, bounds, mode)
+            menum = _Enumeration(system, bounds, mode, multiset=True)
             for ci, comp in enumerate(system.components):
                 conds = comp.effective_conditions()
                 for form in t_forms if text == "t" else forms:
@@ -465,6 +469,18 @@ def test_product_path_matches_naive_path():
                         comp, conds, form, mode, bounds.workspace, budget)
                     assert not budget.exhausted and not enum.exhausted
                     where = (name, comp.name, text, form)
+                    # the multiset activation of the sorted form, on both
+                    # paths, is the sorted image of the word activation
+                    key = tuple(sorted(form))
+                    mslow, mtruncated = _naive_mode(
+                        comp, conds, key, mode, bounds.workspace, budget,
+                        multiset=True)
+                    assert mtruncated == truncated, where
+                    assert mslow == {tuple(sorted(r)) for r in slow}, where
+                    assert menum.activation(comp, key) == \
+                        {tuple(sorted(r)) for r in fast}, where
+                    multiset_runs[text] += bool(
+                        menum.product_component(comp, key))
                     if truncated:
                         assert fast >= slow, where
                         supersets += fast != slow
@@ -482,8 +498,27 @@ def test_product_path_matches_naive_path():
     assert compared > 2000
     assert against_oracle > 4000
     assert all(product_runs.values()), product_runs
+    assert all(multiset_runs.values()), multiset_runs
     assert specialised > 20  # regulated components on the product path
     assert supersets > 0  # the documented cf_star difference still shows
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_both_paths_enumerate_the_same_language(name, monkeypatch):
+    # every activation on the product path where it is exact, then every
+    # one naive: the words and the complete flag agree in every mode
+    import rrw.engine
+
+    system = load_corpus(name)
+    bounds = StepBounds(6 if name == "ocdgs_example1.rrw" else 10)
+    modes = ("*",) if system.kind == "gc" else MODE_GRID
+    for text in modes:
+        mode = Mode.parse(text)
+        languages = []
+        for sites in (0, 1 << 30):
+            monkeypatch.setattr(rrw.engine, "_PRODUCT_MIN_SITES", sites)
+            languages.append(enumerate_language(system, mode, 6, bounds))
+        assert languages[0] == languages[1], text
 
 
 def test_regulation_that_changes_during_a_t_activation_stays_naive():
@@ -605,17 +640,38 @@ def test_enumerated_words_derive_and_replay(name):
 
 @pytest.mark.parametrize("name", ["cf_star.rrw", "entry_witness.rrw",
                                   "frccd_loops.rrw", "ocdgs_example1.rrw"])
-def test_multiset_search_matches_the_word_search(name):
+def test_multiset_search_matches_the_word_search(name, monkeypatch):
     # one unused terminal makes the alphabet binary, which forces the word
-    # search; neither the words nor the complete flag may change
+    # search; neither the words nor the complete flag may change, with every
+    # activation on the product path where it is exact or every one naive
+    import rrw.engine
+
     system = load_corpus(name)
     assert len(system.terminals) == 1
     binary = replace(system, terminals=system.terminals | {"z"})
     bounds = StepBounds(10)
     for text in MODE_GRID:
         mode = Mode.parse(text)
-        assert enumerate_language(system, mode, 6, bounds) == \
-            enumerate_language(binary, mode, 6, bounds), text
+        languages = []
+        for sites in (0, 1 << 30):
+            monkeypatch.setattr(rrw.engine, "_PRODUCT_MIN_SITES", sites)
+            languages += [enumerate_language(system, mode, 6, bounds),
+                          enumerate_language(binary, mode, 6, bounds)]
+        assert all(lang == languages[0] for lang in languages), text
+
+
+@pytest.mark.parametrize("text", ["=1200", ">=1200"])
+def test_a_large_step_count_costs_no_pairwise_sums(entry_witness, text):
+    # a position table holds up to k + 2 step values per subform; they are
+    # added as bitmasks, one shift-or per value
+    mode = Mode.parse(text)
+    bounds = StepBounds(6)
+    start = time.perf_counter()
+    lang = enumerate_language(entry_witness, mode, 4, bounds)
+    elapsed = time.perf_counter() - start
+    assert lang == reference_enumerate(entry_witness, mode, 4, bounds)
+    assert lang.complete and len(lang.words) == 3
+    assert elapsed < 1.0
 
 
 _NON_ERASING = [n for n in CORPUS_FILES if load_corpus(n).non_erasing]
@@ -781,8 +837,8 @@ def test_mode_apply_and_system_successors_out_of_steps_raise():
 
 
 # a derivation the search finds within 8 steps per activation, whose
-# activation A A A A => a a a a needs 16 steps to rebuild one application
-# at a time
+# activation A A A A => a a a a visits 16 states when it is rebuilt one
+# application at a time
 CHAIN = """system cdgs chain
 nonterminals: S A B C D
 terminals: a
@@ -795,17 +851,21 @@ component P2 { A -> B
 """
 
 
-@pytest.mark.parametrize("step_budget, found", [(8, False), (15, False),
-                                                (16, True)])
-def test_a_trace_that_cannot_be_rebuilt_is_a_cut_search(step_budget, found):
+@pytest.mark.parametrize("step_budget", range(8, 17))
+def test_a_derivation_the_search_finds_rebuilds(step_budget):
+    # the rebuild stores its states against the form budget, so the step
+    # budget that let the search reach the word lets its trace be rebuilt
     system = parse_system(CHAIN)
     bounds = StepBounds(4, step_budget=step_budget)
-    if found:
-        trace = find_derivation(system, T, ("a",) * 4, bounds)
-        assert replay_trace(system, trace) == ("a",) * 4
-        return
+    trace = find_derivation(system, T, ("a",) * 4, bounds)
+    assert replay_trace(system, trace) == ("a",) * 4
+
+
+def test_a_trace_that_cannot_be_rebuilt_is_a_cut_search():
+    # the search stores three configurations, the rebuild more than ten
+    system = parse_system(CHAIN)
     with pytest.raises(BudgetExceeded, match="could not rebuild the P2"):
-        find_derivation(system, T, ("a",) * 4, bounds)
+        find_derivation(system, T, ("a",) * 4, StepBounds(4, form_budget=10))
 
 
 def wide_support_system(n=6):
