@@ -9,16 +9,16 @@ paths, both from the layers of one function, :func:`_step_layers`:
 * the naive path (``_naive_mode``, public as ``mode_apply``): the forms of
   the layers from the fewest allowed steps on. It materializes every
   interleaving of the rewrites, so n independent rewrites cost 2^n forms;
-* the positionwise product path (``_product_results``). When applicability
-  reduces to lhs presence, a derivation decomposes into independent
-  per-position derivations whose step counts add up, and the results are
-  assembled from one table per symbol (``_position_table``): the subforms
-  of the layers from that symbol, each with its layer indices. The
-  assembly (``_assemble``) goes position by position over a map from each
-  prefix to the set of its step sums, an int bitmask, so adding a table
-  entry's values is one shift-or per value and equal prefixes are stored
-  once; a run of equal symbols whose table has one subform is taken in one
-  move. It is exact within the workspace for every mode and never falls
+* the positionwise product path (:meth:`_Enumeration.activation`). When
+  applicability reduces to lhs presence, a derivation decomposes into
+  independent per-position derivations whose step counts add up, and the
+  results are assembled from one table per symbol
+  (:meth:`_Enumeration.position_table`): the subforms of the layers from
+  that symbol, each with its layer indices. The assembly (``_assemble``)
+  goes position by position over a map from each prefix to the set of its
+  step sums, an int bitmask, so adding a table entry's values is one
+  shift-or per value and equal prefixes are stored once; a run of equal
+  symbols whose table has one subform is taken in one move. It is exact within the workspace for every mode and never falls
   back to the naive path.
 
 Which path runs where:
@@ -89,7 +89,7 @@ The search goes no further than the semantics require:
   symbols' least terminal yields (``System.weights``), and no rule lowers
   a weight. A cut counts only when the cut form weighs at most the counted
   length, or for a derivation the target's weight, which is its length
-  when it is a terminal word (:meth:`_Enumeration.hides`). In a
+  when it is a terminal word (:meth:`_Enumeration.cut`). In a
   non-erasing system a cut form longer than that length never counts.
   This makes erasing systems such as ``cf_star`` complete. Only cut forms
   are weighed: activations drop no form by weight. Under priorities every
@@ -242,38 +242,34 @@ def component_successors(component, form):
     return out
 
 
-def _step_layer(component, conds, forms, workspace, budget, hides,
-                multiset):
-    """One ⇒ layer over a set of forms. Returns (successors, truncated):
-    truncated when the workspace cut a successor that ``hides`` counts (see
-    :meth:`_Enumeration.hides`; None counts every cut). With ``multiset``
-    the forms are sorted, each enabled rule is applied once, at the first
-    occurrence of its lhs (every occurrence gives the same multiset), and
-    each successor is sorted."""
+def _step_layer(component, conds, forms, workspace, budget, cut, multiset):
+    """One ⇒ layer over a set of forms: their successors. Each rule
+    application that the workspace cuts is reported to ``cut`` (see
+    :meth:`_Enumeration.cut`). With ``multiset`` the forms are sorted, each
+    enabled rule is applied once, at the first occurrence of its lhs (every
+    occurrence gives the same multiset), and each successor is sorted."""
     out = set()
-    truncated = False
     for form in forms:
         support = set(form)
         for i, (lhs, permit, forbid) in enumerate(conds):
             if lhs in support and permit <= support and not (forbid & support):
                 rhs = component.rules[i].rhs
                 if len(form) - 1 + len(rhs) > workspace:
-                    truncated = truncated or hides is None or hides(
-                        len(form) - 1 + len(rhs), _apply_at, form,
+                    cut(len(form) - 1 + len(rhs), _apply_at, form,
                         component.rules[i], form.index(lhs))
                     continue
                 if multiset:
                     if not budget.spend_steps():
-                        return out, truncated
+                        return out
                     pos = form.index(lhs)
                     out.add(tuple(sorted(form[:pos] + rhs + form[pos + 1:])))
                     continue
                 for pos, s in enumerate(form):
                     if s == lhs:
                         if not budget.spend_steps():
-                            return out, truncated
+                            return out
                         out.add(form[:pos] + rhs + form[pos + 1:])
-    return out, truncated
+    return out
 
 
 def _has_applicable(conds, form):
@@ -284,11 +280,11 @@ def _has_applicable(conds, form):
     return False
 
 
-def _step_layers(component, conds, seed, mode, workspace, budget, hides,
+def _step_layers(component, conds, seed, mode, workspace, budget, cut,
                  multiset):
     """The ⇒ layers from the forms ``seed`` that ``mode`` needs, over sorted
-    forms with ``multiset`` (see :func:`_step_layer`). Returns (layers,
-    truncated).
+    forms with ``multiset``, each cut reported to ``cut`` (see
+    :func:`_step_layer`).
 
     With (lo, hi) = ``mode.steps`` and cap = hi, or lo when hi is None,
     ``layers[j]`` holds the forms reached in exactly j steps for j < cap,
@@ -299,35 +295,30 @@ def _step_layers(component, conds, seed, mode, workspace, budget, hides,
     lo, hi = mode.steps
     cap = lo if hi is None else hi
     layers = [seed]
-    truncated = False
     for _ in range(cap):
-        layer, trunc = _step_layer(component, conds, layers[-1], workspace,
-                                   budget, hides, multiset)
-        truncated = truncated or trunc
-        layers.append(layer)
+        layers.append(_step_layer(component, conds, layers[-1], workspace,
+                                  budget, cut, multiset))
     if hi is None:
         frontier = layers[cap]
         visited = set(frontier)
         while frontier and not budget.exhausted:
-            nxt, trunc = _step_layer(component, conds, frontier, workspace,
-                                     budget, hides, multiset)
-            truncated = truncated or trunc
-            frontier = nxt - visited
+            frontier = _step_layer(component, conds, frontier, workspace,
+                                   budget, cut, multiset) - visited
             visited |= frontier
         layers[cap] = visited
     if mode.variant == "t":
         layers = [{f for f in layer if not _has_applicable(conds, f)}
                   for layer in layers]
-    return layers, truncated
+    return layers
 
 
-def _naive_mode(component, conds, form, mode, workspace, budget, hides=None,
+def _naive_mode(component, conds, form, mode, workspace, budget, cut,
                 multiset=False):
     """Exact ⇒_i^m result set: the forms of the layers from ``lo`` steps on,
-    sorted with ``multiset``. Returns (frozenset, truncated)."""
-    layers, truncated = _step_layers(component, conds, {form}, mode,
-                                     workspace, budget, hides, multiset)
-    return frozenset().union(*layers[mode.steps[0]:]), truncated
+    sorted with ``multiset``; each cut is reported to ``cut``."""
+    layers = _step_layers(component, conds, {form}, mode, workspace, budget,
+                          cut, multiset)
+    return frozenset().union(*layers[mode.steps[0]:])
 
 
 def mode_apply(component, form, mode, bounds):
@@ -337,9 +328,10 @@ def mode_apply(component, form, mode, bounds):
     step budget runs out before the closure is exhausted.
     """
     budget = _Budget(bounds.step_budget, bounds.form_budget)
-    result, _ = _naive_mode(
+    # the result does not say whether the workspace cut it
+    result = _naive_mode(
         component, component.effective_conditions(), form, mode,
-        bounds.workspace, budget,
+        bounds.workspace, budget, lambda *_cut: None,
     )
     if budget.exhausted:
         raise BudgetExceeded(
@@ -356,23 +348,6 @@ _SUPPORT_CAP = 64  # max supports explored per abstract support graph
 # Fewest rewritable positions for which any component takes the product
 # path: below it the naive closure has few interleavings and is cheaper.
 _PRODUCT_MIN_SITES = 4
-
-
-def _position_table(component, conds, symbol, mode, workspace, budget,
-                    hides, multiset):
-    """Per-position table for the product path: each subform of the
-    :func:`_step_layers` from ``(symbol,)`` (sorted with ``multiset``),
-    mapped to the ascending tuple of the indices of its layers, the step
-    values that :func:`_assemble` shifts its sum masks by. Returns (table,
-    truncated); a cut subform is weighed alone, a lower bound on any form
-    that holds it."""
-    layers, truncated = _step_layers(component, conds, {(symbol,)}, mode,
-                                     workspace, budget, hides, multiset)
-    table = {}
-    for j, layer in enumerate(layers):
-        for f in layer:
-            table[f] = table.get(f, ()) + (j,)
-    return table, truncated
 
 
 def _support_graph(component, conds, support):
@@ -434,26 +409,7 @@ def _stable_rules(component, conds, support):
     return frozenset(i for i, ok in verdicts.items() if ok)
 
 
-def _product_results(enum, component, form, budget, producer):
-    """Activation results via positionwise decomposition (unregulated only).
-
-    Exact: without per-rule conditions, any interleaving of per-position
-    derivations is valid and step counts add up across positions.
-    Returns (results, truncated).
-    """
-    tables = []
-    truncated = False
-    for s in form:
-        table, trunc = enum.position_table(component, s, budget)
-        truncated = truncated or trunc
-        tables.append(table)
-    results, trunc = _assemble(
-        enum, tables, enum.bounds.workspace, budget, producer
-    )
-    return results, truncated or trunc
-
-
-def _assemble(enum, tables, workspace, budget, producer):
+def _assemble(enum, tables, budget, producer):
     """The results of one product-path activation, built position by
     position over a map from each prefix to its step sums, with support,
     length and step pruning.
@@ -475,12 +431,13 @@ def _assemble(enum, tables, workspace, budget, producer):
     every completion has a useless support is dropped; None keeps every
     result.
 
-    A prefix cut by the workspace is weighed by its lightest completion
+    A prefix that the workspace (``enum.bounds.workspace``) cuts is
+    reported to :meth:`_Enumeration.cut` with its lightest completion
     (:meth:`_Enumeration.completion`).
     """
     n = len(tables)
     if not all(tables):
-        return frozenset(), False  # some position has no valid yield
+        return frozenset()  # some position has no valid yield
     # minimal total length of positions i..n-1, and with a producer the
     # achievable support unions of positions i..n-1 (None = too many to
     # track) with a memo of the prefix supports that can still complete to
@@ -514,8 +471,8 @@ def _assemble(enum, tables, workspace, budget, producer):
     himask = -1 if hi is None else below
     kept = (1 << cap + 1) - (1 << lo)
     multiset = enum.multiset
+    workspace = enum.bounds.workspace
     states = {(): (1, frozenset())}
-    truncated = False
     i = 0
     while i < n:
         table = tables[i]
@@ -541,9 +498,8 @@ def _assemble(enum, tables, workspace, budget, producer):
             length = len(prefix)
             for f, values, symbols in choices:
                 if length + len(f) + tail > workspace:
-                    truncated = truncated or enum.hides(
-                        length + len(f) + tail, enum.completion, prefix + f,
-                        tables, j)
+                    enum.cut(length + len(f) + tail, enum.completion,
+                             prefix + f, tables, j)
                     continue
                 new = _add_sums(sums, values, top, below)
                 if not new & himask:
@@ -564,7 +520,7 @@ def _assemble(enum, tables, workspace, budget, producer):
                     if not viable:
                         continue
                 if not budget.spend_steps(pushes):
-                    return frozenset(), True
+                    return frozenset()
                 nxt[key] = (new, grown)
         states = nxt
         i = j
@@ -574,10 +530,9 @@ def _assemble(enum, tables, workspace, budget, producer):
     for form, (sums, _support) in states.items():
         if sums & kept:
             if not budget.spend_form():
-                truncated = True
                 break
             results.add(form)
-    return frozenset(results), truncated
+    return frozenset(results)
 
 
 def _add_sums(sums, values, top, below):
@@ -625,15 +580,27 @@ class _Enumeration:
         self.exhausted = False
 
     def position_table(self, component, symbol, budget):
-        """The cached :func:`_position_table` of ``symbol`` and its
-        truncation flag."""
+        """The product path's table for one position holding ``symbol``,
+        built once per search: each subform of the :func:`_step_layers`
+        from ``(symbol,)`` (sorted with ``multiset``), mapped to the
+        ascending tuple of the indices of its layers, the step values that
+        :func:`_assemble` shifts its sum masks by. A cut subform is weighed
+        alone, a lower bound on any form that holds it; its cut is recorded
+        when the table is built, and ``truncated`` never resets, so the
+        cached table needs no flag."""
         key = (id(component), symbol)
-        if key not in self._tables:
-            self._tables[key] = _position_table(
-                component, component.effective_conditions(), symbol, self.mode,
-                self.bounds.workspace, budget, self.hides, self.multiset,
+        table = self._tables.get(key)
+        if table is None:
+            layers = _step_layers(
+                component, component.effective_conditions(), {(symbol,)},
+                self.mode, self.bounds.workspace, budget, self.cut,
+                self.multiset,
             )
-        return self._tables[key]
+            table = self._tables[key] = {}
+            for j, layer in enumerate(layers):
+                for f in layer:
+                    table[f] = table.get(f, ()) + (j,)
+        return table
 
     def keep(self, support):
         """Never prune forms with this support (a derivation target)."""
@@ -659,17 +626,12 @@ class _Enumeration:
         maximal = self.mode.variant == "t"
         acting = []
         for i, comp in enumerate(self.system.components):
-            if not _entry_ok(comp, support):
-                continue
             conds = comp.effective_conditions()
-            for (lhs, permit, forbid) in conds:
-                if lhs in support and permit <= support \
-                        and not (forbid & support):
-                    if not maximal or _reaches_stuck(comp, conds, support):
-                        acting.append(i)
+            if _entry_ok(comp, support) and _has_applicable(conds, support) \
+                    and (not maximal or _reaches_stuck(comp, conds, support)):
+                acting.append(i)
+                if len(acting) == 2:
                     break
-            if len(acting) == 2:
-                break
         return acting
 
     def product_component(self, component, form):
@@ -702,23 +664,24 @@ class _Enumeration:
 
     def activation(self, component, form, producer=None):
         """Exact ⇒_i^m results within bounds, on the product path where that
-        is exact. With a ``producer`` the product path drops results that
-        :meth:`useful` rejects; None returns the whole relation."""
+        is exact: without per-rule conditions any interleaving of
+        per-position derivations is valid and step counts add up across
+        positions, so :func:`_assemble` combines the :meth:`position_table`
+        of each position. With a ``producer`` the product path drops results
+        that :meth:`useful` rejects; None returns the whole relation."""
         conds = component.effective_conditions()
         if not _has_applicable(conds, form):
             return frozenset()  # every mode makes at least one application
         budget = _Budget(self.bounds.step_budget, self.bounds.form_budget)
         product = self.product_component(component, form)
         if product is None:
-            results, trunc = _naive_mode(
+            results = _naive_mode(
                 component, conds, form, self.mode, self.bounds.workspace,
-                budget, self.hides, self.multiset
+                budget, self.cut, self.multiset
             )
         else:
-            results, trunc = _product_results(
-                self, product, form, budget, producer
-            )
-        self.truncated = self.truncated or trunc
+            tables = [self.position_table(product, s, budget) for s in form]
+            results = _assemble(self, tables, budget, producer)
         if budget.exhausted:
             self.exhausted = True
         return results
@@ -757,23 +720,24 @@ class _Enumeration:
         allowed = [i for i in live if not blocked(i)]
         return {i: results.get(i) for i in allowed}
 
-    def hides(self, length, build, *args):
-        """Whether a workspace cut may hide a counted form. The cut dropped
-        forms of ``length`` or more symbols, the lightest of which
-        ``build(*args)`` builds. No form derives a form lighter than itself
-        (``System.weights``), so a cut counts only when it weighs at most
-        ``limit``, the weight of the heaviest counted form. Without a limit
-        (under priorities) every cut counts. A non-erasing system never
-        shortens a form, so there a cut longer than the counted length
-        ``self.length`` counts for nothing, which decides most cuts without
-        a sum; nothing is weighed once one cut has counted."""
+    def cut(self, length, build, *args):
+        """Record a workspace cut: set ``truncated`` when the cut may hide a
+        counted form. This is the only code that sets the flag, and nothing
+        resets it during a search. The cut dropped forms of ``length`` or
+        more symbols, the lightest of which ``build(*args)`` builds. No form
+        derives a form lighter than itself (``System.weights``), so a cut
+        counts only when it weighs at most ``limit``, the weight of the
+        heaviest counted form. Without a limit (under priorities) every cut
+        counts. A non-erasing system never shortens a form, so there a cut
+        longer than the counted length ``self.length`` counts for nothing,
+        which decides most cuts without a sum; nothing is weighed once one
+        cut has counted."""
         limit = self.limit
-        if limit is None or self.truncated:
-            return True
-        if self.system.non_erasing and length > self.length:
-            return False
-        weights = self.system.weights
-        return sum(map(weights.__getitem__, build(*args))) <= limit
+        if self.truncated or (limit is not None and self.system.non_erasing
+                              and length > self.length):
+            return
+        self.truncated = limit is None or sum(
+            map(self.system.weights.__getitem__, build(*args))) <= limit
 
     def completion(self, form, tables, i):
         """``form`` followed by the lightest subform of each position table
@@ -788,14 +752,15 @@ class _Enumeration:
             form += self._lightest[key]
         return form
 
-    def exhaustive(self, length):
-        """True if the search was exhaustive for forms of this length: no
-        budget ran out, and no counted workspace cut (:meth:`hides`) can hide
-        such a form; under priorities, every cut counts unless the system is
-        non-erasing and the workspace reaches the length."""
+    def exhaustive(self):
+        """True if the search was exhaustive for forms of the counted length
+        ``self.length``: no budget ran out, and no counted workspace cut
+        (:meth:`cut`) can hide such a form; under priorities, every cut
+        counts unless the system is non-erasing and the workspace reaches
+        the length."""
         return not self.exhausted and (
-            not self.truncated
-            or (self.system.non_erasing and self.bounds.workspace >= length)
+            not self.truncated or (self.system.non_erasing
+                                   and self.bounds.workspace >= self.length)
         )
 
     # -- the moves of the search --------------------------------------------
@@ -860,7 +825,7 @@ class _GcEnumeration(_Enumeration):
         for nxt in sorted(gc_successors(self.system, config)):
             if len(nxt.form) > self.bounds.workspace:
                 # the cut form is itself the lightest it hides
-                self.truncated = self.hides(len(nxt.form), tuple, nxt.form)
+                self.cut(len(nxt.form), tuple, nxt.form)
             else:
                 yield nxt, config.label, None
 
@@ -990,7 +955,7 @@ def enumerate_language(system, mode, max_len, bounds):
                         multiset=len(system.terminals) == 1)
     _parents, words, _hit = _search(enum)
     words = frozenset(w for w in words if len(w) <= max_len)
-    return BoundedLanguage(words, max_len, enum.exhaustive(max_len))
+    return BoundedLanguage(words, max_len, enum.exhaustive())
 
 
 # ---------------------------------------------------------------------------
@@ -1016,7 +981,7 @@ def find_derivation(system, mode, target, bounds):
     parents, _words, hit = _search(enum, target)
     if hit is not None:
         return _build_trace(enum, hit, parents)
-    if not enum.exhaustive(len(target)):
+    if not enum.exhaustive():
         raise BudgetExceeded(
             f"derivation search for {format_word(target)} was cut by the "
             "bounds"

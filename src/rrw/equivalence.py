@@ -70,6 +70,17 @@ class _Oracle:
         self._next = {}
         self._weight = system.weights.__getitem__
         self._growth = system.growth
+        # the greater components of each component that has any, and the
+        # components ranked so that each comes after all of its greater
+        # ones: the order is transitively closed, so a greater component
+        # has fewer
+        self._greater = greater = {}
+        self._ranked = range(len(system.components))
+        if system.component_order is not None:
+            for g, l in system.component_order.pairs:
+                greater.setdefault(l, []).append(g)
+            self._ranked = sorted(
+                self._ranked, key=lambda ci: len(greater.get(ci, ())))
 
     # -- independent applicability test ---------------------------------
 
@@ -171,36 +182,24 @@ class _Oracle:
     # -- system level ------------------------------------------------------
 
     def system_step(self, form, mode):
-        system = self.system
-        out = set()
-        live = []
-        for ci, comp in enumerate(system.components):
+        """The union of the results of every live component that no live,
+        unblocked greater component with a result blocks. Each component is
+        decided once, after its greater ones."""
+        components = self.system.components
+        greater = self._greater
+        results = {}  # the live, unblocked components
+        for ci in self._ranked:
+            comp = components[ci]
             if comp.entry is not None:
                 ok = all(s in form for s in comp.entry.permit) and not any(
                     s in form for s in comp.entry.forbid
                 )
                 if not ok:
                     continue
-            live.append(ci)
-        results = {}
-
-        def result_of(ci):
-            if ci not in results:
-                results[ci] = self.mode_set(ci, form, mode)
-            return results[ci]
-
-        def blocked(ci):
-            if system.component_order is None:
-                return False
-            for (g, l) in system.component_order.pairs:
-                if l == ci and g in live and not blocked(g) and result_of(g):
-                    return True
-            return False
-
-        for ci in live:
-            if not blocked(ci):
-                out |= result_of(ci)
-        return out
+            if ci in greater and any(map(results.get, greater[ci])):
+                continue
+            results[ci] = self.mode_set(ci, form, mode)
+        return set().union(*results.values())
 
 
 def _oracle_gc(system, max_len, bounds):

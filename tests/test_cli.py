@@ -473,3 +473,25 @@ def test_nonempty_json_and_graph_control(capsys):
     status, out, _ = run_cli(capsys, "nonempty", GC_CHOICE)
     assert status == 0
     assert out == "P: nonempty for A, S\n"
+
+
+def test_the_readme_synopsis_lists_every_option():
+    # each subcommand's synopsis line names every option string that its
+    # parser takes, help aside
+    import argparse
+    import re
+
+    from rrw.cli import _build_parser
+
+    readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line tool", 1)[1].split("```")[1]
+    lines = {line.split()[1]: line for line in block.strip().splitlines()}
+    sub, = (action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert set(lines) == set(sub.choices)
+    for name, parser in sub.choices.items():
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", lines[name]))
+        options = {option for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for option in action.option_strings}
+        assert options <= listed, (name, sorted(options - listed))

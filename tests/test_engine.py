@@ -465,17 +465,21 @@ def test_product_path_matches_naive_path():
                 for form in t_forms if text == "t" else forms:
                     fast = enum.activation(comp, form)
                     budget = _Budget(bounds.step_budget, bounds.form_budget)
-                    slow, truncated = _naive_mode(
-                        comp, conds, form, mode, bounds.workspace, budget)
+                    # a fresh search without a weight limit counts every cut
+                    cuts = _Enumeration(system, bounds, mode)
+                    slow = _naive_mode(comp, conds, form, mode,
+                                       bounds.workspace, budget, cuts.cut)
+                    truncated = cuts.truncated
                     assert not budget.exhausted and not enum.exhausted
                     where = (name, comp.name, text, form)
                     # the multiset activation of the sorted form, on both
                     # paths, is the sorted image of the word activation
                     key = tuple(sorted(form))
-                    mslow, mtruncated = _naive_mode(
-                        comp, conds, key, mode, bounds.workspace, budget,
-                        multiset=True)
-                    assert mtruncated == truncated, where
+                    mcuts = _Enumeration(system, bounds, mode)
+                    mslow = _naive_mode(comp, conds, key, mode,
+                                        bounds.workspace, budget, mcuts.cut,
+                                        multiset=True)
+                    assert mcuts.truncated == truncated, where
                     assert mslow == {tuple(sorted(r)) for r in slow}, where
                     assert menum.activation(comp, key) == \
                         {tuple(sorted(r)) for r in fast}, where
@@ -570,8 +574,8 @@ def test_every_component_needs_four_sites_for_the_product_path(example1):
             form = ("A",) * sites
             assert enum.product_component(p1, form) is product, text
             budget = _Budget(BOUNDS.step_budget, BOUNDS.form_budget)
-            naive, _ = _naive_mode(p1, conds, form, mode, BOUNDS.workspace,
-                                   budget)
+            naive = _naive_mode(p1, conds, form, mode, BOUNDS.workspace,
+                                budget, enum.cut)
             assert enum.activation(p1, form) == naive, (text, sites)
 
 

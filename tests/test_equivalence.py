@@ -1,5 +1,7 @@
 """Tests for the reference enumerator and bounded-language comparison."""
 
+import time
+
 import pytest
 
 from rrw import (
@@ -179,6 +181,45 @@ def test_a_cut_within_the_weight_still_counts(document, max_len):
             lang = enumerate_(system, Mode.parse(text), max_len,
                               StepBounds(6))
             assert not lang.complete, (text, enumerate_.__name__)
+
+
+GC_ERASING = """system gc gc_erasing
+nonterminals: S E
+terminals: a
+start: S
+init-labels: l1 l2
+final-labels: l2
+component rules { l1: S -> S S success { l1 l2 }
+                  l2: S -> a success { l1 l2 l3 }
+                  l3: E -> eps success { l1 l2 } }
+"""
+
+
+def test_a_gc_cut_past_the_weight_does_not_count():
+    # the erasing rule keeps the workspace at 3, where every cut form has
+    # four symbols that each weigh 1, more than max_len
+    system = parse_system(GC_ERASING)
+    for enumerate_ in (enumerate_language, reference_enumerate):
+        lang = enumerate_(system, STAR, 2, StepBounds(3))
+        assert (lang.words, lang.complete) == (
+            {("a",), ("a", "a")}, True), enumerate_.__name__
+
+
+def test_a_long_priority_chain_is_decided_at_once():
+    # P0 > P1 > ... > P39, each rewriting S: a check that recurses over
+    # every greater component takes time exponential in the chain
+    n = 40
+    system = parse_system("\n".join(
+        ["system pcdgs chain", "nonterminals: S", "terminals: a",
+         "start: S"]
+        + [f"priority: P{i} > P{i + 1}" for i in range(n - 1)]
+        + [f"component P{i} {{ S -> a }}" for i in range(n)]) + "\n")
+    for enumerate_ in (enumerate_language, reference_enumerate):
+        started = time.perf_counter()
+        lang = enumerate_(system, Mode.parse("=1"), 2, StepBounds(4))
+        assert time.perf_counter() - started < 1, enumerate_.__name__
+        assert (lang.words, lang.complete) == ({("a",)}, True), \
+            enumerate_.__name__
 
 
 def test_equiv_identical_systems(example1):
