@@ -196,8 +196,9 @@ component rules { l1: S -> S S success { l1 l2 }
 
 
 def test_a_gc_cut_past_the_weight_does_not_count():
-    # the erasing rule keeps the workspace at 3, where every cut form has
-    # four symbols that each weigh 1, more than max_len
+    # the erasing rule, although E never occurs, keeps the workspace at 3
+    # rather than max_len; every cut form there has four symbols of weight
+    # 1, more than max_len, so no cut counts
     system = parse_system(GC_ERASING)
     for enumerate_ in (enumerate_language, reference_enumerate):
         lang = enumerate_(system, STAR, 2, StepBounds(3))
