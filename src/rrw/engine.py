@@ -71,9 +71,12 @@ rule).
 search (:func:`_search`) over configurations: forms, whose moves are component
 activations, or for graph control (form, label) pairs (:class:`GcConfig`),
 whose moves apply the rule at the label once or take its failure branch.
-Successors are visited in sorted order, so a trace does not depend on the
+Successors are visited in a fixed order, so a trace does not depend on the
 string hash seed. Rule applications are rebuilt only for the moves on the
-found path; :func:`replay_trace` re-checks every one.
+found path, and the rebuild runs on the same search over a third kind of
+configuration (:class:`_Rebuild`): the (form, frozen prefix, step count)
+states of one activation, whose moves are single rule applications.
+:func:`replay_trace` re-checks every application.
 
 The search goes no further than the semantics require:
 
@@ -139,10 +142,11 @@ class StepBounds:
         layer applies each enabled rule once per form, at the first
         occurrence of its lhs, so one step is one application per rule and
         form;
-    form_budget: maximum configurations stored per enumeration or search,
-        results assembled per product-path activation, and states stored
-        per search that rebuilds the applications of one activation on a
-        found derivation's trace.
+    form_budget: maximum configurations stored per search (:func:`_search`):
+        an enumeration, a derivation search, or the rebuild of one
+        activation's rule applications on a found derivation's trace
+        (:class:`_Rebuild`); also the results assembled per product-path
+        activation.
     """
 
     workspace: int
@@ -559,7 +563,8 @@ def _entry_ok(component, support):
 class _Enumeration:
     """Shared caches and counters for one search under one mode, and the
     moves of that search: configurations are forms, a move is a component
-    activation. :class:`_GcEnumeration` overrides the four moves. With
+    activation. :class:`_GcEnumeration` overrides the four moves, and
+    :class:`_Rebuild` the three that its search needs. With
     ``multiset`` the forms are sorted and every activation keeps them so
     (see the module docstring)."""
 
@@ -690,7 +695,14 @@ class _Enumeration:
         """The components permitted to act on ``form`` (entry + priority),
         as a dict from index to the activation results that the priority
         check computed, or None where it computed none. The results are the
-        whole relation (no producer), so a move may reuse them."""
+        whole relation (no producer), so a move may reuse them.
+
+        Priorities are decided in one pass over the live components, greater
+        first. The order is transitively closed, so a greater component has
+        fewer greater ones and is decided before any lesser one asks whether
+        it blocks. An allowed component is activated only when a lesser one
+        asks, and each lesser one stops at the first greater one with a
+        result; a component that is not live or is blocked has none."""
         system = self.system
         live = [
             i for i, comp in enumerate(system.components)
@@ -699,26 +711,18 @@ class _Enumeration:
         order = system.component_order
         if not order:
             return dict.fromkeys(live)
-        live_set = set(live)
-        results = {}
-
-        def rel_results(i):
-            # ⇒_i^m results, empty when i is not live or is blocked: the
-            # priority-filtered relation ⇒_i^{m,>}
-            if i not in results:
-                if i not in live_set or blocked(i):
-                    results[i] = frozenset()
-                else:
-                    results[i] = self.activation(system.components[i], form)
-            return results[i]
-
-        def blocked(i):
-            return any(rel_results(g) for g in order.greater_than(i))
-
-        # blocked() fills ``results`` as it goes, so read them only after
-        # every component is decided
-        allowed = [i for i in live if not blocked(i)]
-        return {i: results.get(i) for i in allowed}
+        allowed = {}
+        for i in sorted(live, key=lambda i: len(order.greater_than(i))):
+            for g in order.greater_than(i):
+                if g in allowed:
+                    if allowed[g] is None:
+                        allowed[g] = self.activation(system.components[g],
+                                                     form)
+                    if allowed[g]:
+                        break
+            else:
+                allowed[i] = None
+        return dict(sorted(allowed.items()))
 
     def cut(self, length, build, *args):
         """Record a workspace cut: set ``truncated`` when the cut may hide a
@@ -799,10 +803,26 @@ class _Enumeration:
                 return
 
     def trace_step(self, form, move, result):
-        """The :class:`TraceStep` of one move on the found path."""
+        """The :class:`TraceStep` of one move on the found path: the rule
+        applications that turn ``form`` into ``result``, rebuilt by a search
+        over single applications (:class:`_Rebuild`). A product-path
+        activation decomposes into per-position derivations, so it has a
+        leftmost witness, which is searched first; a naive-path one gets the
+        unrestricted search."""
         comp = self.system.components[move]
-        apps = _activation_witness(self, comp, form, result)
-        return TraceStep(comp.name, self.mode, apps, result)
+        product = self.product_component(comp, form) is not None
+        for leftmost in (True, False) if product else (False,):
+            rebuild = _Rebuild(self, comp, form, result, leftmost)
+            parents, _words, hit = _search(rebuild, result)
+            if hit is not None:
+                apps = _path(parents, hit)[1]
+                return TraceStep(comp.name, self.mode, apps, result)
+            if rebuild.exhausted:
+                break
+        raise BudgetExceeded(
+            f"could not rebuild the {comp.name} activation "
+            f"{format_word(form)} => {format_word(result)} within the bounds"
+        )
 
 
 class _GcEnumeration(_Enumeration):
@@ -843,6 +863,67 @@ class _GcEnumeration(_Enumeration):
                 apps = ((idx, pos),)
                 break
         return TraceStep(move, Mode("*"), apps, result.form)
+
+
+class _Rebuild(_Enumeration):
+    """The search that rebuilds one activation on a found derivation's
+    trace: configurations are (form, frozen prefix, step count) states from
+    the activation's form, and a move is one application (rule index,
+    position). With (lo, hi) = ``mode.steps``, step counts saturate at lo
+    when hi is None and never exceed hi otherwise; a state ends on the
+    activation's result once it has made lo steps. In a ``leftmost`` search
+    each rewrite is at or right of the previous one, and everything left of
+    it must already equal the result.
+
+    Its workspace bounds the intermediate forms: ``len(result)`` when every
+    rule is non-erasing, otherwise the length that rewriting the positions
+    one after another can reach. It stores at most ``form_budget`` states:
+    it visits one state per application and position, about n·L for n
+    positions rewritten through L steps each, where the activation spent
+    about n + L steps, so the step budget would refuse to rebuild results
+    that the search reached."""
+
+    def __init__(self, enum, component, form, result, leftmost):
+        bounds = enum.bounds
+        limit = len(result) if all(r.rhs for r in component.rules) \
+            else len(form) + len(result) + bounds.workspace
+        super().__init__(enum.system, StepBounds(
+            limit, bounds.step_budget, bounds.form_budget), enum.mode)
+        self.component = component
+        self.form = form
+        self.result = result
+        self.leftmost = leftmost
+
+    def starts(self):
+        return ((self.form, 0, 0),)
+
+    def final_form(self, config):
+        return config[0] if config[2] >= self.mode.steps[0] else None
+
+    def successors(self, config, producer):
+        """(state, (rule index, position), None) triples, by rule and then
+        position; an application past the workspace is dropped."""
+        cur, frozen, n = config
+        lo, hi = self.mode.steps
+        if n == hi:
+            return
+        steps = n + 1 if hi is not None else min(n + 1, lo)
+        leftmost = self.leftmost
+        support = set(cur)
+        for i, (lhs, permit, forbid) in enumerate(
+                self.component.effective_conditions()):
+            if lhs not in support or not permit <= support or forbid & support:
+                continue
+            rhs = self.component.rules[i].rhs
+            if len(cur) - 1 + len(rhs) > self.bounds.workspace:
+                continue
+            for pos in range(frozen, len(cur)):
+                if cur[pos] == lhs:
+                    yield ((cur[:pos] + rhs + cur[pos + 1:],
+                            pos if leftmost else 0, steps), (i, pos), None)
+                # a leftmost rewrite further right freezes cur[pos]
+                if leftmost and cur[pos:pos + 1] != self.result[pos:pos + 1]:
+                    break
 
 
 def _enumeration(system, bounds, mode, length, multiset=False, weight=None):
@@ -991,104 +1072,23 @@ def find_derivation(system, mode, target, bounds):
 
 def _build_trace(enum, hit, parents):
     """Rebuild the rule applications of each move on the found path."""
-    path = [hit]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]][0])
-    path.reverse()
+    configs, moves = _path(parents, hit)
     steps = tuple(
-        enum.trace_step(config, parents[nxt][1], nxt)
-        for config, nxt in zip(path, path[1:])
+        enum.trace_step(config, move, nxt)
+        for config, move, nxt in zip(configs, moves, configs[1:])
     )
     return DerivationTrace((enum.system.start,), steps)
 
 
-def _activation_witness(enum, component, form, result):
-    """Rule applications of one activation turning ``form`` into ``result``.
-
-    A product-path activation decomposes into per-position derivations, so
-    it has a leftmost witness, which is searched first; a naive-path one
-    gets the unrestricted search. Intermediate forms are bounded by
-    ``len(result)`` for non-erasing rules; otherwise by the length that
-    rewriting the positions one after another can reach. Each search
-    stores at most ``form_budget`` states: it visits one state per
-    application and position, about n·L for n positions rewritten through
-    L steps each, where the activation spent about n + L steps, so the step
-    budget would refuse to rebuild results that the search reached.
-    """
-    conds = component.effective_conditions()
-    workspace = enum.bounds.workspace
-    if all(r.rhs for r in component.rules):
-        limit = len(result)
-    else:
-        limit = len(form) + len(result) + workspace
-    searches = (False,)
-    if enum.product_component(component, form) is not None:
-        searches = (True, False)
-    for leftmost in searches:
-        budget = _Budget(enum.bounds.step_budget, enum.bounds.form_budget)
-        apps = _witness(component, conds, form, result, enum.mode, leftmost,
-                        limit, budget)
-        if apps is not None:
-            return apps
-        if budget.exhausted:
-            break
-    raise BudgetExceeded(
-        f"could not rebuild the {component.name} activation "
-        f"{format_word(form)} => {format_word(result)} within the bounds"
-    )
-
-
-def _witness(component, conds, form, result, mode, leftmost, limit, budget):
-    """Breadth-first search over (form, frozen prefix, step count) states.
-
-    In a ``leftmost`` search each rewrite is at or right of the previous
-    one, and everything left of it must already equal ``result``. With
-    (lo, hi) = ``mode.steps``, step counts saturate at lo when hi is None
-    and never exceed hi otherwise. Returns the applications, or None.
-    """
-    lo, hi = mode.steps
-    start = (form, 0, 0)
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        cur, frozen, n = state
-        steps = n + 1
-        if hi is None:
-            steps = min(steps, lo)
-        elif steps > hi:
-            continue
-        done = steps >= lo
-        support = set(cur)
-        for i, (lhs, permit, forbid) in enumerate(conds):
-            if lhs not in support or not permit <= support or forbid & support:
-                continue
-            rhs = component.rules[i].rhs
-            if len(cur) - 1 + len(rhs) > limit:
-                continue
-            for pos in range(frozen, len(cur)):
-                if cur[pos] == lhs:
-                    nxt = (cur[:pos] + rhs + cur[pos + 1:],
-                           pos if leftmost else 0, steps)
-                    if nxt not in parents:
-                        if not budget.spend_form():
-                            return None
-                        parents[nxt] = (state, (i, pos))
-                        if done and nxt[0] == result:
-                            return _applications(parents, nxt)
-                        queue.append(nxt)
-                # a leftmost rewrite further right freezes cur[pos]
-                if leftmost and cur[pos:pos + 1] != result[pos:pos + 1]:
-                    break
-    return None
-
-
-def _applications(parents, state):
-    apps = []
-    while parents[state] is not None:
-        state, app = parents[state]
-        apps.append(app)
-    return tuple(reversed(apps))
+def _path(parents, hit):
+    """The configurations of a :func:`_search` from a start to ``hit``, and
+    the moves between them."""
+    configs, moves = [hit], []
+    while parents[configs[-1]] is not None:
+        config, move = parents[configs[-1]]
+        configs.append(config)
+        moves.append(move)
+    return tuple(reversed(configs)), tuple(reversed(moves))
 
 
 def replay_trace(system, trace):

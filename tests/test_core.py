@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rrw import (
     Component,
     CycleError,
+    GcRule,
     Mode,
     RcCondition,
     Rule,
@@ -237,6 +238,66 @@ def test_forcing_permits_empty_keeps_validity():
         ),
     )
     assert validate(stripped) == []
+
+
+S_TO_A = Rule("S", ("a",))
+ONE_RULE = Component("P", (S_TO_A,))
+GC_ONE = {"gc_rules": (GcRule("l1", S_TO_A),), "init_labels": {"l1"},
+          "final_labels": {"l1"}}
+
+
+def _system(kind="cf", components=(ONE_RULE,), terminals=("a",), **fields):
+    """A system of ``kind`` over S and ``terminals``, by default one
+    component with the rule S -> a."""
+    return System(kind=kind, name="bad", nonterminals=frozenset({"S"}),
+                  terminals=frozenset(terminals), start="S",
+                  components=components, **fields)
+
+
+@pytest.mark.parametrize("system, violations", [
+    (_system("xyz"), ["unknown kind 'xyz'"]),
+    (_system(terminals=("a", "")), ["empty symbol name"]),
+    (_system(components=(Component("P", (S_TO_A, Rule("a", ("a",)))),)),
+     ["component P rule 1: lhs 'a' is not a nonterminal"]),
+    (_system(components=(Component("P", (Rule("S", ("b",)),)),)),
+     ["component P rule 0: rhs symbol 'b' undeclared"]),
+    (_system("gc", **GC_ONE),
+     ["gc systems carry gc rules, not components"]),
+    (_system("gc", components=()),
+     ["gc system has no rules", "gc system has no initial labels",
+      "gc system has no final labels"]),
+    (_system(init_labels={"l1"}),
+     ["labels/gc rules are only allowed in gc systems"]),
+    (_system(components=(ONE_RULE, Component("Q", (S_TO_A,)))),
+     ["kind cf must have exactly one component"]),
+    (_system("cdgs", components=(ONE_RULE, Component("Q", (S_TO_A,))),
+             component_order=StrictOrder({(0, 1)})),
+     ["component order is only allowed in pcdgs systems"]),
+    (_system(components=(Component(
+        "P", (Rule("S", ("a",), "r"), Rule("S", ("a", "a"), "r"))),)),
+     ["component P: duplicate rule labels"]),
+    (_system("cdgs", components=(Component(
+        "P", (S_TO_A, Rule("S", ("a", "a"))),
+        order=StrictOrder({(0, 1)})),)),
+     ["component P: rule order not allowed in kind cdgs"]),
+    (_system("cdgs", components=(Component(
+        "P", (S_TO_A,), contexts=(RcCondition(),)),)),
+     ["component P: rule contexts not allowed in kind cdgs"]),
+    (_system("rccdgs", components=(Component(
+        "P", (S_TO_A,), contexts=(RcCondition(), RcCondition())),)),
+     ["component P: 2 contexts for 1 rules"]),
+    (_system("cdgs", components=(Component(
+        "P", (S_TO_A,), entry=RcCondition()),)),
+     ["component P: entry condition not allowed in kind cdgs"]),
+    (_system("entry-cdgs", components=(Component(
+        "P", (S_TO_A,), entry=RcCondition(permit={"S"}, forbid={"S"})),)),
+     ["component P: entry permit and forbid overlap"]),
+    (_system("entry-cdgs"),
+     ["component P: kind entry-cdgs requires an entry condition"]),
+])
+def test_validate_names_each_violation(system, violations):
+    # systems built in code, since the parser rejects each of these first
+    assert validate(system) == violations
 
 
 # ---------------------------------------------------------------------------

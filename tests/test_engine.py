@@ -1,5 +1,7 @@
 """Tests for the derivation semantics and bounded enumeration."""
 
+import hashlib
+import json
 import time
 from dataclasses import replace
 
@@ -936,3 +938,47 @@ def test_a_non_erasing_search_drops_cuts_longer_than_the_target():
 def test_a_target_symbol_the_system_lacks_weighs_one():
     assert find_derivation(singleton_system(), STAR, ("q",),
                            StepBounds(4)) is None
+
+
+def _derivation_outputs():
+    """Every corpus file in every mode of MODE_GRID (graph control only in
+    ``*``, where the mode plays no part): the sha256 of the enumerated
+    words and ``complete`` flag at max_len 6 and workspace 8, and of the
+    trace that :func:`find_derivation` gives for each of the first 12 words
+    in shortlex order, or the name of the error it raised."""
+    out = {}
+    bounds = StepBounds(8)
+    for file in CORPUS_FILES:
+        system = load_corpus(file)
+        for text in ("*",) if system.kind == "gc" else MODE_GRID:
+            mode = Mode.parse(text)
+            lang = enumerate_language(system, mode, 6, bounds)
+            words = lang.sorted_words()
+            record = [words, lang.complete]
+            for word in words[:12]:
+                try:
+                    trace = find_derivation(system, mode, word, bounds)
+                except BudgetExceeded as err:
+                    record.append(type(err).__name__)
+                else:
+                    record.append([trace.start] + [
+                        (s.component, str(s.mode), s.applications, s.result)
+                        for s in trace.steps])
+            out[f"{file} {text}"] = hashlib.sha256(
+                repr(record).encode("utf-8")).hexdigest()
+    return out
+
+
+# written from _derivation_outputs() before the trace rebuild moved onto the
+# search loop, and equal under PYTHONHASHSEED 0 and 1; the tests do not
+# regenerate it. A change to the engine that keeps the semantics keeps
+# every entry.
+DERIVATION_OUTPUTS = CORPUS_DIR.parent / "tests" / "derivation_outputs.json"
+
+
+def test_every_derivation_output_is_pinned():
+    expected = json.loads(DERIVATION_OUTPUTS.read_text(encoding="utf-8"))
+    got = _derivation_outputs()
+    assert sorted(got) == sorted(expected)
+    changed = [key for key in expected if got[key] != expected[key]]
+    assert not changed, changed[:10]

@@ -17,6 +17,8 @@ from rrw import (
     useful_nonterminals,
 )
 
+from rrw.cli import main
+
 from conftest import CORPUS_FILES, MODE_GRID, load_corpus
 
 STAR = Mode.parse("*")
@@ -206,21 +208,80 @@ def test_a_gc_cut_past_the_weight_does_not_count():
             {("a",), ("a", "a")}, True), enumerate_.__name__
 
 
-def test_a_long_priority_chain_is_decided_at_once():
-    # P0 > P1 > ... > P39, each rewriting S: a check that recurses over
-    # every greater component takes time exponential in the chain
-    n = 40
-    system = parse_system("\n".join(
-        ["system pcdgs chain", "nonterminals: S", "terminals: a",
-         "start: S"]
-        + [f"priority: P{i} > P{i + 1}" for i in range(n - 1)]
-        + [f"component P{i} {{ S -> a }}" for i in range(n)]) + "\n")
-    for enumerate_ in (enumerate_language, reference_enumerate):
-        started = time.perf_counter()
-        lang = enumerate_(system, Mode.parse("=1"), 2, StepBounds(4))
-        assert time.perf_counter() - started < 1, enumerate_.__name__
-        assert (lang.words, lang.complete) == ({("a",)}, True), \
-            enumerate_.__name__
+def priority_chain(n, lesser_first):
+    """A pcdgs chain of ``n`` components. Greater-first it is P0 > P1 > ...
+    > P{n-1}, each rewriting S, listed in that order. Lesser-first it is
+    P{i+1} > P{i}, with P1 ... P{n-1} rewriting B, which never occurs, and
+    P0, the least, rewriting S and listed last."""
+    nonterminals = "S"
+    if lesser_first:
+        nonterminals = "S B"
+        pairs = [f"priority: P{i + 1} > P{i}" for i in range(n - 1)]
+        components = [f"component P{i} {{ B -> a }}" for i in range(1, n)]
+        components.append("component P0 { S -> a }")
+    else:
+        pairs = [f"priority: P{i} > P{i + 1}" for i in range(n - 1)]
+        components = [f"component P{i} {{ S -> a }}" for i in range(n)]
+    return "\n".join(
+        ["system pcdgs chain", f"nonterminals: {nonterminals}",
+         "terminals: a", "start: S"] + pairs + components) + "\n"
+
+
+def test_a_long_priority_chain_is_decided_at_once(tmp_path):
+    # greater-first, a check that recurses over every greater component
+    # takes time exponential in the chain; lesser-first, a check that
+    # recurses into each greater component's own check goes one call
+    # deeper per component and runs out of stack
+    for n, lesser_first in ((40, False), (400, True)):
+        text = priority_chain(n, lesser_first)
+        system = parse_system(text)
+        for enumerate_ in (enumerate_language, reference_enumerate):
+            started = time.perf_counter()
+            lang = enumerate_(system, Mode.parse("=1"), 2, StepBounds(4))
+            assert time.perf_counter() - started < 1, (n, enumerate_.__name__)
+            assert (lang.words, lang.complete) == ({("a",)}, True), \
+                (n, enumerate_.__name__)
+        path = tmp_path / f"chain{n}.rrw"
+        path.write_text(text, encoding="utf-8")
+        assert main(["enum", str(path), "--mode", "=1", "--max-len", "2"]) \
+            == 0
+
+
+GC_GROW = """system gc gc_grow
+nonterminals: S
+terminals: a b
+start: S
+init-labels: l1
+final-labels: l1 l2 l3
+component rules { l1: S -> S S success { l1 l2 l3 }
+                  l2: S -> a success { l1 l2 l3 }
+                  l3: S -> b success { l1 l2 l3 } }
+"""
+
+
+@pytest.mark.parametrize("enumerate_, source, text, bounds", [
+    (reference_enumerate, "ocdgs_example1.rrw", "t",
+     StepBounds(8, step_budget=1)),
+    (reference_enumerate, GC_GROW, "*", StepBounds(8, step_budget=1)),
+    (reference_enumerate, "ocdgs_example1.rrw", "t",
+     StepBounds(8, form_budget=2)),
+    (enumerate_language, "ocdgs_example1.rrw", "*",
+     StepBounds(8, step_budget=6)),
+], ids=["oracle-steps", "oracle-gc-steps", "oracle-forms",
+        "engine-multiset-steps"])
+def test_a_budget_exit_leaves_the_language_incomplete(enumerate_, source,
+                                                      text, bounds):
+    # the oracle's step budget inside one expansion and in a graph-control
+    # search, its form budget, and the step budget of a multiset layer on
+    # the engine's naive path; the words found before the exit depend on
+    # the order of expansion, so only their inclusion is asserted
+    system = load_corpus(source) if source.endswith(".rrw") \
+        else parse_system(source)
+    mode = Mode.parse(text)
+    full = enumerate_(system, mode, 6, StepBounds(bounds.workspace))
+    cut = enumerate_(system, mode, 6, bounds)
+    assert full.complete and not cut.complete
+    assert cut.words <= full.words
 
 
 def test_equiv_identical_systems(example1):
