@@ -16,7 +16,6 @@ from rrw import (
     reference_enumerate,
     useful_nonterminals,
 )
-
 from rrw.cli import main
 
 from conftest import CORPUS_FILES, MODE_GRID, load_corpus
@@ -259,14 +258,24 @@ component rules { l1: S -> S S success { l1 l2 l3 }
 """
 
 
+# one nonterminal per form, so every activation takes the naive path, and
+# one letter, so the engine searches multisets
+A_STAR = """system cf a_star
+nonterminals: S
+terminals: a
+start: S
+component P { S -> a S
+              S -> a }
+"""
+
+
 @pytest.mark.parametrize("enumerate_, source, text, bounds", [
     (reference_enumerate, "ocdgs_example1.rrw", "t",
      StepBounds(8, step_budget=1)),
     (reference_enumerate, GC_GROW, "*", StepBounds(8, step_budget=1)),
     (reference_enumerate, "ocdgs_example1.rrw", "t",
      StepBounds(8, form_budget=2)),
-    (enumerate_language, "ocdgs_example1.rrw", "*",
-     StepBounds(8, step_budget=6)),
+    (enumerate_language, A_STAR, "*", StepBounds(8, step_budget=3)),
 ], ids=["oracle-steps", "oracle-gc-steps", "oracle-forms",
         "engine-multiset-steps"])
 def test_a_budget_exit_leaves_the_language_incomplete(enumerate_, source,
