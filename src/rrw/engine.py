@@ -712,7 +712,7 @@ class _Enumeration:
         if not order:
             return dict.fromkeys(live)
         allowed = {}
-        for i in sorted(live, key=lambda i: len(order.greater_than(i))):
+        for _rank, i in sorted((len(order.greater_than(i)), i) for i in live):
             for g in order.greater_than(i):
                 if g in allowed:
                     if allowed[g] is None:
