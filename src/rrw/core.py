@@ -142,8 +142,9 @@ class Component:
         if self.contexts is not None:
             object.__setattr__(self, "contexts", tuple(self.contexts))
 
-    @property
+    @cached_property
     def lhs_set(self) -> frozenset:
+        """The left-hand sides of the rules, computed once per component."""
         return frozenset(r.lhs for r in self.rules)
 
     def effective_conditions(self):
@@ -173,9 +174,10 @@ class Component:
             out.append((rule.lhs, permit, forbid))
         return tuple(out)
 
-    @property
+    @cached_property
     def unregulated(self) -> bool:
-        """True when applicability reduces to lhs presence for every rule."""
+        """True when applicability reduces to lhs presence for every rule;
+        computed once per component."""
         if self.contexts is not None and any(
             c.permit or c.forbid for c in self.contexts
         ):
@@ -318,6 +320,12 @@ class System:
         table = {c.name: tuple(map(grows, c.rules)) for c in self.components}
         table.update((g.label, grows(g.rule)) for g in self.gc_rules)
         return table
+
+    @cached_property
+    def gc_labels(self) -> dict:
+        """Each graph-control label mapped to the index of its rule in
+        ``gc_rules`` and its :class:`GcRule`, computed once per system."""
+        return {g.label: (i, g) for i, g in enumerate(self.gc_rules)}
 
     def all_rules(self):
         if self.kind == "gc":

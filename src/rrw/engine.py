@@ -4,22 +4,31 @@ enumeration and derivation search.
 
 A mode allows an interval of rule applications per activation
 (``Mode.steps``). One component activation ⇒_i^m is computed on one of two
-paths, both from the layers of one function, :func:`_step_layers`:
+paths, both from the layers of one method,
+:meth:`_Enumeration._step_layers`:
 
-* the naive path (``_naive_mode``, public as ``mode_apply``): the forms of
-  the layers from the fewest allowed steps on. It materializes every
+* the naive path (:meth:`_Enumeration._naive_mode`, public as
+  :func:`mode_apply`, which runs it on a search with no system): the forms
+  of the layers from the fewest allowed steps on. It materializes every
   interleaving of the rewrites, so n independent rewrites cost 2^n forms;
 * the positionwise product path (:meth:`_Enumeration.activation`). When
   applicability reduces to lhs presence, a derivation decomposes into
   independent per-position derivations whose step counts add up, and the
   results are assembled from one table per symbol
   (:meth:`_Enumeration.position_table`): the subforms of the layers from
-  that symbol, each with its layer indices. The assembly (``_assemble``)
-  goes position by position over a map from each prefix to the set of its
-  step sums, an int bitmask, so adding a table entry's values is one
-  shift-or per value and equal prefixes are stored once; a run of equal
-  symbols whose table has one subform is taken in one move. It is exact within the workspace for every mode and never falls
-  back to the naive path.
+  that symbol, each with its layer indices. The assembly
+  (:meth:`_Enumeration._assemble`) goes position by position over a map
+  from each prefix to the set of its step sums, an int bitmask, so adding
+  a table entry's values is one shift-or per value and equal prefixes are
+  stored once; a run of equal symbols whose table has one subform is taken
+  in one move. It is exact within the workspace for every mode and never
+  falls back to the naive path.
+
+Both paths read the mode, the workspace, the cut record and the multiset
+flag from the search (:class:`_Enumeration`), which also owns each
+activation's step budget and result cap: :meth:`_Enumeration.activation`
+resets them, and the position tables built inside an activation spend
+that activation's.
 
 Which path runs where:
 
@@ -193,31 +202,6 @@ class DerivationTrace:
         return self.steps[-1].result if self.steps else self.start
 
 
-class _Budget:
-    """Mutable step/form counters shared across one computation."""
-
-    __slots__ = ("steps_left", "forms_left", "exhausted")
-
-    def __init__(self, steps, forms):
-        self.steps_left = steps
-        self.forms_left = forms
-        self.exhausted = False
-
-    def spend_steps(self, n=1):
-        self.steps_left -= n
-        if self.steps_left < 0:
-            self.exhausted = True
-            return False
-        return True
-
-    def spend_form(self):
-        self.forms_left -= 1
-        if self.forms_left < 0:
-            self.exhausted = True
-            return False
-        return True
-
-
 # ---------------------------------------------------------------------------
 # single-component semantics (naive, reference)
 # ---------------------------------------------------------------------------
@@ -246,36 +230,6 @@ def component_successors(component, form):
     return out
 
 
-def _step_layer(component, conds, forms, workspace, budget, cut, multiset):
-    """One ⇒ layer over a set of forms: their successors. Each rule
-    application that the workspace cuts is reported to ``cut`` (see
-    :meth:`_Enumeration.cut`). With ``multiset`` the forms are sorted, each
-    enabled rule is applied once, at the first occurrence of its lhs (every
-    occurrence gives the same multiset), and each successor is sorted."""
-    out = set()
-    for form in forms:
-        support = set(form)
-        for i, (lhs, permit, forbid) in enumerate(conds):
-            if lhs in support and permit <= support and not (forbid & support):
-                rhs = component.rules[i].rhs
-                if len(form) - 1 + len(rhs) > workspace:
-                    cut(len(form) - 1 + len(rhs), _apply_at, form,
-                        component.rules[i], form.index(lhs))
-                    continue
-                if multiset:
-                    if not budget.spend_steps():
-                        return out
-                    pos = form.index(lhs)
-                    out.add(tuple(sorted(form[:pos] + rhs + form[pos + 1:])))
-                    continue
-                for pos, s in enumerate(form):
-                    if s == lhs:
-                        if not budget.spend_steps():
-                            return out
-                        out.add(form[:pos] + rhs + form[pos + 1:])
-    return out
-
-
 def _has_applicable(conds, form):
     support = set(form)
     for (lhs, permit, forbid) in conds:
@@ -284,60 +238,18 @@ def _has_applicable(conds, form):
     return False
 
 
-def _step_layers(component, conds, seed, mode, workspace, budget, cut,
-                 multiset):
-    """The ⇒ layers from the forms ``seed`` that ``mode`` needs, over sorted
-    forms with ``multiset``, each cut reported to ``cut`` (see
-    :func:`_step_layer`).
-
-    With (lo, hi) = ``mode.steps`` and cap = hi, or lo when hi is None,
-    ``layers[j]`` holds the forms reached in exactly j steps for j < cap,
-    and ``layers[cap]`` those reached in exactly cap steps or, when hi is
-    None, in cap or more (its ⇒* closure). In mode t every layer keeps only
-    its stuck forms.
-    """
-    lo, hi = mode.steps
-    cap = lo if hi is None else hi
-    layers = [seed]
-    for _ in range(cap):
-        layers.append(_step_layer(component, conds, layers[-1], workspace,
-                                  budget, cut, multiset))
-    if hi is None:
-        frontier = layers[cap]
-        visited = set(frontier)
-        while frontier and not budget.exhausted:
-            frontier = _step_layer(component, conds, frontier, workspace,
-                                   budget, cut, multiset) - visited
-            visited |= frontier
-        layers[cap] = visited
-    if mode.variant == "t":
-        layers = [{f for f in layer if not _has_applicable(conds, f)}
-                  for layer in layers]
-    return layers
-
-
-def _naive_mode(component, conds, form, mode, workspace, budget, cut,
-                multiset=False):
-    """Exact ⇒_i^m result set: the forms of the layers from ``lo`` steps on,
-    sorted with ``multiset``; each cut is reported to ``cut``."""
-    layers = _step_layers(component, conds, {form}, mode, workspace, budget,
-                          cut, multiset)
-    return frozenset().union(*layers[mode.steps[0]:])
-
-
 def mode_apply(component, form, mode, bounds):
     """The exact relation ⇒_i^m from ``form``, restricted to the workspace.
 
     Raises :class:`BudgetExceeded` (with the partial result attached) when the
     step budget runs out before the closure is exhausted.
     """
-    budget = _Budget(bounds.step_budget, bounds.form_budget)
-    # the result does not say whether the workspace cut it
-    result = _naive_mode(
-        component, component.effective_conditions(), form, mode,
-        bounds.workspace, budget, lambda *_cut: None,
-    )
-    if budget.exhausted:
+    # a search with no system and no weight limit, whose cuts read no
+    # weights; the result does not say whether the workspace cut it
+    enum = _Enumeration(None, bounds, mode)
+    result = enum._naive_mode(component, component.effective_conditions(),
+                              form)
+    if enum.exhausted:
         raise BudgetExceeded(
             f"step budget exhausted in mode_apply({mode})", partial=result
         )
@@ -413,132 +325,6 @@ def _stable_rules(component, conds, support):
     return frozenset(i for i, ok in verdicts.items() if ok)
 
 
-def _assemble(enum, tables, budget, producer):
-    """The results of one product-path activation, built position by
-    position over a map from each prefix to its step sums, with support,
-    length and step pruning.
-
-    Step values add up across positions: with (lo, hi) = ``mode.steps`` and
-    cap as in :func:`_step_layers`, a sum saturates at cap + 1 when hi is
-    set and at cap otherwise, and a result needs a sum in lo..cap. A set of
-    sums is an int mask (bit s for sum s), so adding a table entry's values
-    is one shift-or per value.
-
-    In a multiset search (``enum.multiset``) the tables hold sorted
-    subforms and each prefix is sorted, so the permutations of one multiset
-    merge into one entry as they are built. Each new entry of the map is one
-    push on the step budget. Equal symbols share one table, and a run of
-    positions whose table has one subform is taken in one move that spends
-    one push per position, as the positions one by one would.
-
-    With a ``producer`` (see :meth:`_Enumeration.useful`), a prefix whose
-    every completion has a useless support is dropped; None keeps every
-    result.
-
-    A prefix that the workspace (``enum.bounds.workspace``) cuts is
-    reported to :meth:`_Enumeration.cut` with its lightest completion
-    (:meth:`_Enumeration.completion`).
-    """
-    n = len(tables)
-    if not all(tables):
-        return frozenset()  # some position has no valid yield
-    # minimal total length of positions i..n-1, and with a producer the
-    # achievable support unions of positions i..n-1 (None = too many to
-    # track) with a memo of the prefix supports that can still complete to
-    # a useful one; the positions of a run of one table share both once the
-    # unions stop growing
-    min_tail = [0] * (n + 1)
-    tail_sups = [None] * (n + 1)
-    if producer is not None:
-        tail_sups[n] = ({frozenset()}, {})
-    shortest = 0
-    for i in range(n - 1, -1, -1):
-        table = tables[i]
-        same = i + 1 < n and tables[i + 1] is table
-        if not same:
-            shortest = min(map(len, table))
-        min_tail[i] = min_tail[i + 1] + shortest
-        if tail_sups[i + 1] is None:
-            continue
-        sups = tail_sups[i + 1][0]
-        grown = {frozenset(f) | t for f in table for t in sups}
-        if same and grown == sups:
-            tail_sups[i] = tail_sups[i + 1]
-        elif len(grown) <= 64:
-            tail_sups[i] = (grown, {})
-
-    lo, hi = enum.mode.steps
-    cap = lo if hi is None else hi
-    top = 1 << (cap if hi is None else cap + 1)  # the saturated sum
-    below = top - 1
-    # a mask without these bits holds only the saturated sum, above hi
-    himask = -1 if hi is None else below
-    kept = (1 << cap + 1) - (1 << lo)
-    multiset = enum.multiset
-    workspace = enum.bounds.workspace
-    states = {(): (1, frozenset())}
-    i = 0
-    while i < n:
-        table = tables[i]
-        j = i + 1
-        if len(table) == 1:
-            while j < n and tables[j] is table:
-                j += 1
-            (f, values), = table.items()
-            run = 1
-            for _ in range(j - i):
-                run = _add_sums(run, values, top, below)
-            f *= j - i
-            if multiset:
-                f = tuple(sorted(f))
-            choices = ((f, _bits(run), frozenset(f)),)
-        else:
-            choices = [(f, values, frozenset(f))
-                       for f, values in table.items()]
-        pushes = j - i
-        tail, sups = min_tail[j], tail_sups[j]
-        nxt = {}
-        for prefix, (sums, support) in states.items():
-            length = len(prefix)
-            for f, values, symbols in choices:
-                if length + len(f) + tail > workspace:
-                    enum.cut(length + len(f) + tail, enum.completion,
-                             prefix + f, tables, j)
-                    continue
-                new = _add_sums(sums, values, top, below)
-                if not new & himask:
-                    continue
-                key = prefix + f
-                if multiset:
-                    key = tuple(sorted(key))
-                old = nxt.get(key)
-                if old is not None:
-                    nxt[key] = (old[0] | new, old[1])
-                    continue
-                grown = support | symbols
-                if sups is not None:
-                    viable = sups[1].get(grown)
-                    if viable is None:
-                        viable = sups[1][grown] = any(
-                            enum.useful(grown | t, producer) for t in sups[0])
-                    if not viable:
-                        continue
-                if not budget.spend_steps(pushes):
-                    return frozenset()
-                nxt[key] = (new, grown)
-        states = nxt
-        i = j
-
-    # the pruning above already tested each result's support
-    results = set()
-    for form, (sums, _support) in states.items():
-        if sums & kept:
-            if not budget.spend_form():
-                break
-            results.add(form)
-    return frozenset(results)
-
-
 def _add_sums(sums, values, top, below):
     """The mask of the sums of ``sums`` and ``values``, saturated at
     ``top``."""
@@ -566,7 +352,13 @@ class _Enumeration:
     activation. :class:`_GcEnumeration` overrides the four moves, and
     :class:`_Rebuild` the three that its search needs. With
     ``multiset`` the forms are sorted and every activation keeps them so
-    (see the module docstring)."""
+    (see the module docstring).
+
+    ``steps_left`` and ``forms_left`` are the step budget and the result cap
+    of the current activation: :meth:`activation` resets both, and a
+    priority check's activation and every position table built inside an
+    activation spend that activation's. Overdrawing either sets
+    ``exhausted``, which nothing resets during a search."""
 
     def __init__(self, system, bounds, mode, multiset=False, limit=None,
                  length=None):
@@ -583,29 +375,235 @@ class _Enumeration:
         self._acting = {}
         self.truncated = False
         self.exhausted = False
+        self.steps_left = bounds.step_budget
+        self.forms_left = bounds.form_budget
 
-    def position_table(self, component, symbol, budget):
+    # -- one activation -----------------------------------------------------
+
+    def spend_steps(self, n=1):
+        """Spend ``n`` steps of the activation's budget; False once it is
+        overdrawn."""
+        self.steps_left -= n
+        if self.steps_left < 0:
+            self.exhausted = True
+            return False
+        return True
+
+    def _step_layer(self, component, conds, forms):
+        """One ⇒ layer over a set of forms: their successors. Each rule
+        application that the workspace cuts is reported to :meth:`cut`. In
+        a multiset search the forms are sorted, each enabled rule is applied
+        once, at the first occurrence of its lhs (every occurrence gives the
+        same multiset), and each successor is sorted."""
+        workspace = self.bounds.workspace
+        out = set()
+        for form in forms:
+            support = set(form)
+            for i, (lhs, permit, forbid) in enumerate(conds):
+                if lhs not in support or not permit <= support \
+                        or forbid & support:
+                    continue
+                rhs = component.rules[i].rhs
+                if len(form) - 1 + len(rhs) > workspace:
+                    self.cut(len(form) - 1 + len(rhs), _apply_at, form,
+                             component.rules[i], form.index(lhs))
+                    continue
+                if self.multiset:
+                    if not self.spend_steps():
+                        return out
+                    pos = form.index(lhs)
+                    out.add(tuple(sorted(form[:pos] + rhs + form[pos + 1:])))
+                    continue
+                for pos, s in enumerate(form):
+                    if s == lhs:
+                        if not self.spend_steps():
+                            return out
+                        out.add(form[:pos] + rhs + form[pos + 1:])
+        return out
+
+    def _step_layers(self, component, conds, seed):
+        """The ⇒ layers from the forms ``seed`` that the mode needs (see
+        :meth:`_step_layer`).
+
+        With (lo, hi) = ``mode.steps`` and cap = hi, or lo when hi is None,
+        ``layers[j]`` holds the forms reached in exactly j steps for j < cap,
+        and ``layers[cap]`` those reached in exactly cap steps or, when hi is
+        None, in cap or more (its ⇒* closure). In mode t every layer keeps
+        only its stuck forms.
+        """
+        lo, hi = self.mode.steps
+        cap = lo if hi is None else hi
+        layers = [seed]
+        for _ in range(cap):
+            layers.append(self._step_layer(component, conds, layers[-1]))
+        if hi is None:
+            frontier = layers[cap]
+            visited = set(frontier)
+            # the activation's own budget: an earlier one may have set
+            # ``exhausted``
+            while frontier and self.steps_left >= 0:
+                frontier = self._step_layer(component, conds, frontier) \
+                    - visited
+                visited |= frontier
+            layers[cap] = visited
+        if self.mode.variant == "t":
+            layers = [{f for f in layer if not _has_applicable(conds, f)}
+                      for layer in layers]
+        return layers
+
+    def _naive_mode(self, component, conds, form):
+        """Exact ⇒_i^m result set on the naive path: the forms of the layers
+        from ``lo`` steps on, sorted in a multiset search."""
+        layers = self._step_layers(component, conds, {form})
+        return frozenset().union(*layers[self.mode.steps[0]:])
+
+    def position_table(self, component, symbol):
         """The product path's table for one position holding ``symbol``,
-        built once per search: each subform of the :func:`_step_layers`
+        built once per search: each subform of the :meth:`_step_layers`
         from ``(symbol,)`` (sorted with ``multiset``), mapped to the
         ascending tuple of the indices of its layers, the step values that
-        :func:`_assemble` shifts its sum masks by. A cut subform is weighed
+        :meth:`_assemble` shifts its sum masks by. A cut subform is weighed
         alone, a lower bound on any form that holds it; its cut is recorded
         when the table is built, and ``truncated`` never resets, so the
         cached table needs no flag."""
         key = (id(component), symbol)
         table = self._tables.get(key)
         if table is None:
-            layers = _step_layers(
-                component, component.effective_conditions(), {(symbol,)},
-                self.mode, self.bounds.workspace, budget, self.cut,
-                self.multiset,
-            )
+            layers = self._step_layers(
+                component, component.effective_conditions(), {(symbol,)})
             table = self._tables[key] = {}
             for j, layer in enumerate(layers):
                 for f in layer:
                     table[f] = table.get(f, ()) + (j,)
         return table
+
+    def _assemble(self, tables, producer):
+        """The results of one product-path activation, built position by
+        position over a map from each prefix to its step sums, with support,
+        length and step pruning.
+
+        Step values add up across positions: with (lo, hi) = ``mode.steps``
+        and cap as in :meth:`_step_layers`, a sum saturates at cap + 1 when
+        hi is set and at cap otherwise, and a result needs a sum in lo..cap.
+        A set of sums is an int mask (bit s for sum s), so adding a table
+        entry's values is one shift-or per value.
+
+        In a multiset search the tables hold sorted subforms and each prefix
+        is sorted, so the permutations of one multiset merge into one entry
+        as they are built. Each new entry of the map is one push on the
+        activation's step budget, and each result one on its result cap
+        (``forms_left``). Equal symbols share one table, and a run of
+        positions whose table has one subform is taken in one move that
+        spends one push per position, as the positions one by one would.
+
+        With a ``producer`` (see :meth:`useful`), a prefix whose every
+        completion has a useless support is dropped; None keeps every
+        result.
+
+        A prefix that the workspace cuts is reported to :meth:`cut` with its
+        lightest completion (:meth:`completion`).
+        """
+        n = len(tables)
+        if not all(tables):
+            return frozenset()  # some position has no valid yield
+        # minimal total length of positions i..n-1, and with a producer the
+        # achievable support unions of positions i..n-1 (None = too many to
+        # track) with a memo of the prefix supports that can still complete
+        # to a useful one; the positions of a run of one table share both
+        # once the unions stop growing
+        min_tail = [0] * (n + 1)
+        tail_sups = [None] * (n + 1)
+        if producer is not None:
+            tail_sups[n] = ({frozenset()}, {})
+        shortest = 0
+        for i in range(n - 1, -1, -1):
+            table = tables[i]
+            same = i + 1 < n and tables[i + 1] is table
+            if not same:
+                shortest = min(map(len, table))
+            min_tail[i] = min_tail[i + 1] + shortest
+            if tail_sups[i + 1] is None:
+                continue
+            sups = tail_sups[i + 1][0]
+            grown = {frozenset(f) | t for f in table for t in sups}
+            if same and grown == sups:
+                tail_sups[i] = tail_sups[i + 1]
+            elif len(grown) <= 64:
+                tail_sups[i] = (grown, {})
+
+        lo, hi = self.mode.steps
+        cap = lo if hi is None else hi
+        top = 1 << (cap if hi is None else cap + 1)  # the saturated sum
+        below = top - 1
+        # a mask without these bits holds only the saturated sum, above hi
+        himask = -1 if hi is None else below
+        kept = (1 << cap + 1) - (1 << lo)
+        multiset = self.multiset
+        workspace = self.bounds.workspace
+        states = {(): (1, frozenset())}
+        i = 0
+        while i < n:
+            table = tables[i]
+            j = i + 1
+            if len(table) == 1:
+                while j < n and tables[j] is table:
+                    j += 1
+                (f, values), = table.items()
+                run = 1
+                for _ in range(j - i):
+                    run = _add_sums(run, values, top, below)
+                f *= j - i
+                if multiset:
+                    f = tuple(sorted(f))
+                choices = ((f, _bits(run), frozenset(f)),)
+            else:
+                choices = [(f, values, frozenset(f))
+                           for f, values in table.items()]
+            pushes = j - i
+            tail, sups = min_tail[j], tail_sups[j]
+            nxt = {}
+            for prefix, (sums, support) in states.items():
+                length = len(prefix)
+                for f, values, symbols in choices:
+                    if length + len(f) + tail > workspace:
+                        self.cut(length + len(f) + tail, self.completion,
+                                 prefix + f, tables, j)
+                        continue
+                    new = _add_sums(sums, values, top, below)
+                    if not new & himask:
+                        continue
+                    key = prefix + f
+                    if multiset:
+                        key = tuple(sorted(key))
+                    old = nxt.get(key)
+                    if old is not None:
+                        nxt[key] = (old[0] | new, old[1])
+                        continue
+                    grown = support | symbols
+                    if sups is not None:
+                        viable = sups[1].get(grown)
+                        if viable is None:
+                            viable = sups[1][grown] = any(
+                                self.useful(grown | t, producer)
+                                for t in sups[0])
+                        if not viable:
+                            continue
+                    if not self.spend_steps(pushes):
+                        return frozenset()
+                    nxt[key] = (new, grown)
+            states = nxt
+            i = j
+
+        # the pruning above already tested each result's support
+        results = set()
+        for form, (sums, _support) in states.items():
+            if sums & kept:
+                self.forms_left -= 1
+                if self.forms_left < 0:
+                    self.exhausted = True
+                    break
+                results.add(form)
+        return frozenset(results)
 
     def keep(self, support):
         """Never prune forms with this support (a derivation target)."""
@@ -671,25 +669,20 @@ class _Enumeration:
         """Exact ⇒_i^m results within bounds, on the product path where that
         is exact: without per-rule conditions any interleaving of
         per-position derivations is valid and step counts add up across
-        positions, so :func:`_assemble` combines the :meth:`position_table`
+        positions, so :meth:`_assemble` combines the :meth:`position_table`
         of each position. With a ``producer`` the product path drops results
-        that :meth:`useful` rejects; None returns the whole relation."""
+        that :meth:`useful` rejects; None returns the whole relation. Each
+        activation starts with the whole step budget and result cap."""
         conds = component.effective_conditions()
         if not _has_applicable(conds, form):
             return frozenset()  # every mode makes at least one application
-        budget = _Budget(self.bounds.step_budget, self.bounds.form_budget)
+        self.steps_left = self.bounds.step_budget
+        self.forms_left = self.bounds.form_budget
         product = self.product_component(component, form)
         if product is None:
-            results = _naive_mode(
-                component, conds, form, self.mode, self.bounds.workspace,
-                budget, self.cut, self.multiset
-            )
-        else:
-            tables = [self.position_table(product, s, budget) for s in form]
-            results = _assemble(self, tables, budget, producer)
-        if budget.exhausted:
-            self.exhausted = True
-        return results
+            return self._naive_mode(component, conds, form)
+        return self._assemble(
+            [self.position_table(product, s) for s in form], producer)
 
     def allowed_components(self, form, support):
         """The components permitted to act on ``form`` (entry + priority),
@@ -852,9 +845,8 @@ class _GcEnumeration(_Enumeration):
     def trace_step(self, config, move, result):
         """One application at the first position that yields the result's
         form; none when the failure branch was taken."""
-        idx = next(i for i, g in enumerate(self.system.gc_rules)
-                   if g.label == move)
-        rule = self.system.gc_rules[idx].rule
+        idx, g = self.system.gc_labels[move]
+        rule = g.rule
         form = config.form
         apps = ()
         for pos, s in enumerate(form):
@@ -1002,10 +994,9 @@ def system_successors(system, form, mode, bounds):
 
 def gc_successors(system, config):
     """One graph-control step: apply at the label, or appearance-check."""
-    by_label = {g.label: g for g in system.gc_rules}
-    if config.label not in by_label:
+    if config.label not in system.gc_labels:
         raise UnknownLabel(config.label)
-    g = by_label[config.label]
+    g = system.gc_labels[config.label][1]
     form = config.form
     out = set()
     if g.rule.lhs in form:
@@ -1139,14 +1130,13 @@ def _replay_gc(system, trace):
     label lies in the success field of the previous one when that rule was
     applied and in its failure field when it was not, and the last step
     can move to a final label."""
-    rules = {g.label: (i, g) for i, g in enumerate(system.gc_rules)}
     form = trace.start
     reachable = system.init_labels
     for step in trace.steps:
         if step.component not in reachable:
             raise ValueError(f"replay mismatch: control cannot move to "
                              f"label {step.component!r}")
-        i, g = rules[step.component]
+        i, g = system.gc_labels[step.component]
         if step.applications:
             if len(step.applications) != 1 or step.applications[0][0] != i:
                 raise ValueError("replay mismatch: a gc step applies the "

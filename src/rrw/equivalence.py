@@ -24,6 +24,11 @@ one-step relation per search, so each (component, form) pair is expanded
 once. The oracle's budget, ``step_budget * 100`` rule applications per
 search, therefore counts each expansion's applications once, however many
 closures and step counts pass through that pair.
+
+Every container that the oracle iterates keeps insertion order: sets of
+forms are dicts, and graph-control labels are visited sorted. Where a
+budget cuts a search, the words it found so far therefore do not depend on
+the string hash seed.
 """
 
 from __future__ import annotations
@@ -132,50 +137,53 @@ class _Oracle:
 
     def _step(self, ci, form):
         """The memoised one-step relation of component ci, which every mode
-        steps through, so each (component, form) is expanded once."""
+        steps through, so each (component, form) is expanded once: a dict
+        of the successors in the order found."""
         res = self._next.get((ci, form))
         if res is None:
             comp = self.system.components[ci]
-            res = frozenset(self._successors(comp, form))
+            res = dict.fromkeys(self._successors(comp, form))
             self._next[ci, form] = res
         return res
 
     def _layers(self, ci, form, k):
-        """The sets of forms reachable from ``form`` in exactly 1, ..., k
-        steps of component ci, found one layer after another in a loop, so
-        a large k cannot exhaust Python's call stack."""
+        """The forms reachable from ``form`` in exactly 1, ..., k steps of
+        component ci, one dict per step count, found one layer after
+        another in a loop, so a large k cannot exhaust Python's call
+        stack."""
         layers = [self._step(ci, form)]
         for _ in range(k - 1):
-            layers.append(frozenset().union(
-                *[self._step(ci, f) for f in layers[-1]]))
+            layers.append(dict.fromkeys(
+                [g for f in layers[-1] for g in self._step(ci, f)]))
         return layers
 
     def _star_from(self, ci, seeds):
         """Closure of a seed set under >=0 further steps of component ci."""
-        seen = set(seeds)
-        work = list(seeds)
+        seen = dict.fromkeys(seeds)
+        work = list(seen)
         while work and not self.exhausted:
             form = work.pop()
             for nxt in self._step(ci, form):
                 if nxt not in seen:
-                    seen.add(nxt)
+                    seen[nxt] = None
                     work.append(nxt)
-        return frozenset(seen)
+        return seen
 
     def mode_set(self, ci, form, mode):
+        """The results of one activation of component ci, as a dict."""
         comp = self.system.components[ci]
         if mode.variant == "t":
             if self._stuck(comp, form):
-                return frozenset()
-            reach = self._star_from(ci, {form})
-            return frozenset(f for f in reach if self._stuck(comp, f))
+                return {}
+            reach = self._star_from(ci, (form,))
+            return dict.fromkeys(f for f in reach if self._stuck(comp, f))
         if mode.variant == "*":
             return self._star_from(ci, self._step(ci, form))
         layers = self._layers(ci, form, mode.k)
         if mode.variant == "=":
             return layers[-1]
         if mode.variant == "<=":
-            return frozenset().union(*layers)
+            return dict.fromkeys(f for layer in layers for f in layer)
         # ">="
         return self._star_from(ci, layers[-1])
 
@@ -199,7 +207,7 @@ class _Oracle:
             if ci in greater and any(map(results.get, greater[ci])):
                 continue
             results[ci] = self.mode_set(ci, form, mode)
-        return set().union(*results.values())
+        return dict.fromkeys(f for res in results.values() for f in res)
 
 
 def _oracle_gc(system, max_len, bounds):
@@ -213,7 +221,7 @@ def _oracle_gc(system, max_len, bounds):
     seen = set()
     work = []
     if w[system.start] <= max_len:
-        work = [((system.start,), l) for l in system.init_labels]
+        work = [((system.start,), l) for l in sorted(system.init_labels)]
     seen.update(work)
     while work:
         form, label = work.pop()
@@ -228,10 +236,10 @@ def _oracle_gc(system, max_len, bounds):
                     if len(nf) > bounds.workspace:
                         truncated = True
                         continue
-                    for l2 in g.success:
+                    for l2 in sorted(g.success):
                         nxts.append((nf, l2))
         else:
-            for l2 in g.failure:
+            for l2 in sorted(g.failure):
                 nxts.append((form, l2))
         for cfg in nxts:
             steps += 1

@@ -1,9 +1,13 @@
 """Shared helpers: corpus loading and commonly used example systems."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rrw
 from rrw import parse_system
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -22,6 +26,15 @@ def load_corpus(name):
 
 def corpus_text(name):
     return (CORPUS_DIR / name).read_text(encoding="utf-8")
+
+
+def fresh_python(*argv, **env):
+    """stdout of ``python argv`` in a new interpreter that imports this
+    checkout's rrw."""
+    src = str(pathlib.Path(rrw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, check=True).stdout
 
 
 @pytest.fixture

@@ -1,17 +1,13 @@
 """Tests for the command-line front end."""
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
 import rrw
 from rrw.cli import main
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, fresh_python
 
 EXAMPLE1 = str(CORPUS_DIR / "ocdgs_example1.rrw")
 WITNESS = str(CORPUS_DIR / "entry_witness.rrw")
@@ -220,15 +216,6 @@ def test_json_schema_fields(capsys):
     assert set(doc) == {"command", "params", "verdict", "complete",
                         "elapsed_ms"}
     assert doc["verdict"]["equal"] is True
-
-
-def fresh_python(*argv, **env):
-    """stdout of ``python argv`` in a new interpreter that imports this
-    checkout's rrw."""
-    src = str(pathlib.Path(rrw.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src, **env)
-    return subprocess.run([sys.executable, *argv], env=env,
-                          capture_output=True, check=True).stdout
 
 
 def test_derive_trace_json_ignores_the_hash_seed():

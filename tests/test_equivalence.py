@@ -18,7 +18,8 @@ from rrw import (
 )
 from rrw.cli import main
 
-from conftest import CORPUS_FILES, MODE_GRID, load_corpus
+from conftest import (CORPUS_FILES, MODE_GRID, corpus_text, fresh_python,
+                      load_corpus)
 
 STAR = Mode.parse("*")
 T = Mode.parse("t")
@@ -269,28 +270,50 @@ component P { S -> a S
 """
 
 
+# the sorted words of reference_enumerate on the system text argv[1] in
+# mode argv[2] at max_len 6, under the StepBounds argv[3:]
+ORACLE_WORDS = """import sys
+from rrw import Mode, StepBounds, parse_system, reference_enumerate
+text, mode, *bounds = sys.argv[1:]
+lang = reference_enumerate(parse_system(text), Mode.parse(mode), 6,
+                           StepBounds(*map(int, bounds)))
+print(sorted(lang.words))
+"""
+
+
 @pytest.mark.parametrize("enumerate_, source, text, bounds", [
     (reference_enumerate, "ocdgs_example1.rrw", "t",
      StepBounds(8, step_budget=1)),
     (reference_enumerate, GC_GROW, "*", StepBounds(8, step_budget=1)),
     (reference_enumerate, "ocdgs_example1.rrw", "t",
      StepBounds(8, form_budget=2)),
+    (reference_enumerate, "ocdgs_example1.rrw", "*",
+     StepBounds(6, step_budget=3)),
+    (reference_enumerate, "ocdgs_example1.rrw", ">=1",
+     StepBounds(6, step_budget=3)),
     (enumerate_language, A_STAR, "*", StepBounds(8, step_budget=3)),
 ], ids=["oracle-steps", "oracle-gc-steps", "oracle-forms",
-        "engine-multiset-steps"])
+        "oracle-star-steps", "oracle-geq1-steps", "engine-multiset-steps"])
 def test_a_budget_exit_leaves_the_language_incomplete(enumerate_, source,
                                                       text, bounds):
     # the oracle's step budget inside one expansion and in a graph-control
     # search, its form budget, and the step budget of a multiset layer on
-    # the engine's naive path; the words found before the exit depend on
-    # the order of expansion, so only their inclusion is asserted
-    system = load_corpus(source) if source.endswith(".rrw") \
-        else parse_system(source)
+    # the engine's naive path; the oracle finds the same words before the
+    # exit under every string hash seed
+    if source.endswith(".rrw"):
+        source = corpus_text(source)
+    system = parse_system(source)
     mode = Mode.parse(text)
     full = enumerate_(system, mode, 6, StepBounds(bounds.workspace))
     cut = enumerate_(system, mode, 6, bounds)
     assert full.complete and not cut.complete
     assert cut.words <= full.words
+    if enumerate_ is reference_enumerate:
+        argv = [str(n) for n in (bounds.workspace, bounds.step_budget,
+                                 bounds.form_budget)]
+        outputs = {fresh_python("-c", ORACLE_WORDS, source, text, *argv,
+                                PYTHONHASHSEED=seed) for seed in "0123"}
+        assert outputs == {f"{sorted(cut.words)}\n".encode()}
 
 
 def test_equiv_identical_systems(example1):

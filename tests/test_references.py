@@ -1,0 +1,51 @@
+"""Every Sphinx cross-reference in the package's docstrings names
+something that exists."""
+
+import builtins
+import importlib
+import pathlib
+import re
+
+import rrw
+
+PACKAGE = pathlib.Path(rrw.__file__).resolve().parent
+
+REFERENCE = re.compile(r":(?:func|meth|class|data):`~?([^`]+)`")
+
+
+def _resolves(module, name):
+    """True if ``name`` is a name in ``module``, a method of one of its
+    classes, a name in the rrw package or a builtin, or a dotted path from
+    one of those (``rrw.core.System`` from the package)."""
+    if name.startswith("rrw."):
+        path, _, attr = name.rpartition(".")
+        return hasattr(importlib.import_module(path), attr)
+    first, *rest = name.split(".")
+    classes = [value for value in vars(module).values()
+               if isinstance(value, type)
+               and value.__module__ == module.__name__]
+    roots = [vars(module), vars(rrw), vars(builtins)]
+    roots += [vars(cls) for cls in classes if not rest]
+    for root in roots:
+        if first in root:
+            target = root[first]
+            for attr in rest:
+                if not hasattr(target, attr):
+                    return False
+                target = getattr(target, attr)
+            return True
+    return False
+
+
+def test_every_docstring_reference_resolves():
+    unresolved = []
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "rrw" if path.stem == "__init__" else f"rrw.{path.stem}")
+        for name in REFERENCE.findall(path.read_text(encoding="utf-8")):
+            count += 1
+            if not _resolves(module, name):
+                unresolved.append(f"{path.name}: {name}")
+    assert count > 60
+    assert not unresolved, unresolved
