@@ -80,11 +80,12 @@ rule).
 search (:func:`_search`) over configurations: forms, whose moves are component
 activations, or for graph control (form, label) pairs (:class:`GcConfig`),
 whose moves apply the rule at the label once or take its failure branch.
-Successors are visited in a fixed order, so a trace does not depend on the
-string hash seed. Rule applications are rebuilt only for the moves on the
-found path, and the rebuild runs on the same search over a third kind of
-configuration (:class:`_Rebuild`): the (form, frozen prefix, step count)
-states of one activation, whose moves are single rule applications.
+Successors are visited in a fixed order, and every layer, frontier and
+position table keeps insertion order, so neither a trace nor a result cut
+by a budget depends on the string hash seed. Each layer maps a form to the
+first (parent, rule index, position) that reached it, so the rule
+applications of a move on the found path are read back from the
+activation's own layers (:meth:`_Enumeration.trace_step`).
 :func:`replay_trace` re-checks every application.
 
 The search goes no further than the semantics require:
@@ -120,8 +121,8 @@ The search goes no further than the semantics require:
   application per rule and form; the position tables hold sorted subforms,
   and the assembly keys its map by sorted prefixes, so the orderings of a
   partial result merge as they are built and each merged prefix is one
-  push. :func:`find_derivation`, :func:`mode_apply`, graph control and the
-  trace rebuild search words, because a trace needs positions.
+  push. :func:`find_derivation`, :func:`mode_apply` and graph control
+  search words, because a trace needs positions.
 """
 
 from __future__ import annotations
@@ -151,11 +152,10 @@ class StepBounds:
         layer applies each enabled rule once per form, at the first
         occurrence of its lhs, so one step is one application per rule and
         form;
-    form_budget: maximum configurations stored per search (:func:`_search`):
-        an enumeration, a derivation search, or the rebuild of one
-        activation's rule applications on a found derivation's trace
-        (:class:`_Rebuild`); also the results assembled per product-path
-        activation.
+    form_budget: maximum configurations stored per search (:func:`_search`),
+        an enumeration or a derivation search; also the results assembled
+        per product-path activation. A found derivation's trace is read from
+        the layers of its activations, which store nothing against it.
     """
 
     workspace: int
@@ -349,8 +349,7 @@ def _entry_ok(component, support):
 class _Enumeration:
     """Shared caches and counters for one search under one mode, and the
     moves of that search: configurations are forms, a move is a component
-    activation. :class:`_GcEnumeration` overrides the four moves, and
-    :class:`_Rebuild` the three that its search needs. With
+    activation. :class:`_GcEnumeration` overrides the four moves. With
     ``multiset`` the forms are sorted and every activation keeps them so
     (see the module docstring).
 
@@ -369,6 +368,7 @@ class _Enumeration:
         self.limit = limit
         self.length = length
         self._tables = {}
+        self._layers = {}
         self._lightest = {}
         self._stable = {}
         self._restricted = {}
@@ -390,13 +390,15 @@ class _Enumeration:
         return True
 
     def _step_layer(self, component, conds, forms):
-        """One ⇒ layer over a set of forms: their successors. Each rule
-        application that the workspace cuts is reported to :meth:`cut`. In
-        a multiset search the forms are sorted, each enabled rule is applied
-        once, at the first occurrence of its lhs (every occurrence gives the
-        same multiset), and each successor is sorted."""
+        """One ⇒ layer over the forms ``forms``: a dict from each successor
+        to the first (form, rule index, position) that produced it, in
+        expansion order (forms in order, then rules, then positions). Each
+        rule application that the workspace cuts is reported to :meth:`cut`.
+        In a multiset search the forms are sorted, each enabled rule is
+        applied once, at the first occurrence of its lhs (every occurrence
+        gives the same multiset), and each successor is sorted."""
         workspace = self.bounds.workspace
-        out = set()
+        out = {}
         for form in forms:
             support = set(form)
             for i, (lhs, permit, forbid) in enumerate(conds):
@@ -412,24 +414,28 @@ class _Enumeration:
                     if not self.spend_steps():
                         return out
                     pos = form.index(lhs)
-                    out.add(tuple(sorted(form[:pos] + rhs + form[pos + 1:])))
+                    out.setdefault(tuple(sorted(form[:pos] + rhs
+                                                + form[pos + 1:])),
+                                   (form, i, pos))
                     continue
                 for pos, s in enumerate(form):
                     if s == lhs:
                         if not self.spend_steps():
                             return out
-                        out.add(form[:pos] + rhs + form[pos + 1:])
+                        out.setdefault(form[:pos] + rhs + form[pos + 1:],
+                                       (form, i, pos))
         return out
 
     def _step_layers(self, component, conds, seed):
-        """The ⇒ layers from the forms ``seed`` that the mode needs (see
+        """The ⇒ layers from the forms of the dict ``seed`` (each mapped to
+        None) that the mode needs: ``layers[j]`` maps each of its forms to
+        its first parent entry in ``layers[j - 1]`` (see
         :meth:`_step_layer`).
 
         With (lo, hi) = ``mode.steps`` and cap = hi, or lo when hi is None,
-        ``layers[j]`` holds the forms reached in exactly j steps for j < cap,
-        and ``layers[cap]`` those reached in exactly cap steps or, when hi is
-        None, in cap or more (its ⇒* closure). In mode t every layer keeps
-        only its stuck forms.
+        ``layers[j]`` holds the forms reached in exactly j steps for j <=
+        cap. When hi is None the ⇒* closure follows, one layer per step,
+        each holding only the forms that no layer from cap on holds.
         """
         lo, hi = self.mode.steps
         cap = lo if hi is None else hi
@@ -437,44 +443,50 @@ class _Enumeration:
         for _ in range(cap):
             layers.append(self._step_layer(component, conds, layers[-1]))
         if hi is None:
-            frontier = layers[cap]
-            visited = set(frontier)
+            seen = set(layers[cap])
             # the activation's own budget: an earlier one may have set
             # ``exhausted``
-            while frontier and self.steps_left >= 0:
-                frontier = self._step_layer(component, conds, frontier) \
-                    - visited
-                visited |= frontier
-            layers[cap] = visited
-        if self.mode.variant == "t":
-            layers = [{f for f in layer if not _has_applicable(conds, f)}
-                      for layer in layers]
+            while layers[-1] and self.steps_left >= 0:
+                layer = {f: parent for f, parent in self._step_layer(
+                    component, conds, layers[-1]).items() if f not in seen}
+                seen.update(layer)
+                layers.append(layer)
         return layers
 
     def _naive_mode(self, component, conds, form):
         """Exact ⇒_i^m result set on the naive path: the forms of the layers
-        from ``lo`` steps on, sorted in a multiset search."""
-        layers = self._step_layers(component, conds, {form})
-        return frozenset().union(*layers[self.mode.steps[0]:])
+        from ``lo`` steps on, in mode t only the stuck ones, sorted in a
+        multiset search."""
+        layers = self._step_layers(component, conds, {form: None})
+        results = frozenset().union(*layers[self.mode.steps[0]:])
+        if self.mode.variant == "t":
+            return frozenset(f for f in results
+                             if not _has_applicable(conds, f))
+        return results
 
     def position_table(self, component, symbol):
         """The product path's table for one position holding ``symbol``,
         built once per search: each subform of the :meth:`_step_layers`
-        from ``(symbol,)`` (sorted with ``multiset``), mapped to the
-        ascending tuple of the indices of its layers, the step values that
-        :meth:`_assemble` shifts its sum masks by. A cut subform is weighed
-        alone, a lower bound on any form that holds it; its cut is recorded
-        when the table is built, and ``truncated`` never resets, so the
-        cached table needs no flag."""
+        from ``(symbol,)`` (sorted with ``multiset``; in mode t only the
+        stuck ones), mapped to the ascending tuple of the indices of its
+        layers, the step values that :meth:`_assemble` shifts its sum masks
+        by. The layers are kept in ``_layers`` under the table's key, for
+        :meth:`trace_step`. A cut subform is weighed alone, a lower bound on
+        any form that holds it; its cut is recorded when the table is built,
+        and ``truncated`` never resets, so the cached table needs no
+        flag."""
         key = (id(component), symbol)
         table = self._tables.get(key)
         if table is None:
-            layers = self._step_layers(
-                component, component.effective_conditions(), {(symbol,)})
+            conds = component.effective_conditions()
+            layers = self._layers[key] = self._step_layers(
+                component, conds, {(symbol,): None})
+            maximal = self.mode.variant == "t"
             table = self._tables[key] = {}
             for j, layer in enumerate(layers):
                 for f in layer:
-                    table[f] = table.get(f, ()) + (j,)
+                    if not (maximal and _has_applicable(conds, f)):
+                        table[f] = table.get(f, ()) + (j,)
         return table
 
     def _assemble(self, tables, producer):
@@ -797,25 +809,59 @@ class _Enumeration:
 
     def trace_step(self, form, move, result):
         """The :class:`TraceStep` of one move on the found path: the rule
-        applications that turn ``form`` into ``result``, rebuilt by a search
-        over single applications (:class:`_Rebuild`). A product-path
-        activation decomposes into per-position derivations, so it has a
-        leftmost witness, which is searched first; a naive-path one gets the
-        unrestricted search."""
+        applications that turn ``form`` into ``result``, read back through
+        the parents of the activation's own layers (:func:`_walk`). The
+        naive path runs the activation again, with the whole step budget, as
+        the search did, and walks back from the first layer from ``lo`` on
+        that holds ``result``. On the product path ``result`` splits into
+        one subform per position (:meth:`_split`); each position's cached
+        layers give its applications, offset by the subforms placed left of
+        it, and those of a restricted component are mapped back through its
+        enabled rules."""
         comp = self.system.components[move]
-        product = self.product_component(comp, form) is not None
-        for leftmost in (True, False) if product else (False,):
-            rebuild = _Rebuild(self, comp, form, result, leftmost)
-            parents, _words, hit = _search(rebuild, result)
-            if hit is not None:
-                apps = _path(parents, hit)[1]
-                return TraceStep(comp.name, self.mode, apps, result)
-            if rebuild.exhausted:
-                break
-        raise BudgetExceeded(
-            f"could not rebuild the {comp.name} activation "
-            f"{format_word(form)} => {format_word(result)} within the bounds"
-        )
+        product = self.product_component(comp, form)
+        if product is None:
+            self.steps_left = self.bounds.step_budget
+            layers = self._step_layers(comp, comp.effective_conditions(),
+                                       {form: None})
+            j = next(j for j in range(self.mode.steps[0], len(layers))
+                     if result in layers[j])
+            apps = _walk(layers, j, result)
+        else:
+            rules = range(len(comp.rules)) if product is comp else sorted(
+                self._stable[id(comp), frozenset(form)])
+            apps = [
+                (rules[i], offset + pos)
+                for symbol, (offset, f, j) in zip(
+                    form, self._split(product, form, result))
+                for i, pos in _walk(self._layers[id(product), symbol], j, f)
+            ]
+        return TraceStep(comp.name, self.mode, tuple(apps), result)
+
+    def _split(self, product, form, result):
+        """An (offset, subform, step value) triple per position of ``form``:
+        a subform of the position's table (:meth:`position_table`) that
+        ``result`` holds at the offset, such that the subforms fill
+        ``result`` and the step values sum into the mode's interval, the
+        least such sum. One pass of :meth:`_assemble`'s shape over offsets
+        into ``result``, whose sums saturate as there; the first choices
+        that reach each (offset, sum) are kept."""
+        lo, hi = self.mode.steps
+        cap = lo if hi is None else hi
+        top = cap if hi is None else cap + 1
+        states = {(0, 0): ()}
+        for symbol in form:
+            nxt = {}
+            for (offset, total), picks in states.items():
+                for f, values in self.position_table(product, symbol).items():
+                    end = offset + len(f)
+                    if result[offset:end] == f:
+                        for j in values:
+                            nxt.setdefault((end, min(total + j, top)),
+                                           picks + ((offset, f, j),))
+            states = nxt
+        return states[min(key for key in states
+                          if key[0] == len(result) and lo <= key[1] <= cap)]
 
 
 class _GcEnumeration(_Enumeration):
@@ -855,67 +901,6 @@ class _GcEnumeration(_Enumeration):
                 apps = ((idx, pos),)
                 break
         return TraceStep(move, Mode("*"), apps, result.form)
-
-
-class _Rebuild(_Enumeration):
-    """The search that rebuilds one activation on a found derivation's
-    trace: configurations are (form, frozen prefix, step count) states from
-    the activation's form, and a move is one application (rule index,
-    position). With (lo, hi) = ``mode.steps``, step counts saturate at lo
-    when hi is None and never exceed hi otherwise; a state ends on the
-    activation's result once it has made lo steps. In a ``leftmost`` search
-    each rewrite is at or right of the previous one, and everything left of
-    it must already equal the result.
-
-    Its workspace bounds the intermediate forms: ``len(result)`` when every
-    rule is non-erasing, otherwise the length that rewriting the positions
-    one after another can reach. It stores at most ``form_budget`` states:
-    it visits one state per application and position, about n·L for n
-    positions rewritten through L steps each, where the activation spent
-    about n + L steps, so the step budget would refuse to rebuild results
-    that the search reached."""
-
-    def __init__(self, enum, component, form, result, leftmost):
-        bounds = enum.bounds
-        limit = len(result) if all(r.rhs for r in component.rules) \
-            else len(form) + len(result) + bounds.workspace
-        super().__init__(enum.system, StepBounds(
-            limit, bounds.step_budget, bounds.form_budget), enum.mode)
-        self.component = component
-        self.form = form
-        self.result = result
-        self.leftmost = leftmost
-
-    def starts(self):
-        return ((self.form, 0, 0),)
-
-    def final_form(self, config):
-        return config[0] if config[2] >= self.mode.steps[0] else None
-
-    def successors(self, config, producer):
-        """(state, (rule index, position), None) triples, by rule and then
-        position; an application past the workspace is dropped."""
-        cur, frozen, n = config
-        lo, hi = self.mode.steps
-        if n == hi:
-            return
-        steps = n + 1 if hi is not None else min(n + 1, lo)
-        leftmost = self.leftmost
-        support = set(cur)
-        for i, (lhs, permit, forbid) in enumerate(
-                self.component.effective_conditions()):
-            if lhs not in support or not permit <= support or forbid & support:
-                continue
-            rhs = self.component.rules[i].rhs
-            if len(cur) - 1 + len(rhs) > self.bounds.workspace:
-                continue
-            for pos in range(frozen, len(cur)):
-                if cur[pos] == lhs:
-                    yield ((cur[:pos] + rhs + cur[pos + 1:],
-                            pos if leftmost else 0, steps), (i, pos), None)
-                # a leftmost rewrite further right freezes cur[pos]
-                if leftmost and cur[pos:pos + 1] != self.result[pos:pos + 1]:
-                    break
 
 
 def _enumeration(system, bounds, mode, length, multiset=False, weight=None):
@@ -1062,7 +1047,8 @@ def find_derivation(system, mode, target, bounds):
 
 
 def _build_trace(enum, hit, parents):
-    """Rebuild the rule applications of each move on the found path."""
+    """The trace of the found path: each move's rule applications
+    (:meth:`_Enumeration.trace_step`)."""
     configs, moves = _path(parents, hit)
     steps = tuple(
         enum.trace_step(config, move, nxt)
@@ -1080,6 +1066,17 @@ def _path(parents, hit):
         configs.append(config)
         moves.append(move)
     return tuple(reversed(configs)), tuple(reversed(moves))
+
+
+def _walk(layers, j, form):
+    """The (rule index, position) applications that lead from the seed in
+    ``layers[0]`` to ``form`` in ``layers[j]``, read back through each
+    layer's parent entries (:meth:`_Enumeration._step_layers`)."""
+    apps = []
+    for layer in reversed(layers[1:j + 1]):
+        form, i, pos = layer[form]
+        apps.append((i, pos))
+    return apps[::-1]
 
 
 def replay_trace(system, trace):

@@ -418,9 +418,9 @@ def test_derive_of_a_word_heavier_than_its_length(capsys, tmp_path):
 
 
 def test_budget_exits_of_enum_and_derive_exit_3(capsys, tmp_path):
-    # the product assembly of P2 on A A A A runs out of forms; the trace of
-    # a found derivation cannot be rebuilt within the form budget, though
-    # the step budget that let the search find it is enough
+    # the product assembly of P2 on A A A A runs out of forms; the derivation
+    # search stores one form before it reaches the word, so a form budget of
+    # one cuts it, and two let it reach the word with its trace
     four = tmp_path / "four.rrw"
     four.write_text("system cdgs four\nnonterminals: S A\nterminals: a b\n"
                     "start: S\ncomponent P1 { S -> A A A A }\n"
@@ -435,12 +435,13 @@ def test_budget_exits_of_enum_and_derive_exit_3(capsys, tmp_path):
                      "component P2 { A -> B\n B -> C\n C -> D\n D -> a }\n",
                      encoding="utf-8")
     status, _, err = run_cli(capsys, "derive", str(chain), "--mode", "t",
-                             "--word", "aaaa", "--form-budget", "10")
+                             "--word", "aaaa", "--form-budget", "1")
     assert status == 3
-    assert "could not rebuild the P2 activation" in err
-    status, _, _ = run_cli(capsys, "derive", str(chain), "--mode", "t",
-                           "--word", "aaaa", "--step-budget", "10")
-    assert status == 0
+    assert "derivation search for aaaa was cut by the bounds" in err
+    for budget in ("--form-budget", "--step-budget"):
+        status, _, _ = run_cli(capsys, "derive", str(chain), "--mode", "t",
+                               "--word", "aaaa", budget, "10")
+        assert status == 0
 
 
 def test_parse_json_reports_the_shape(capsys):

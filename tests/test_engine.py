@@ -34,7 +34,7 @@ from rrw import (
 )
 
 from conftest import (CORPUS_DIR, CORPUS_FILES, MODE_GRID, corpus_text,
-                      load_corpus)
+                      fresh_python, load_corpus)
 
 BOUNDS = StepBounds(workspace=16)
 
@@ -638,6 +638,63 @@ def test_enumerated_words_derive_and_replay(name):
             assert replay_trace(system, trace) == word, (text, word)
 
 
+STARVED = (StepBounds(6, step_budget=3), StepBounds(6, step_budget=5),
+           StepBounds(6, form_budget=5))
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_a_member_under_a_starved_budget_gets_a_trace_or_exit_3(name):
+    # a budget that cuts the search may hide a member, but never makes it
+    # "not derivable", and a trace found on partial results still replays
+    system = load_corpus(name)
+    for text in ("*",) if system.kind == "gc" else MODE_GRID:
+        mode = Mode.parse(text)
+        words = enumerate_language(system, mode, 5, StepBounds(6))
+        for word in words.sorted_words()[:6]:
+            for bounds in STARVED:
+                try:
+                    trace = find_derivation(system, mode, word, bounds)
+                except BudgetExceeded:
+                    continue
+                assert trace is not None, (text, word, bounds)
+                assert replay_trace(system, trace) == word, (text, word)
+
+
+# the derive exit code and output, and the mode_apply and
+# system_successors partial results, on cdgs_pair under a step budget that
+# runs out inside P2's activation on A A
+SEEDED = """
+import contextlib, io, sys
+from rrw import (BudgetExceeded, Mode, StepBounds, mode_apply, parse_system,
+                 system_successors)
+from rrw.cli import main
+
+path = sys.argv[1]
+for word in ("ab", "ba"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["derive", path, "--mode", "t", "--word", word,
+                       "--step-budget", "5", "--json"])
+    print(status, out.getvalue())
+system = parse_system(open(path, encoding="utf-8").read())
+for call, first in ((mode_apply, system.component_named("P2")),
+                    (system_successors, system)):
+    try:
+        call(first, ("A", "A"), Mode.parse("t"), StepBounds(6, step_budget=5))
+    except BudgetExceeded as err:
+        print(sorted(err.partial))
+"""
+
+
+def test_budget_cut_answers_do_not_depend_on_the_hash_seed():
+    path = str(CORPUS_DIR / "cdgs_pair.rrw")
+    outputs = {fresh_python("-c", SEEDED, path, PYTHONHASHSEED=seed)
+               for seed in "0123"}
+    assert len(outputs) == 1
+    # both partial results were printed
+    assert outputs.pop().count(b"\n[") == 2
+
+
 # ---------------------------------------------------------------------------
 # multiset search on unary alphabets, and the non-erasing workspace clamp
 # ---------------------------------------------------------------------------
@@ -840,9 +897,9 @@ def test_mode_apply_and_system_successors_out_of_steps_raise():
         system_successors(system, form, STAR, starved)
 
 
-# a derivation the search finds within 8 steps per activation, whose
-# activation A A A A => a a a a visits 16 states when it is rebuilt one
-# application at a time
+# a derivation the search finds within 8 steps per activation; its
+# activation A A A A => a a a a takes the product path and makes 16
+# applications
 CHAIN = """system cdgs chain
 nonterminals: S A B C D
 terminals: a
@@ -857,19 +914,49 @@ component P2 { A -> B
 
 @pytest.mark.parametrize("step_budget", range(8, 17))
 def test_a_derivation_the_search_finds_rebuilds(step_budget):
-    # the rebuild stores its states against the form budget, so the step
-    # budget that let the search reach the word lets its trace be rebuilt
+    # a trace is read from the layers of the activations on the found path,
+    # which the step budget that let the search reach the word computed
     system = parse_system(CHAIN)
     bounds = StepBounds(4, step_budget=step_budget)
     trace = find_derivation(system, T, ("a",) * 4, bounds)
     assert replay_trace(system, trace) == ("a",) * 4
 
 
-def test_a_trace_that_cannot_be_rebuilt_is_a_cut_search():
-    # the search stores three configurations, the rebuild more than ten
+def test_a_derivation_the_search_finds_has_a_trace_at_every_form_budget():
+    # the search stores two or three configurations; the trace is read
+    # from the activations' layers, which store nothing against the form
+    # budget
     system = parse_system(CHAIN)
-    with pytest.raises(BudgetExceeded, match="could not rebuild the P2"):
-        find_derivation(system, T, ("a",) * 4, StepBounds(4, form_budget=10))
+    for form_budget in range(2, 17):
+        bounds = StepBounds(4, form_budget=form_budget)
+        trace = find_derivation(system, T, ("a",) * 4, bounds)
+        assert replay_trace(system, trace) == ("a",) * 4, form_budget
+
+
+# P2's first rule is never enabled (Z never occurs), so in mode t its
+# activation on A A A A takes the product path of the component made of its
+# second rule alone, which equals the first
+TWIN_RULES = """system rccdgs twin
+nonterminals: S A Z
+terminals: a
+start: S
+component P1 { S -> A A A A }
+component P2 { A -> a permit { Z }
+               A -> a }
+"""
+
+
+def test_a_restricted_product_trace_names_the_enabled_rule():
+    from rrw.engine import _Enumeration
+
+    system = parse_system(TWIN_RULES)
+    p2 = system.component_named("P2")
+    product = _Enumeration(system, BOUNDS, T).product_component(
+        p2, ("A",) * 4)
+    assert product.rules == p2.rules[1:]
+    trace = find_derivation(system, T, ("a",) * 4, StepBounds(4))
+    assert trace.steps[-1].applications == tuple((1, i) for i in range(4))
+    assert replay_trace(system, trace) == ("a",) * 4
 
 
 def wide_support_system(n=6):
@@ -938,16 +1025,35 @@ def test_a_target_symbol_the_system_lacks_weighs_one():
                            StepBounds(4)) is None
 
 
+# P2's positions take different step counts: A -> a takes one step and
+# A -> B -> b two. S -> S lets P1 act in modes =k and >=k, so that P2's
+# product path is traced there too
+UNEVEN = """system cdgs uneven
+nonterminals: S A B
+terminals: a b
+start: S
+component P1 { S -> A A A A
+               S -> S }
+component P2 { A -> B
+               A -> a
+               B -> b }
+"""
+
+
 def _derivation_outputs():
-    """Every corpus file in every mode of MODE_GRID (graph control only in
-    ``*``, where the mode plays no part): the sha256 of the enumerated
-    words and ``complete`` flag at max_len 6 and workspace 8, and of the
-    trace that :func:`find_derivation` gives for each of the first 12 words
-    in shortlex order, or the name of the error it raised."""
+    """Every corpus file, ``FOUR_SITES``, ``CHAIN`` and ``UNEVEN`` in every
+    mode of MODE_GRID (graph control only in ``*``, where the mode plays no
+    part): the sha256 of the enumerated words and ``complete`` flag at
+    max_len 6 and workspace 8, and of the trace that :func:`find_derivation`
+    gives for each of the first 12 words in shortlex order, or the name of
+    the error it raised. The three inline systems trace product-path
+    activations, ``UNEVEN`` also in modes =2 and =3."""
+    systems = [(file, load_corpus(file)) for file in CORPUS_FILES]
+    systems += [(name, parse_system(text)) for name, text in (
+        ("four_sites", FOUR_SITES), ("chain", CHAIN), ("uneven", UNEVEN))]
     out = {}
     bounds = StepBounds(8)
-    for file in CORPUS_FILES:
-        system = load_corpus(file)
+    for file, system in systems:
         for text in ("*",) if system.kind == "gc" else MODE_GRID:
             mode = Mode.parse(text)
             lang = enumerate_language(system, mode, 6, bounds)
