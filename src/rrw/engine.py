@@ -354,9 +354,10 @@ class _Enumeration:
     (see the module docstring).
 
     ``steps_left`` and ``forms_left`` are the step budget and the result cap
-    of the current activation: :meth:`activation` resets both, and a
-    priority check's activation and every position table built inside an
-    activation spend that activation's. Overdrawing either sets
+    of the current activation: :meth:`activation` resets both (and
+    :meth:`trace_step` the step budget, for an activation it runs again),
+    and a priority check's activation and every position table built inside
+    an activation spend that activation's. Overdrawing either sets
     ``exhausted``, which nothing resets during a search."""
 
     def __init__(self, system, bounds, mode, multiset=False, limit=None,

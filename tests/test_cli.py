@@ -420,7 +420,7 @@ def test_derive_of_a_word_heavier_than_its_length(capsys, tmp_path):
 def test_budget_exits_of_enum_and_derive_exit_3(capsys, tmp_path):
     # the product assembly of P2 on A A A A runs out of forms; the derivation
     # search stores one form before it reaches the word, so a form budget of
-    # one cuts it, and two let it reach the word with its trace
+    # one cuts it, and a form or step budget of ten gives the word's trace
     four = tmp_path / "four.rrw"
     four.write_text("system cdgs four\nnonterminals: S A\nterminals: a b\n"
                     "start: S\ncomponent P1 { S -> A A A A }\n"

@@ -1074,8 +1074,9 @@ def _derivation_outputs():
 
 
 # written from _derivation_outputs() before the trace rebuild moved onto the
-# search loop, and equal under PYTHONHASHSEED 0 and 1; the tests do not
-# regenerate it. A change to the engine that keeps the semantics keeps
+# search loop (the entries of the three inline systems before traces were
+# read from the activations' layers), and equal under PYTHONHASHSEED 0 and
+# 1; the tests do not regenerate it. A change to the engine that keeps the semantics keeps
 # every entry.
 DERIVATION_OUTPUTS = CORPUS_DIR.parent / "tests" / "derivation_outputs.json"
 
