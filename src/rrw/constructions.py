@@ -931,7 +931,6 @@ class Contract:
     k_min: int = 1
     mode_required: bool = True
     compact: bool = False      # build also takes compact=True
-    forbid_entries: bool = False  # entry conditions must be forbid-only
 
     def describe(self) -> str:
         """The accepted modes, as written in the README table."""
@@ -956,14 +955,16 @@ class Contract:
         ``compact`` lie within it: :class:`KindError` for a kind outside
         it, ``ValidationError`` for a system that ``validate`` rejects (a
         builder relies on every invariant of its input kind),
-        :class:`PermitPresent`, :class:`ModeError` or ``ValueError``."""
+        :class:`PermitPresent` for an ``entry-cdgs`` input whose entry
+        conditions carry permit symbols (every construction of that kind
+        reads forbid-only ones), :class:`ModeError` or ``ValueError``."""
         if system.kind not in self.kinds.split():
             raise KindError(
                 f"{self.name} expects kind in {sorted(self.kinds.split())}, "
                 f"got {system.kind}"
             )
         check(system)
-        if self.forbid_entries:
+        if system.kind == "entry-cdgs":
             for comp in system.components:
                 if comp.entry.permit:
                     raise PermitPresent(
@@ -1004,17 +1005,17 @@ CONSTRUCTIONS = {c.name: c for c in (
     Contract("frccd-eq2-to-k", "frccdgs", "=k >=k", ("=2", "M"),
              "frccdgs", _frccd_eq2_to_k, k_min=3),
     Contract("cdfrc-to-frccd", "entry-cdgs", "t * >=k", ("M", "M"),
-             "frccdgs", _cdfrc_to_frccd, forbid_entries=True),
+             "frccdgs", _cdfrc_to_frccd),
     Contract("frccd-eq2-to-cdfrc", "frccdgs", "=2", ("=2", "=2"),
              "entry-cdgs", _frccd_eq2_to_cdfrc, mode_required=False),
     Contract("cdfrc-eq2-to-eqk", "entry-cdgs", "=k", ("=2", "M"),
-             "entry-cdgs", _cdfrc_eq2_to_eqk, k_min=3, forbid_entries=True),
+             "entry-cdgs", _cdfrc_eq2_to_eqk, k_min=3),
     Contract("cdfrc-to-pcd", "entry-cdgs", "t * =k <=k >=k", ("M", "M"),
-             "pcdgs", _cdfrc_to_pcd, forbid_entries=True),
+             "pcdgs", _cdfrc_to_pcd),
     Contract("pcd-to-cdfrc", "pcdgs", "t " + _STEP_COUNT_FREE, ("M", "M"),
              "entry-cdgs", _pcd_to_cdfrc),
     Contract("cdfrc-geqk-to-geq2", "entry-cdgs", ">=k", ("M", ">=2"),
-             "entry-cdgs", _cdfrc_geqk_to_geq2, k_min=2, forbid_entries=True),
+             "entry-cdgs", _cdfrc_geqk_to_geq2, k_min=2),
 )}
 
 

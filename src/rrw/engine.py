@@ -26,9 +26,8 @@ paths, both from the layers of one method,
 
 Both paths read the mode, the workspace, the cut record and the multiset
 flag from the search (:class:`_Enumeration`), which also owns each
-activation's step budget and result cap: :meth:`_Enumeration.activation`
-resets them, and the position tables built inside an activation spend
-that activation's.
+activation's step budget: :meth:`_Enumeration.activation` resets it, and
+the position tables built inside an activation spend that activation's.
 
 Which path runs where:
 
@@ -42,8 +41,10 @@ Which path runs where:
   supports reachable from the form's support decides this
   (:func:`_support_graph`): if every rule's regulation test gives the same
   answer on every reachable support that contains its lhs, the activation
-  equals that of the unregulated component made of the always-enabled
-  rules. The graph is capped (``_SUPPORT_CAP``) and memoised per
+  runs the component's own rules under frozen conditions
+  (:meth:`_Enumeration.product_conditions`): an always-enabled rule needs
+  only its lhs, and every other rule forbids its own lhs, so it never
+  applies. The graph is capped (``_SUPPORT_CAP``) and memoised per
   (component, support); past the cap, or when a test changes, the
   activation stays naive;
 * in modes =k, <=k, * and >=k regulated components stay naive. Those
@@ -130,7 +131,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Component, Mode, format_word, shortlex_key
+from .core import Mode, format_word, shortlex_key
 from .errors import BudgetExceeded, UnknownLabel
 
 
@@ -153,9 +154,10 @@ class StepBounds:
         occurrence of its lhs, so one step is one application per rule and
         form;
     form_budget: maximum configurations stored per search (:func:`_search`),
-        an enumeration or a derivation search; also the results assembled
-        per product-path activation. A found derivation's trace is read from
-        the layers of its activations, which store nothing against it.
+        an enumeration or a derivation search. An activation's results are
+        bounded by its step budget alone. A found derivation's trace is read
+        from the layers of its activations, which store nothing against the
+        form budget.
     """
 
     workspace: int
@@ -353,12 +355,11 @@ class _Enumeration:
     ``multiset`` the forms are sorted and every activation keeps them so
     (see the module docstring).
 
-    ``steps_left`` and ``forms_left`` are the step budget and the result cap
-    of the current activation: :meth:`activation` resets both (and
-    :meth:`trace_step` the step budget, for an activation it runs again),
-    and a priority check's activation and every position table built inside
-    an activation spend that activation's. Overdrawing either sets
-    ``exhausted``, which nothing resets during a search."""
+    ``steps_left`` is the step budget of the current activation:
+    :meth:`activation` resets it (and :meth:`trace_step`, for an activation
+    it runs again), and a priority check's activation and every position
+    table built inside an activation spend that activation's. Overdrawing
+    it sets ``exhausted``, which nothing resets during a search."""
 
     def __init__(self, system, bounds, mode, multiset=False, limit=None,
                  length=None):
@@ -372,12 +373,11 @@ class _Enumeration:
         self._layers = {}
         self._lightest = {}
         self._stable = {}
-        self._restricted = {}
+        self._frozen = {}
         self._acting = {}
         self.truncated = False
         self.exhausted = False
         self.steps_left = bounds.step_budget
-        self.forms_left = bounds.form_budget
 
     # -- one activation -----------------------------------------------------
 
@@ -465,21 +465,21 @@ class _Enumeration:
                              if not _has_applicable(conds, f))
         return results
 
-    def position_table(self, component, symbol):
+    def position_table(self, component, conds, symbol):
         """The product path's table for one position holding ``symbol``,
-        built once per search: each subform of the :meth:`_step_layers`
-        from ``(symbol,)`` (sorted with ``multiset``; in mode t only the
-        stuck ones), mapped to the ascending tuple of the indices of its
-        layers, the step values that :meth:`_assemble` shifts its sum masks
-        by. The layers are kept in ``_layers`` under the table's key, for
-        :meth:`trace_step`. A cut subform is weighed alone, a lower bound on
-        any form that holds it; its cut is recorded when the table is built,
-        and ``truncated`` never resets, so the cached table needs no
-        flag."""
-        key = (id(component), symbol)
+        built once per search and set of conditions ``conds`` (see
+        :meth:`product_conditions`): each subform of the
+        :meth:`_step_layers` from ``(symbol,)`` (sorted with ``multiset``;
+        in mode t only the stuck ones), mapped to the ascending tuple of the
+        indices of its layers, the step values that :meth:`_assemble` shifts
+        its sum masks by. The layers are kept in ``_layers`` under the
+        table's key, for :meth:`trace_step`. A cut subform is weighed alone,
+        a lower bound on any form that holds it; its cut is recorded when
+        the table is built, and ``truncated`` never resets, so the cached
+        table needs no flag."""
+        key = (id(conds), symbol)
         table = self._tables.get(key)
         if table is None:
-            conds = component.effective_conditions()
             layers = self._layers[key] = self._step_layers(
                 component, conds, {(symbol,): None})
             maximal = self.mode.variant == "t"
@@ -504,10 +504,10 @@ class _Enumeration:
         In a multiset search the tables hold sorted subforms and each prefix
         is sorted, so the permutations of one multiset merge into one entry
         as they are built. Each new entry of the map is one push on the
-        activation's step budget, and each result one on its result cap
-        (``forms_left``). Equal symbols share one table, and a run of
-        positions whose table has one subform is taken in one move that
-        spends one push per position, as the positions one by one would.
+        activation's step budget, so the budget also bounds the results.
+        Equal symbols share one table, and a run of positions whose table
+        has one subform is taken in one move that spends one push per
+        position, as the positions one by one would.
 
         With a ``producer`` (see :meth:`useful`), a prefix whose every
         completion has a useless support is dropped; None keeps every
@@ -608,15 +608,8 @@ class _Enumeration:
             i = j
 
         # the pruning above already tested each result's support
-        results = set()
-        for form, (sums, _support) in states.items():
-            if sums & kept:
-                self.forms_left -= 1
-                if self.forms_left < 0:
-                    self.exhausted = True
-                    break
-                results.add(form)
-        return frozenset(results)
+        return frozenset(form for form, (sums, _support) in states.items()
+                         if sums & kept)
 
     def keep(self, support):
         """Never prune forms with this support (a derivation target)."""
@@ -650,33 +643,39 @@ class _Enumeration:
                     break
         return acting
 
-    def product_component(self, component, form):
-        """The unregulated component whose product path computes this
-        activation exactly, or None when the naive path runs (fewer than
-        ``_PRODUCT_MIN_SITES`` rewritable positions, or regulation that may
-        change)."""
+    def product_conditions(self, component, form):
+        """The condition triples, one per rule of ``component``, under which
+        the product path computes this activation exactly, or None when the
+        naive path runs (fewer than ``_PRODUCT_MIN_SITES`` rewritable
+        positions, or regulation that may change). An unregulated component
+        runs under its own conditions. A regulated one in mode t whose rules
+        keep one verdict on every reachable support (:func:`_stable_rules`)
+        runs under frozen ones: an always-enabled rule needs only its lhs,
+        and every other rule forbids its own lhs, so it never applies. The
+        frozen conditions are built once per (component, enabled rules), so
+        supports with the same enabled rules share their position
+        tables."""
         lhs_set = component.lhs_set
         if sum(s in lhs_set for s in form) < _PRODUCT_MIN_SITES:
             return None
+        conds = component.effective_conditions()
         if component.unregulated:
-            return component
+            return conds
         if self.mode.variant != "t":
             return None
         key = (id(component), frozenset(form))
         if key not in self._stable:
-            self._stable[key] = _stable_rules(
-                component, component.effective_conditions(), key[1]
-            )
+            self._stable[key] = _stable_rules(component, conds, key[1])
         enabled = self._stable[key]
         if enabled is None:
             return None
         key = (id(component), enabled)
-        if key not in self._restricted:
-            self._restricted[key] = Component(
-                component.name,
-                tuple(component.rules[i] for i in sorted(enabled)),
-            )
-        return self._restricted[key]
+        if key not in self._frozen:
+            self._frozen[key] = tuple(
+                (lhs, frozenset(),
+                 frozenset() if i in enabled else frozenset({lhs}))
+                for i, (lhs, _permit, _forbid) in enumerate(conds))
+        return self._frozen[key]
 
     def activation(self, component, form, producer=None):
         """Exact ⇒_i^m results within bounds, on the product path where that
@@ -685,17 +684,17 @@ class _Enumeration:
         positions, so :meth:`_assemble` combines the :meth:`position_table`
         of each position. With a ``producer`` the product path drops results
         that :meth:`useful` rejects; None returns the whole relation. Each
-        activation starts with the whole step budget and result cap."""
+        activation starts with the whole step budget."""
         conds = component.effective_conditions()
         if not _has_applicable(conds, form):
             return frozenset()  # every mode makes at least one application
         self.steps_left = self.bounds.step_budget
-        self.forms_left = self.bounds.form_budget
-        product = self.product_component(component, form)
-        if product is None:
+        frozen = self.product_conditions(component, form)
+        if frozen is None:
             return self._naive_mode(component, conds, form)
         return self._assemble(
-            [self.position_table(product, s) for s in form], producer)
+            [self.position_table(component, frozen, s) for s in form],
+            producer)
 
     def allowed_components(self, form, support):
         """The components permitted to act on ``form`` (entry + priority),
@@ -817,11 +816,10 @@ class _Enumeration:
         that holds ``result``. On the product path ``result`` splits into
         one subform per position (:meth:`_split`); each position's cached
         layers give its applications, offset by the subforms placed left of
-        it, and those of a restricted component are mapped back through its
-        enabled rules."""
+        it."""
         comp = self.system.components[move]
-        product = self.product_component(comp, form)
-        if product is None:
+        frozen = self.product_conditions(comp, form)
+        if frozen is None:
             self.steps_left = self.bounds.step_budget
             layers = self._step_layers(comp, comp.effective_conditions(),
                                        {form: None})
@@ -829,17 +827,15 @@ class _Enumeration:
                      if result in layers[j])
             apps = _walk(layers, j, result)
         else:
-            rules = range(len(comp.rules)) if product is comp else sorted(
-                self._stable[id(comp), frozenset(form)])
             apps = [
-                (rules[i], offset + pos)
+                (i, offset + pos)
                 for symbol, (offset, f, j) in zip(
-                    form, self._split(product, form, result))
-                for i, pos in _walk(self._layers[id(product), symbol], j, f)
+                    form, self._split(comp, frozen, form, result))
+                for i, pos in _walk(self._layers[id(frozen), symbol], j, f)
             ]
         return TraceStep(comp.name, self.mode, tuple(apps), result)
 
-    def _split(self, product, form, result):
+    def _split(self, component, conds, form, result):
         """An (offset, subform, step value) triple per position of ``form``:
         a subform of the position's table (:meth:`position_table`) that
         ``result`` holds at the offset, such that the subforms fill
@@ -854,7 +850,8 @@ class _Enumeration:
         for symbol in form:
             nxt = {}
             for (offset, total), picks in states.items():
-                for f, values in self.position_table(product, symbol).items():
+                for f, values in self.position_table(component, conds,
+                                                     symbol).items():
                     end = offset + len(f)
                     if result[offset:end] == f:
                         for j in values:
@@ -940,7 +937,7 @@ def _search(enum, target=None):
             if enum.final_form(config) == target:
                 return parents, words, config
     queue = deque((config, -1) for config in starts)
-    forms_left = enum.bounds.form_budget
+    configs_left = enum.bounds.form_budget
     while queue and not enum.exhausted:
         config, producer = queue.popleft()
         form = enum.final_form(config)
@@ -950,8 +947,8 @@ def _search(enum, target=None):
         for nxt, move, mark in enum.successors(config, producer):
             if nxt in parents:
                 continue
-            forms_left -= 1
-            if forms_left < 0:
+            configs_left -= 1
+            if configs_left < 0:
                 enum.exhausted = True
                 break
             parents[nxt] = (config, move)

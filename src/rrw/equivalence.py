@@ -249,6 +249,9 @@ def _oracle_gc(system, max_len, bounds):
             if cfg in seen:
                 continue
             seen.add(cfg)
+            if len(seen) > bounds.form_budget:
+                exhausted = True
+                break
             work.append(cfg)
             nf, l2 = cfg
             if l2 in system.final_labels and len(nf) <= max_len and all(

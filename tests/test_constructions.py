@@ -310,7 +310,15 @@ def test_cdfrc_to_frccd_rejects_counted_modes():
             apply_construction("cdfrc-to-frccd", system, Mode.parse(text))
 
 
-def test_cdfrc_to_frccd_rejects_permit_entries():
+@pytest.mark.parametrize("name, mode", [
+    ("cdfrc-to-frccd", ">=1"),
+    ("cdfrc-eq2-to-eqk", "=3"),
+    ("cdfrc-to-pcd", "*"),
+    ("cdfrc-geqk-to-geq2", ">=2"),
+])
+def test_entry_cdgs_constructions_reject_permit_entries(name, mode):
+    # every construction that reads entry-cdgs input takes forbid-only
+    # entry conditions
     base = load_corpus("entry_pair.rrw")
     with_permit = System(
         kind="entry-cdgs",
@@ -327,7 +335,7 @@ def test_cdfrc_to_frccd_rejects_permit_entries():
         ),
     )
     with pytest.raises(PermitPresent):
-        apply_construction("cdfrc-to-frccd", with_permit, Mode.parse(">=1"))
+        apply_construction(name, with_permit, Mode.parse(mode))
 
 
 def test_cdfrc_eq2_to_eqk_adds_counter_chain():

@@ -485,7 +485,7 @@ def test_product_path_matches_naive_path():
                     assert menum.activation(comp, key) == \
                         {tuple(sorted(r)) for r in fast}, where
                     multiset_runs[text] += bool(
-                        menum.product_component(comp, key))
+                        menum.product_conditions(comp, key))
                     if truncated:
                         assert fast >= slow, where
                         supersets += fast != slow
@@ -497,7 +497,7 @@ def test_product_path_matches_naive_path():
                             assert slow == expected.keys(), where
                             against_oracle += 1
                     compared += 1
-                    if enum.product_component(comp, form):
+                    if enum.product_conditions(comp, form):
                         product_runs[text] += 1
                         specialised += not comp.unregulated
     assert compared > 2000
@@ -542,7 +542,7 @@ def test_regulation_that_changes_during_a_t_activation_stays_naive():
     )
     form = ("X", "X", "Y", "Y")
     enum = _Enumeration(system, BOUNDS, T)
-    assert enum.product_component(comp, form) is None
+    assert enum.product_conditions(comp, form) is None
     result = enum.activation(comp, form)
     assert result == mode_apply(comp, form, T, BOUNDS)
     assert result and ("a", "a", "c", "c") not in result
@@ -554,9 +554,9 @@ def test_stable_regulation_takes_the_product_path(example1):
     p2 = example1.component_named("P2")
     enum = _Enumeration(example1, BOUNDS, T)
     form = ("B",) * 6
-    assert enum.product_component(p2, form) is not None
+    assert enum.product_conditions(p2, form) is not None
     assert enum.activation(p2, form) == {("A",) * 12}
-    assert enum.product_component(p2, form + ("C",)) is not None
+    assert enum.product_conditions(p2, form + ("C",)) is not None
     assert enum.activation(p2, form + ("C",)) == set()
 
 
@@ -571,9 +571,9 @@ def test_every_component_needs_four_sites_for_the_product_path(example1):
     for text in CRITERION_4_MODES:
         mode = Mode.parse(text)
         enum = _Enumeration(example1, BOUNDS, mode)
-        for sites, product in ((3, None), (4, p1)):
+        for sites, product in ((3, None), (4, conds)):
             form = ("A",) * sites
-            assert enum.product_component(p1, form) is product, text
+            assert enum.product_conditions(p1, form) is product, text
             naive = _Enumeration(example1, BOUNDS, mode)._naive_mode(
                 p1, conds, form)
             assert enum.activation(p1, form) == naive, (text, sites)
@@ -868,20 +868,26 @@ component P2 { A -> a
 """
 
 
-@pytest.mark.parametrize("bounds", [StepBounds(4, form_budget=10),
-                                    StepBounds(4, step_budget=5)],
-                         ids=["forms", "steps"])
-def test_a_product_assembly_out_of_budget_ends_incomplete(bounds):
+@pytest.mark.parametrize("bounds, exhausted", [
+    (StepBounds(4, form_budget=10), False),
+    (StepBounds(4, step_budget=5), True),
+], ids=["forms", "steps"])
+def test_a_product_assembly_out_of_budget_ends_incomplete(bounds, exhausted):
+    # the step budget cuts the assembly of P2's 80 results; the form budget
+    # bounds only the configurations that the search stores, so the
+    # activation returns all 80 and the search runs out of room for them
     from rrw.engine import _Enumeration
 
     system = parse_system(FOUR_SITES)
     p2 = system.component_named("P2")
     form = ("A",) * 4
     whole = _Enumeration(system, StepBounds(4), STAR).activation(p2, form)
+    assert len(whole) == 80
     enum = _Enumeration(system, bounds, STAR)
-    assert enum.product_component(p2, form) is p2
-    assert enum.activation(p2, form) < whole
-    assert enum.exhausted
+    assert enum.product_conditions(p2, form) is p2.effective_conditions()
+    result = enum.activation(p2, form)
+    assert enum.exhausted == exhausted
+    assert result < whole if exhausted else result == whole
     assert not enumerate_language(system, STAR, 4, bounds).complete
 
 
@@ -933,9 +939,12 @@ def test_a_derivation_the_search_finds_has_a_trace_at_every_form_budget():
         assert replay_trace(system, trace) == ("a",) * 4, form_budget
 
 
-# P2's first rule is never enabled (Z never occurs), so in mode t its
-# activation on A A A A takes the product path of the component made of its
-# second rule alone, which equals the first
+# P2's rules that need Z are never enabled (Z never occurs), so in mode t
+# its activation on A A A A takes the product path under frozen conditions:
+# each never-enabled rule forbids its own lhs. In TWIN_RULES the first rule
+# equals the second, so naming rules by equality would name the wrong one;
+# in SPLIT_RULES the never-enabled rule sits between two enabled ones, so
+# numbering the enabled rules afresh would shift only the later index
 TWIN_RULES = """system rccdgs twin
 nonterminals: S A Z
 terminals: a
@@ -944,19 +953,36 @@ component P1 { S -> A A A A }
 component P2 { A -> a permit { Z }
                A -> a }
 """
+SPLIT_RULES = """system rccdgs split
+nonterminals: S A B Z
+terminals: a
+start: S
+component P1 { S -> A A A A }
+component P2 { A -> B
+               B -> a permit { Z }
+               B -> a }
+"""
 
 
 def test_a_restricted_product_trace_names_the_enabled_rule():
     from rrw.engine import _Enumeration
 
-    system = parse_system(TWIN_RULES)
-    p2 = system.component_named("P2")
-    product = _Enumeration(system, BOUNDS, T).product_component(
-        p2, ("A",) * 4)
-    assert product.rules == p2.rules[1:]
-    trace = find_derivation(system, T, ("a",) * 4, StepBounds(4))
-    assert trace.steps[-1].applications == tuple((1, i) for i in range(4))
-    assert replay_trace(system, trace) == ("a",) * 4
+    for text, enabled, applications in (
+        (TWIN_RULES, (False, True), [(1, i) for i in range(4)]),
+        (SPLIT_RULES, (True, False, True),
+         [(r, i) for i in range(4) for r in (0, 2)]),
+    ):
+        system = parse_system(text)
+        p2 = system.component_named("P2")
+        frozen = _Enumeration(system, BOUNDS, T).product_conditions(
+            p2, ("A",) * 4)
+        assert frozen == tuple(
+            (rule.lhs, frozenset(),
+             frozenset() if on else frozenset({rule.lhs}))
+            for rule, on in zip(p2.rules, enabled)), system.name
+        trace = find_derivation(system, T, ("a",) * 4, StepBounds(4))
+        assert trace.steps[-1].applications == tuple(applications)
+        assert replay_trace(system, trace) == ("a",) * 4
 
 
 def wide_support_system(n=6):
@@ -980,7 +1006,7 @@ def test_past_the_support_cap_an_activation_stays_naive():
     walk = list(_support_graph(p2, p2.effective_conditions(),
                                frozenset({"X1"})))
     assert walk[-1] is None
-    assert _Enumeration(system, BOUNDS, T).product_component(
+    assert _Enumeration(system, BOUNDS, T).product_conditions(
         p2, ("X1",) * 4) is None
     for text in ("t", "*", "=1", ">=2"):
         mode = Mode.parse(text)
@@ -1097,10 +1123,7 @@ def _budget_outputs():
 
     Each budget exit is taken by some entry: a naive layer (from step
     budget 1), a product-path assembly push (from step budget 3), and at
-    form budget 10 the search's form budget and the assembly's result cap.
-    Only ``FOUR_SITES`` reaches the cap: on every corpus file the search
-    stores more forms before a product-path activation than that activation
-    yields, so its own form budget runs out first."""
+    form budget 10 the search's form budget."""
     systems = [(file, load_corpus(file)) for file in CORPUS_FILES]
     systems.append(("four_sites", parse_system(FOUR_SITES)))
     budgets = [StepBounds(8, step_budget=s) for s in (1, 3, 10, 30)]
@@ -1159,17 +1182,3 @@ def test_each_activation_has_its_own_step_budget(kind, extra):
                               StepBounds(5, step_budget=4))
     assert lang == BoundedLanguage(frozenset(words), 4, True)
 
-
-def test_each_activation_has_its_own_result_cap():
-    # P2 rewrites each A of A A A A once in mode =4: sixteen results, which
-    # a cap of sixteen holds for each activation, not for two together
-    from rrw.engine import _Enumeration
-
-    system = parse_system(FOUR_SITES)
-    p2 = system.component_named("P2")
-    enum = _Enumeration(system, StepBounds(4, form_budget=16),
-                        Mode.parse("=4"))
-    first = enum.activation(p2, ("A",) * 4)
-    assert len(first) == 16
-    assert enum.activation(p2, ("A",) * 4) == first
-    assert not enum.exhausted

@@ -287,19 +287,20 @@ print(sorted(lang.words))
     (reference_enumerate, GC_GROW, "*", StepBounds(8, step_budget=1)),
     (reference_enumerate, "ocdgs_example1.rrw", "t",
      StepBounds(8, form_budget=2)),
+    (reference_enumerate, GC_GROW, "*", StepBounds(8, form_budget=2)),
     (reference_enumerate, "ocdgs_example1.rrw", "*",
      StepBounds(6, step_budget=3)),
     (reference_enumerate, "ocdgs_example1.rrw", ">=1",
      StepBounds(6, step_budget=3)),
     (enumerate_language, A_STAR, "*", StepBounds(8, step_budget=3)),
-], ids=["oracle-steps", "oracle-gc-steps", "oracle-forms",
+], ids=["oracle-steps", "oracle-gc-steps", "oracle-forms", "oracle-gc-forms",
         "oracle-star-steps", "oracle-geq1-steps", "engine-multiset-steps"])
 def test_a_budget_exit_leaves_the_language_incomplete(enumerate_, source,
                                                       text, bounds):
     # the oracle's step budget inside one expansion and in a graph-control
-    # search, its form budget, and the step budget of a multiset layer on
-    # the engine's naive path; the oracle finds the same words before the
-    # exit under every string hash seed
+    # search, its form budget in both, and the step budget of a multiset
+    # layer on the engine's naive path; the oracle finds the same words
+    # before the exit under every string hash seed
     if source.endswith(".rrw"):
         source = corpus_text(source)
     system = parse_system(source)

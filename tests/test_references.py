@@ -1,10 +1,13 @@
-"""Every Sphinx cross-reference in the package's docstrings names
-something that exists."""
+"""Source checks: every Sphinx cross-reference in the package's docstrings
+names something that exists, and the package imports only the standard
+library."""
 
+import ast
 import builtins
 import importlib
 import pathlib
 import re
+import sys
 
 import rrw
 
@@ -49,3 +52,25 @@ def test_every_docstring_reference_resolves():
                 unresolved.append(f"{path.name}: {name}")
     assert count > 60
     assert not unresolved, unresolved
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime stays stdlib-only: every import is relative or names a
+    # standard-library module
+    outside = []
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                count += 1
+                if name.partition(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno}: {name}")
+    assert count > 20
+    assert not outside, outside
