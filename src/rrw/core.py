@@ -176,15 +176,30 @@ class Component:
 
     @cached_property
     def unregulated(self) -> bool:
-        """True when applicability reduces to lhs presence for every rule;
-        computed once per component."""
-        if self.contexts is not None and any(
-            c.permit or c.forbid for c in self.contexts
-        ):
-            return False
-        if self.order is not None and self.order:
-            return False
-        return True
+        """True when applicability reduces to lhs presence for every rule:
+        no condition triple has a permit or a forbid symbol. Computed once
+        per component."""
+        return not any(permit or forbid
+                       for _lhs, permit, forbid in self._conditions)
+
+
+def least_yields(rules, terminals) -> dict:
+    """The least fixpoint of terminal yields: each left-hand side of
+    ``rules`` that derives a word over ``terminals`` mapped to the length of
+    its shortest such word, where a symbol of ``terminals`` yields 1. A
+    left-hand side that derives no such word is left out."""
+    inf = float("inf")
+    yields = {}
+    changed = True
+    while changed:
+        changed = False
+        for r in rules:
+            w = sum(1 if s in terminals else yields.get(s, inf)
+                    for s in r.rhs)
+            if w < yields.get(r.lhs, inf):
+                yields[r.lhs] = w
+                changed = True
+    return yields
 
 
 @dataclass(frozen=True)
@@ -287,22 +302,14 @@ class System:
     def weights(self) -> dict:
         """Least terminal yield of each symbol, computed once like
         ``non_erasing``: 1 for a terminal; for a nonterminal the least
-        fixpoint over all rules of the system, ignoring regulation and mode,
-        and ``inf`` when it derives no terminal word. A regulated derivation
-        is also a context-free one, so no form derives a word shorter than
-        its weight, the sum over its symbols, and no rule lowers it."""
-        inf = float("inf")
-        weights = dict.fromkeys(self.alphabet, inf)
+        fixpoint over all rules of the system (:func:`least_yields`),
+        ignoring regulation and mode, and ``inf`` when it derives no
+        terminal word. A regulated derivation is also a context-free one,
+        so no form derives a word shorter than its weight, the sum over its
+        symbols, and no rule lowers it."""
+        weights = dict.fromkeys(self.alphabet, float("inf"))
         weights.update(dict.fromkeys(self.terminals, 1))
-        rules = self.all_rules()
-        changed = True
-        while changed:
-            changed = False
-            for r in rules:
-                w = sum(weights.get(s, inf) for s in r.rhs)
-                if w < weights.get(r.lhs, inf):
-                    weights[r.lhs] = w
-                    changed = True
+        weights.update(least_yields(self.all_rules(), self.terminals))
         return weights
 
     @cached_property

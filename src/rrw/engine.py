@@ -37,23 +37,24 @@ Which path runs where:
 * otherwise unregulated components take the product path in every mode;
 * ordered and random-context components take it in mode t when their
   regulation cannot change during the activation. Applicability depends
-  only on a form's support (its symbol set), so the abstract graph of
-  supports reachable from the form's support decides this
-  (:func:`_support_graph`): if every rule's regulation test gives the same
+  only on a form's support (its symbol set), so one walk of the abstract
+  graph of supports reachable from the form's support decides this
+  (:func:`_support_facts`): if every rule's regulation test gives the same
   answer on every reachable support that contains its lhs, the activation
   runs the component's own rules under frozen conditions
   (:meth:`_Enumeration.product_conditions`): an always-enabled rule needs
   only its lhs, and every other rule forbids its own lhs, so it never
-  applies. The graph is capped (``_SUPPORT_CAP``) and memoised per
-  (component, support); past the cap, or when a test changes, the
+  applies. The walk is capped (``_SUPPORT_CAP``), and its answer and the
+  frozen conditions are kept per (component, support)
+  (:meth:`_Enumeration.facts`); past the cap, or when a test changes, the
   activation stays naive;
 * in modes =k, <=k, * and >=k regulated components stay naive. Those
   activations are short (at most k steps, or a closure that the search
   never repeats for the same component), and on small forms a product
   activation costs about ten times a naive one there.
 
-The same graph also prunes the search in mode t: a form is dropped when
-no component can end a t-activation on it (no stuck support is reachable).
+The same walk also prunes the search in mode t: a form is dropped when no
+component can end a t-activation on it (no stuck support is reachable).
 In the closed modes (*, >=k, t) a form is also dropped when its producer is
 the only component with an applicable rule, because the search never
 re-activates the producer.
@@ -268,63 +269,47 @@ _SUPPORT_CAP = 64  # max supports explored per abstract support graph
 _PRODUCT_MIN_SITES = 4
 
 
-def _support_graph(component, conds, support):
-    """Walk the abstract t-mode graph of supports reachable from ``support``.
+def _support_facts(component, conds, support):
+    """What the abstract t-mode graph of supports reachable from ``support``
+    tells about an activation, as ``(stuck, enabled)``.
 
     Applying an enabled rule X -> w moves a support S to S ∪ alph(w), and
     also to (S ∪ alph(w)) ∖ {X} when X ∉ w (other occurrences of X may or
     may not remain). Every support that a real derivation passes through is
-    a node. Yields, per node, the (rule index, regulation test) pairs of the
-    rules whose lhs the node contains; yields None once the walk has seen
-    more than ``_SUPPORT_CAP`` nodes.
+    a node. ``stuck`` is True when some node enables no rule, so that a
+    t-activation may end there; False proves every t-activation from
+    ``support`` empty. ``enabled`` is the set of rules enabled throughout
+    any activation: it is defined when every rule's regulation test gives
+    one answer on every node that contains its lhs, and None otherwise.
+    Past ``_SUPPORT_CAP`` nodes the walk stops with ``(True, None)``, and it
+    stops as soon as that is the answer.
     """
     seen = {support}
     stack = [support]
+    stuck = False
+    verdicts = {}
     while stack:
         s = stack.pop()
-        tests = []
+        live = False
         for i, (lhs, permit, forbid) in enumerate(conds):
             if lhs not in s:
                 continue
             ok = permit <= s and not (forbid & s)
-            tests.append((i, ok))
+            if verdicts is not None and verdicts.setdefault(i, ok) != ok:
+                verdicts = None
             if ok:
+                live = True
                 rhs = component.rules[i].rhs
                 grown = s.union(rhs)
                 for nxt in (grown,) if lhs in rhs else (grown, grown - {lhs}):
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-        yield tests
-        if len(seen) > _SUPPORT_CAP:
-            yield None
-            return
-
-
-def _reaches_stuck(component, conds, support):
-    """False proves every t-activation from ``support`` empty: no reachable
-    support disables all rules."""
-    for tests in _support_graph(component, conds, support):
-        if tests is None or not any(ok for _i, ok in tests):
-            return True
-    return False
-
-
-def _stable_rules(component, conds, support):
-    """The rules enabled throughout any activation from ``support``, or None.
-
-    Defined when every rule's regulation test gives one answer on every
-    reachable support that contains its lhs; the result is the set of rules
-    whose answer is yes. The regulation then never changes.
-    """
-    verdicts = {}
-    for tests in _support_graph(component, conds, support):
-        if tests is None:
-            return None
-        for i, ok in tests:
-            if verdicts.setdefault(i, ok) != ok:
-                return None
-    return frozenset(i for i, ok in verdicts.items() if ok)
+        stuck = stuck or not live
+        if len(seen) > _SUPPORT_CAP or (stuck and verdicts is None):
+            return True, None
+    return stuck, None if verdicts is None else frozenset(
+        i for i, ok in verdicts.items() if ok)
 
 
 def _add_sums(sums, values, top, below):
@@ -355,6 +340,11 @@ class _Enumeration:
     ``multiset`` the forms are sorted and every activation keeps them so
     (see the module docstring).
 
+    The search keeps three caches: the position tables with their layers
+    (:meth:`position_table`), the components that can act on each support
+    (:meth:`useful`), and each (component, support)'s answer from the
+    support graph (:meth:`facts`).
+
     ``steps_left`` is the step budget of the current activation:
     :meth:`activation` resets it (and :meth:`trace_step`, for an activation
     it runs again), and a priority check's activation and every position
@@ -370,11 +360,8 @@ class _Enumeration:
         self.limit = limit
         self.length = length
         self._tables = {}
-        self._layers = {}
-        self._lightest = {}
-        self._stable = {}
-        self._frozen = {}
         self._acting = {}
+        self._facts = {}
         self.truncated = False
         self.exhausted = False
         self.steps_left = bounds.step_budget
@@ -472,23 +459,25 @@ class _Enumeration:
         :meth:`_step_layers` from ``(symbol,)`` (sorted with ``multiset``;
         in mode t only the stuck ones), mapped to the ascending tuple of the
         indices of its layers, the step values that :meth:`_assemble` shifts
-        its sum masks by. The layers are kept in ``_layers`` under the
-        table's key, for :meth:`trace_step`. A cut subform is weighed alone,
-        a lower bound on any form that holds it; its cut is recorded when
-        the table is built, and ``truncated`` never resets, so the cached
-        table needs no flag."""
+        its sum masks by. The table is kept with its layers, for
+        :meth:`trace_step`, under ``(id(conds), symbol)``; every tuple of
+        conditions lives as long as the search (a component's own, or one
+        kept by :meth:`facts`). A cut subform is weighed alone, a lower
+        bound on any form that holds it; its cut is recorded when the table
+        is built, and ``truncated`` never resets, so the cached table needs
+        no flag."""
         key = (id(conds), symbol)
-        table = self._tables.get(key)
-        if table is None:
-            layers = self._layers[key] = self._step_layers(
-                component, conds, {(symbol,): None})
+        entry = self._tables.get(key)
+        if entry is None:
+            layers = self._step_layers(component, conds, {(symbol,): None})
             maximal = self.mode.variant == "t"
-            table = self._tables[key] = {}
+            table = {}
             for j, layer in enumerate(layers):
                 for f in layer:
                     if not (maximal and _has_applicable(conds, f)):
                         table[f] = table.get(f, ()) + (j,)
-        return table
+            entry = self._tables[key] = (table, layers)
+        return entry[0]
 
     def _assemble(self, tables, producer):
         """The results of one product-path activation, built position by
@@ -637,11 +626,30 @@ class _Enumeration:
         for i, comp in enumerate(self.system.components):
             conds = comp.effective_conditions()
             if _entry_ok(comp, support) and _has_applicable(conds, support) \
-                    and (not maximal or _reaches_stuck(comp, conds, support)):
+                    and (not maximal or self.facts(comp, conds, support)[0]):
                 acting.append(i)
                 if len(acting) == 2:
                     break
         return acting
+
+    def facts(self, component, conds, support):
+        """``(stuck, frozen)`` for an activation of ``component``, whose
+        conditions are ``conds``, on a form with this support, from one walk
+        of the support graph (:func:`_support_facts`), kept per (component,
+        support): whether a t-activation can end, and the frozen conditions
+        when the regulation never changes, else None. Frozen, a rule that is
+        always enabled needs only its lhs, and every other rule forbids its
+        own lhs, so it never applies."""
+        key = (id(component), support)
+        facts = self._facts.get(key)
+        if facts is None:
+            stuck, enabled = _support_facts(component, conds, support)
+            frozen = None if enabled is None else tuple(
+                (lhs, frozenset(),
+                 frozenset() if i in enabled else frozenset({lhs}))
+                for i, (lhs, _permit, _forbid) in enumerate(conds))
+            facts = self._facts[key] = (stuck, frozen)
+        return facts
 
     def product_conditions(self, component, form):
         """The condition triples, one per rule of ``component``, under which
@@ -649,12 +657,9 @@ class _Enumeration:
         naive path runs (fewer than ``_PRODUCT_MIN_SITES`` rewritable
         positions, or regulation that may change). An unregulated component
         runs under its own conditions. A regulated one in mode t whose rules
-        keep one verdict on every reachable support (:func:`_stable_rules`)
-        runs under frozen ones: an always-enabled rule needs only its lhs,
-        and every other rule forbids its own lhs, so it never applies. The
-        frozen conditions are built once per (component, enabled rules), so
-        supports with the same enabled rules share their position
-        tables."""
+        keep one verdict on every reachable support runs under the frozen
+        conditions of :meth:`facts`, one tuple per (component, support), so
+        each support has its own position tables."""
         lhs_set = component.lhs_set
         if sum(s in lhs_set for s in form) < _PRODUCT_MIN_SITES:
             return None
@@ -663,19 +668,7 @@ class _Enumeration:
             return conds
         if self.mode.variant != "t":
             return None
-        key = (id(component), frozenset(form))
-        if key not in self._stable:
-            self._stable[key] = _stable_rules(component, conds, key[1])
-        enabled = self._stable[key]
-        if enabled is None:
-            return None
-        key = (id(component), enabled)
-        if key not in self._frozen:
-            self._frozen[key] = tuple(
-                (lhs, frozenset(),
-                 frozenset() if i in enabled else frozenset({lhs}))
-                for i, (lhs, _permit, _forbid) in enumerate(conds))
-        return self._frozen[key]
+        return self.facts(component, conds, frozenset(form))[1]
 
     def activation(self, component, form, producer=None):
         """Exact ⇒_i^m results within bounds, on the product path where that
@@ -750,15 +743,13 @@ class _Enumeration:
 
     def completion(self, form, tables, i):
         """``form`` followed by the lightest subform of each position table
-        in ``tables[i:]``: the lightest result that extends ``form``. A
-        table's lightest subform is found once per search."""
+        in ``tables[i:]``: the lightest result that extends ``form``. Each
+        call weighs its tables afresh: :meth:`cut` builds it only for a cut
+        that neither the non-erasing length test nor an earlier counted cut
+        has settled."""
         weight = self.system.weights.__getitem__
         for table in tables[i:]:
-            key = id(table)  # ``_tables`` keeps every table for the search
-            if key not in self._lightest:
-                self._lightest[key] = min(
-                    table, key=lambda f: sum(map(weight, f)))
-            form += self._lightest[key]
+            form += min(table, key=lambda f: sum(map(weight, f)))
         return form
 
     def exhaustive(self):
@@ -814,12 +805,12 @@ class _Enumeration:
         naive path runs the activation again, with the whole step budget, as
         the search did, and walks back from the first layer from ``lo`` on
         that holds ``result``. On the product path ``result`` splits into
-        one subform per position (:meth:`_split`); each position's cached
-        layers give its applications, offset by the subforms placed left of
-        it."""
+        one subform per position (:meth:`_split`); the layers kept with
+        each position's table (:meth:`position_table`) give its
+        applications, offset by the subforms placed left of it."""
         comp = self.system.components[move]
-        frozen = self.product_conditions(comp, form)
-        if frozen is None:
+        conds = self.product_conditions(comp, form)
+        if conds is None:
             self.steps_left = self.bounds.step_budget
             layers = self._step_layers(comp, comp.effective_conditions(),
                                        {form: None})
@@ -827,11 +818,12 @@ class _Enumeration:
                      if result in layers[j])
             apps = _walk(layers, j, result)
         else:
+            tables = self._tables
             apps = [
                 (i, offset + pos)
                 for symbol, (offset, f, j) in zip(
-                    form, self._split(comp, frozen, form, result))
-                for i, pos in _walk(self._layers[id(frozen), symbol], j, f)
+                    form, self._split(comp, conds, form, result))
+                for i, pos in _walk(tables[id(conds), symbol][1], j, f)
             ]
         return TraceStep(comp.name, self.mode, tuple(apps), result)
 

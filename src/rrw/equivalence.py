@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Mode, System, shortlex_key
+from .core import Mode, System, least_yields, shortlex_key
 from .engine import BoundedLanguage, StepBounds, enumerate_language
 
 
@@ -146,7 +146,7 @@ class _Oracle:
             self._next[ci, form] = res
         return res
 
-    def _layers(self, ci, form, k):
+    def _step_counts(self, ci, form, k):
         """The forms reachable from ``form`` in exactly 1, ..., k steps of
         component ci, one dict per step count, found one layer after
         another in a loop, so a large k cannot exhaust Python's call
@@ -179,7 +179,7 @@ class _Oracle:
             return dict.fromkeys(f for f in reach if self._stuck(comp, f))
         if mode.variant == "*":
             return self._star_from(ci, self._step(ci, form))
-        layers = self._layers(ci, form, mode.k)
+        layers = self._step_counts(ci, form, mode.k)
         if mode.variant == "=":
             return layers[-1]
         if mode.variant == "<=":
@@ -322,21 +322,11 @@ def bounded_equiv(a, mode_a, b, mode_b, max_len, bounds) -> EquivVerdict:
 
 
 def useful_nonterminals(rules, terminal_set) -> set:
-    """Least fixpoint: A is useful iff some rule A->w has every rhs symbol in
-    ``terminal_set`` or already useful. Decides L(A) != empty for the plain
-    context-free sub-grammar given by ``rules``."""
-    terminal_set = set(terminal_set)
-    useful = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.lhs in useful:
-                continue
-            if all(s in terminal_set or s in useful for s in rule.rhs):
-                useful.add(rule.lhs)
-                changed = True
-    return useful
+    """The left-hand sides A of ``rules`` with a finite least yield over
+    ``terminal_set`` (:func:`least_yields`): some rule A->w has every rhs
+    symbol in ``terminal_set`` or useful. Decides L(A) != empty for the
+    plain context-free sub-grammar given by ``rules``."""
+    return set(least_yields(rules, frozenset(terminal_set)))
 
 
 def nonempty_lhs(rules) -> set:

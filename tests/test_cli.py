@@ -195,6 +195,14 @@ def test_bad_mode_exits_2(capsys):
     assert status == 2
 
 
+def test_zero_workspace_exits_2(capsys):
+    status, out, err = run_cli(capsys, "enum", EXAMPLE1, "--mode", "t",
+                               "--max-len", "0", "--workspace", "0")
+    assert status == 2
+    assert out == ""
+    assert "bounds must be >= 1" in err
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ["enum", EXAMPLE1, "--mode", "t", "--max-len", "8",
             "--workspace", "8", "--json"]

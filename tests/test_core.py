@@ -294,6 +294,10 @@ def _system(kind="cf", components=(ONE_RULE,), terminals=("a",), **fields):
      ["component P: entry permit and forbid overlap"]),
     (_system("entry-cdgs"),
      ["component P: kind entry-cdgs requires an entry condition"]),
+    (_system("gc", components=(), **dict(
+        GC_ONE, gc_rules=(GcRule("l1", S_TO_A),) * 2)),
+     ["gc labels are not injective"]),
+    (_system(components=()), ["system has no components"]),
 ])
 def test_validate_names_each_violation(system, violations):
     # systems built in code, since the parser rejects each of these first
@@ -336,6 +340,11 @@ def test_mode_requires_positive_k():
         Mode("=", 0)
     with pytest.raises(ValueError):
         Mode("t", 2)
+
+
+def test_mode_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown mode variant 'x'"):
+        Mode("x")
 
 
 def test_format_word():

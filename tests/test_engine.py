@@ -154,6 +154,12 @@ def test_star_requires_at_least_one_step():
     assert ("B", "C") in star
 
 
+@pytest.mark.parametrize("fields", [(0,), (1, 0), (1, 1, 0)])
+def test_bounds_below_one_raise(fields):
+    with pytest.raises(ValueError, match="bounds must be >= 1"):
+        StepBounds(*fields)
+
+
 def test_workspace_truncates_long_forms():
     comp = Component("P", (Rule("A", ("A", "A")),))
     small = StepBounds(workspace=3)
@@ -560,6 +566,32 @@ def test_stable_regulation_takes_the_product_path(example1):
     assert enum.activation(p2, form + ("C",)) == set()
 
 
+@pytest.mark.parametrize("name, support, facts", [
+    ("P1", {"A"}, (True, {0, 1})),
+    ("P1", {"B"}, (True, set())),
+    ("P1", {"C"}, (True, set())),
+    ("P1", {"B", "C"}, (True, set())),
+    ("P2", {"A"}, (True, set())),
+    ("P2", {"B"}, (True, {1})),
+    ("P2", {"C"}, (False, {0})),
+    ("P2", {"B", "C"}, (False, {0})),
+    ("P3", {"A"}, (True, set())),
+    ("P3", {"B"}, (False, {0})),
+    ("P3", {"C"}, (True, {1})),
+    ("P3", {"B", "C"}, (False, {0})),
+])
+def test_support_facts_of_example1(example1, name, support, facts):
+    """Whether a t-activation can end and which rules stay enabled, from
+    one walk of the support graph: P2 on {B} rewrites B to A A by r2, which
+    no C ever disables, and ends on {A}; P3 on {B} loops on B -> B and never
+    ends."""
+    from rrw.engine import _support_facts
+
+    comp = example1.component_named(name)
+    assert _support_facts(comp, comp.effective_conditions(),
+                          frozenset(support)) == facts
+
+
 def test_every_component_needs_four_sites_for_the_product_path(example1):
     """The site gate applies first, to unregulated components too, in every
     mode; both paths give the naive closure's results."""
@@ -771,6 +803,22 @@ def test_priorities_keep_the_given_workspace():
     for enumerate_ in (enumerate_language, reference_enumerate):
         lang = enumerate_(system, mode, 2, StepBounds(8))
         assert lang.words == frozenset(), enumerate_.__name__
+
+
+# ROADMAP item 3: at a workspace of 2 to 4 every result of P2 on "A B" is
+# cut, so both searches see P2 without a result, let P3 act and report cb,
+# complete. Mode t is left out: there P2's t-activation never ends, so P2
+# has no result and cb is right.
+@pytest.mark.xfail(strict=True, reason="priorities decided on activations "
+                   "that the workspace cut (ROADMAP item 3)")
+@pytest.mark.parametrize("enumerate_", [enumerate_language,
+                                        reference_enumerate])
+@pytest.mark.parametrize("workspace", [2, 3, 4])
+@pytest.mark.parametrize("text", ["=1", "*", "<=2", ">=1"])
+def test_priorities_decided_on_cut_activations(text, workspace, enumerate_):
+    lang = enumerate_(parse_system(GROW), Mode.parse(text), 2,
+                      StepBounds(workspace))
+    assert (lang.words, lang.complete) == (frozenset(), True)
 
 
 # ---------------------------------------------------------------------------
@@ -999,13 +1047,12 @@ def wide_support_system(n=6):
 
 
 def test_past_the_support_cap_an_activation_stays_naive():
-    from rrw.engine import _Enumeration, _support_graph
+    from rrw.engine import _Enumeration, _support_facts
 
     system = wide_support_system()
     p2 = system.component_named("P2")
-    walk = list(_support_graph(p2, p2.effective_conditions(),
-                               frozenset({"X1"})))
-    assert walk[-1] is None
+    assert _support_facts(p2, p2.effective_conditions(),
+                          frozenset({"X1"})) == (True, None)
     assert _Enumeration(system, BOUNDS, T).product_conditions(
         p2, ("X1",) * 4) is None
     for text in ("t", "*", "=1", ">=2"):

@@ -349,6 +349,7 @@ def test_incomplete_side_never_equal():
     verdict = bounded_equiv(star, STAR, star, STAR, 2, StepBounds(2))
     assert not verdict.complete_a
     assert not verdict.equal
+    assert verdict.summary() == "not equal: incomplete enumeration"
 
 
 def test_useful_nonterminals_direct():
@@ -369,6 +370,14 @@ def test_useful_nonterminals_monotone():
     small = useful_nonterminals(rules[:1], {"b"})
     large = useful_nonterminals(rules, {"b"})
     assert small <= large
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_useful_nonterminals_are_those_of_finite_weight(name):
+    # both read the one least-yield fixpoint of rrw.core.least_yields
+    s = load_corpus(name)
+    finite = {r.lhs for r in s.all_rules() if s.weights[r.lhs] < float("inf")}
+    assert useful_nonterminals(s.all_rules(), s.terminals) == finite
 
 
 def test_the_oracle_shares_no_mode_logic_with_the_engine():

@@ -74,3 +74,30 @@ def test_the_package_imports_only_the_standard_library():
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert count > 20
     assert not outside, outside
+
+
+def test_the_oracle_loads_nothing_of_the_engine_but_its_data_types():
+    # the oracle is an independent check of the engine only while it shares
+    # no engine code: its definitions may load the engine's result and
+    # bounds types, and no other name imported from the engine
+    tree = ast.parse((PACKAGE / "equivalence.py").read_text(encoding="utf-8"))
+    from_engine = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] == "engine"
+        for alias in node.names
+    }
+    assert {"BoundedLanguage", "StepBounds"} <= from_engine
+    oracle = {"_Oracle", "_oracle_gc", "reference_enumerate"}
+    definitions = [node for node in tree.body
+                   if getattr(node, "name", None) in oracle]
+    assert {node.name for node in definitions} == oracle
+    loaded = {
+        (definition.name, node.id)
+        for definition in definitions
+        for node in ast.walk(definition)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        and node.id in from_engine - {"BoundedLanguage", "StepBounds"}
+    }
+    assert not loaded, sorted(loaded)
