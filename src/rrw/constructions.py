@@ -9,6 +9,15 @@ validates the output :class:`~rrw.core.System` and reports it in a
 system and the mode argument that returns only the parts of the output
 (:class:`_Parts`). The CLI and the tests read the same table.
 
+The builders state each output shape once, through one vocabulary:
+:func:`_layered_component` (an ordered component in three layers),
+:func:`_frc_component` (a forbid-regulated component from (lhs, rhs,
+forbid) entries), :func:`_entry_component` (an entry-condition component
+and its forbid set), :func:`_through` (the rule pair lhs -> via -> rhs of
+the marker and nested gadgets), :func:`_unlabelled` (label-free copies of
+rules) and :func:`_parking_symbols` (one fresh symbol per level and
+right-hand side).
+
 Fresh symbols come from a :class:`FreshNameScheme` and never collide with
 input symbols. Inputs are never mutated. The component-level conversions
 :func:`frc_to_ordered_component` and :func:`ordered_to_frc_component` are
@@ -117,6 +126,21 @@ def _frc_component(name, entries):
                      contexts=[RcCondition(forbid=f) for _, _, f in entries])
 
 
+def _entry_component(name, rules, forbid=frozenset()):
+    """An entry-condition component whose activation forbids ``forbid``."""
+    return Component(name, rules, entry=RcCondition(forbid=forbid))
+
+
+def _through(lhs, via, rhs):
+    """The two rules lhs -> via and via -> rhs."""
+    return Rule(lhs, (via,)), Rule(via, rhs)
+
+
+def _unlabelled(rules):
+    """Label-free copies of ``rules``."""
+    return tuple(Rule(r.lhs, r.rhs) for r in rules)
+
+
 # ---------------------------------------------------------------------------
 # forbid sets <-> rule orders (single components)
 # ---------------------------------------------------------------------------
@@ -141,7 +165,7 @@ def frc_to_ordered_component(component: Component, avoid=()) -> Component:
     for forbid in forbids:
         for sym in sorted(forbid):
             guard.setdefault(sym, n + len(guard))
-    rules = [Rule(r.lhs, r.rhs) for r in component.rules]
+    rules = [*_unlabelled(component.rules)]
     rules += [Rule(sym, (dead,)) for sym in guard]
     pairs = {(guard[sym], i) for i, forbid in enumerate(forbids)
              for sym in forbid}
@@ -188,32 +212,36 @@ def _gc_to_ocdgs(system: System, mode: Mode, compact: bool = False):
     """Compile a graph-controlled grammar into an ordered cooperating system.
 
     The control state becomes a label symbol carried in the sentential form;
-    per control rule the output contains one failure component and either two
-    success components or, with ``compact``, a single erasing one.
-    Works for the modes =k and >=k with k >= 2.
+    per control rule the output contains either two success components or,
+    with ``compact``, a single erasing one per symbol of its label, and one
+    failure component per symbol of its label. Works for the modes =k and
+    >=k with k >= 2.
+
+    ``label_syms`` are the symbols that carry the control state and
+    ``own[l]`` those of label l: its own symbol, then its twin if it has one
+    (only the compact variant makes twins). Both variants share the failure
+    components, the end component and the nonterminal set.
     """
     scheme = FreshNameScheme(system.alphabet)
     gc_rules = system.gc_rules
     labels = [g.label for g in gc_rules]
     lab = {l: scheme.fresh(l) for l in labels}
     start = scheme.fresh("S")
-    if not compact:
-        hat_lab = {l: scheme.fresh(l + "^") for l in labels}
-        hat_nt = {a: scheme.fresh(a + "^") for a in sorted(system.nonterminals)}
-    else:
+    twin, hat_lab, hat_nt = {}, {}, {}
+    if compact:
         # The one-component success gadget is only safe when an activation
         # can erase at most one label symbol: after erase + rewrite the new
         # label must differ from the erased one, or a second erase strips the
         # form of its label and control collapses. Rules whose success set
         # contains their own label therefore alternate between the label and
         # a fresh twin, each erased by its own component.
-        twin = {
-            g.label: scheme.fresh(g.label + "'")
-            for g in gc_rules if g.label in g.success
-        }
-        all_label_syms = [lab[l] for l in labels] + [
-            twin[l] for l in labels if l in twin
-        ]
+        twin = {g.label: scheme.fresh(g.label + "'")
+                for g in gc_rules if g.label in g.success}
+    else:
+        hat_lab = {l: scheme.fresh(l + "^") for l in labels}
+        hat_nt = {a: scheme.fresh(a + "^") for a in sorted(system.nonterminals)}
+    own = {l: [lab[l], twin[l]] if l in twin else [lab[l]] for l in labels}
+    label_syms = list(lab.values()) + list(twin.values())
 
     comps = []
     init_rules = []
@@ -227,32 +255,24 @@ def _gc_to_ocdgs(system: System, mode: Mode, compact: bool = False):
         # a failure jump back to the same rule is a no-op test; drop it
         failure = sorted(g.failure - {li})
         success = sorted(g.success)
-        others = [l for l in labels if l != li]
         if compact:
-            def _success_comp(erased, target_of):
+            # each symbol of li is erased by its own component, which sends
+            # a self-success on to the next symbol of li
+            for src, back in zip(own[li], own[li][1:] + own[li][:1]):
                 comps.append(_layered_component(
                     f"P{len(comps)}",
-                    [Rule(s, (s,)) for s in all_label_syms if s != erased],
-                    [Rule(erased, ())],
-                    [Rule(g.rule.lhs, tuple(g.rule.rhs) + (target_of(l),))
-                     for l in success],
+                    [Rule(s, (s,)) for s in label_syms if s != src],
+                    [Rule(src, ())],
+                    [Rule(g.rule.lhs, tuple(g.rule.rhs)
+                          + (back if l == li else lab[l],)) for l in success],
                 ))
-
-            if li in twin:
-                # base component sends a self-success to the twin label,
-                # the twin component sends it back
-                _success_comp(lab[li],
-                              lambda l: twin[li] if l == li else lab[l])
-                _success_comp(twin[li], lambda l: lab[l])
-            else:
-                _success_comp(lab[li], lambda l: lab[l])
         else:
+            others = [l for l in labels if l != li]
             comps.append(_layered_component(
                 f"P{len(comps)}",
                 [Rule(lab[l], (lab[l],)) for l in others]
                 + [Rule(hat_lab[l], (hat_lab[l],)) for l in others]
-                + [Rule(hat_nt[a], (hat_nt[a],))
-                   for a in sorted(system.nonterminals)],
+                + [Rule(hat_nt[a], (hat_nt[a],)) for a in hat_nt],
                 [Rule(lab[li], (hat_lab[li],))],
                 [Rule(g.rule.lhs, (hat_nt[g.rule.lhs],))],
             ))
@@ -263,48 +283,25 @@ def _gc_to_ocdgs(system: System, mode: Mode, compact: bool = False):
                 [Rule(hat_nt[g.rule.lhs], tuple(g.rule.rhs))],
                 [Rule(hat_lab[li], (lab[l],)) for l in success],
             ))
-        if compact:
-            failure_sources = [lab[li]]
-            if li in twin:
-                failure_sources.append(twin[li])
-            for src in failure_sources:
-                comps.append(_layered_component(
-                    f"P{len(comps)}",
-                    [Rule(s, (s,)) for s in all_label_syms if s != src],
-                    [Rule(g.rule.lhs, (g.rule.lhs,))],
-                    [Rule(src, (lab[l],)) for l in failure],
-                ))
-        else:
+        for src in own[li]:
             comps.append(_layered_component(
                 f"P{len(comps)}",
-                [Rule(lab[l], (lab[l],)) for l in others],
+                [Rule(s, (s,)) for s in label_syms if s != src],
                 [Rule(g.rule.lhs, (g.rule.lhs,))],
-                [Rule(lab[li], (lab[l],)) for l in failure],
+                [Rule(src, (lab[l],)) for l in failure],
             ))
 
-    blockers = sorted(system.nonterminals)
-    if not compact:
-        blockers = blockers + [hat_nt[a] for a in sorted(system.nonterminals)]
-    end_rules = []
-    for l in sorted(system.final_labels):
-        final_syms = [lab[l]]
-        if compact and l in twin:
-            final_syms.append(twin[l])
-        for s in final_syms:
-            end_rules.append(Rule(s, ()))
-            end_rules.append(Rule(s, (s,)))
+    blockers = [*sorted(system.nonterminals), *hat_nt.values()]
     comps.append(_layered_component(
         f"P{len(comps)}",
         [Rule(a, (a,)) for a in blockers],
         [],
-        end_rules,
+        [rule for l in sorted(system.final_labels) for s in own[l]
+         for rule in (Rule(s, ()), Rule(s, (s,)))],
     ))
 
-    nonterminals = set(system.nonterminals) | set(lab.values()) | {start}
-    if compact:
-        nonterminals |= set(twin.values())
-    else:
-        nonterminals |= set(hat_lab.values()) | set(hat_nt.values())
+    nonterminals = (set(system.nonterminals) | {start} | set(label_syms)
+                    | set(hat_lab.values()) | set(hat_nt.values()))
     return _Parts("_ocd", nonterminals, comps, start=start)
 
 
@@ -639,43 +636,28 @@ def _frccd_eq2_to_cdfrc(system: System, mode):
     x_all = frozenset(x_sym.values())
 
     comps = []
-    for di, p in enumerate(doubles):
-        a, w, f = p
-        comps.append(Component(
-            f"D{di + 1}", (Rule(a, w),),
-            entry=RcCondition(forbid=f | x_all | {sharp}),
-        ))
-    for mi, p in enumerate(marker_needed):
-        a, w, f = p
-        xp = x_sym[p]
-        comps.append(Component(
-            f"M{mi + 1}", (Rule(a, (sharp,)), Rule(sharp, (xp,))),
-            entry=RcCondition(forbid=f | {sharp, xp}),
-        ))
+    for di, (a, w, f) in enumerate(doubles):
+        comps.append(_entry_component(f"D{di + 1}", (Rule(a, w),),
+                                      f | x_all | {sharp}))
+    for mi, (a, w, f) in enumerate(marker_needed):
+        xp = x_sym[a, w, f]
+        comps.append(_entry_component(f"M{mi + 1}", _through(a, sharp, (xp,)),
+                                      f | {sharp, xp}))
     for ji, (p, p2) in enumerate(pair_set.values()):
         (a, w, f), (a2, w2, f2) = p, p2
-        comps.append(Component(
+        comps.append(_entry_component(
             f"J{ji + 1}", (Rule(x_sym[p], w), Rule(x_sym[p2], w2)),
-            entry=RcCondition(
-                forbid=f | f2 | (x_all - {x_sym[p], x_sym[p2]}) | {sharp}
-            ),
-        ))
-    for ni, (p, p2, xi, eta) in enumerate(nested):
-        (a, w, f), (a2, w2, f2) = p, p2
-        comps.append(Component(
-            f"N{ni + 1}",
-            (Rule(x_sym[p], (sharp,)), Rule(sharp, xi + w2 + eta)),
-            entry=RcCondition(
-                forbid=f | f2 | (x_all - {x_sym[p]}) | {sharp}
-            ),
-        ))
+            f | f2 | (x_all - {x_sym[p], x_sym[p2]}) | {sharp}))
+    for ni, (p, (a2, w2, f2), xi, eta) in enumerate(nested):
+        comps.append(_entry_component(
+            f"N{ni + 1}", _through(x_sym[p], sharp, xi + w2 + eta),
+            p[2] | f2 | (x_all - {x_sym[p]}) | {sharp}))
 
     if not comps:
         # no rule pair can fire, so the language is empty: one component
         # that never acts keeps the output a system
         start = system.start
-        comps.append(Component("Z", (Rule(start, (start,)),),
-                               entry=RcCondition(forbid={start})))
+        comps.append(_entry_component("Z", (Rule(start, (start,)),), {start}))
     return _Parts("_entry", system.nonterminals | x_all | {sharp}, comps)
 
 
@@ -700,6 +682,7 @@ def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
 
     singles = [c for c in system.components if len(c.rules) == 1]
     sharp = scheme.fresh("sharp") if singles else None
+    sharps = frozenset([sharp] if singles else [])
     x_pair = {}
     for comp in singles:
         x_pair[comp.name] = (
@@ -710,20 +693,15 @@ def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
 
     proto = []  # (name, two rules, entry forbid)
     for comp in system.components:
-        entry = comp.entry.forbid
+        f = comp.entry.forbid
         if len(comp.rules) == 2:
-            proto.append((comp.name, comp.rules,
-                          entry | x_all | ({sharp} if sharp else frozenset())))
+            proto.append((comp.name, comp.rules, f | x_all | sharps))
             continue
-        rule = comp.rules[0]
-        a, w, f = rule.lhs, rule.rhs, entry
+        a, w = comp.rules[0].lhs, comp.rules[0].rhs
         xp, xq = x_pair[comp.name]
-        proto.append((f"{comp.name}_m1",
-                      (Rule(a, (sharp,)), Rule(sharp, (xp,))),
-                      f | {sharp, xp}))
-        proto.append((f"{comp.name}_m2",
-                      (Rule(a, (sharp,)), Rule(sharp, (xq,))),
-                      f | {sharp, xq}))
+        for tag, x in (("m1", xp), ("m2", xq)):
+            proto.append((f"{comp.name}_{tag}", _through(a, sharp, (x,)),
+                          f | {sharp, x}))
         proto.append((f"{comp.name}_j",
                       (Rule(xp, w), Rule(xq, w)),
                       f | {sharp} | (x_all - {xp, xq})))
@@ -734,8 +712,7 @@ def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
                 xi, eta = w[:pos], w[pos + 1:]
                 if f.isdisjoint(xi + eta):
                     proto.append((f"{comp.name}_n{pos + 1}",
-                                  (Rule(xp, (sharp,)),
-                                   Rule(sharp, xi + w + eta)),
+                                  _through(xp, sharp, xi + w + eta),
                                   f | {sharp} | (x_all - {xp})))
 
     # component c prolongs one rule through the counters links[c*(k-2):]
@@ -743,13 +720,11 @@ def _cdfrc_eq2_to_eqk(system: System, mode: Mode):
     links = [scheme.fresh(f"c{i}") for i in range(1, len(proto) * m + 1)]
     chain_all = frozenset(links)
     built = tuple(
-        Component(name, _prolonged(rules, links[c * m:(c + 1) * m]),
-                  entry=RcCondition(forbid=entry | chain_all))
-        for c, (name, rules, entry) in enumerate(proto)
+        _entry_component(name, _prolonged(rules, links[c * m:(c + 1) * m]),
+                         forbid | chain_all)
+        for c, (name, rules, forbid) in enumerate(proto)
     )
-    nonterminals = system.nonterminals | x_all | chain_all
-    if sharp:
-        nonterminals = nonterminals | {sharp}
+    nonterminals = system.nonterminals | x_all | chain_all | sharps
     return _Parts(f"_eq{k}", nonterminals, built, notes=(
         "prolongation rule choice is a documented heuristic",))
 
@@ -783,10 +758,8 @@ def _cdfrc_to_pcd(system: System, mode: Mode):
     """
     scheme = FreshNameScheme(system.alphabet)
     dead = scheme.fresh("X_f")
-    comps = [
-        Component(comp.name, tuple(Rule(r.lhs, r.rhs) for r in comp.rules))
-        for comp in system.components
-    ]
+    comps = [Component(comp.name, _unlabelled(comp.rules))
+             for comp in system.components]
     pairs = set()
     used_dead = False
     for i, comp in enumerate(system.components):
@@ -826,11 +799,8 @@ def _pcd_to_cdfrc(system: System, mode: Mode):
         forbid = set()
         for g in order.greater_than(j):
             forbid |= blocking_lhs(system.components[g])
-        comps.append(Component(
-            comp.name,
-            tuple(Rule(r.lhs, r.rhs) for r in comp.rules),
-            entry=RcCondition(forbid=frozenset(forbid)),
-        ))
+        comps.append(_entry_component(comp.name, _unlabelled(comp.rules),
+                                      forbid))
     return _Parts("_entry", system.nonterminals, comps)
 
 
@@ -858,46 +828,24 @@ def _cdfrc_geqk_to_geq2(system: System, mode: Mode):
     }
     y_all = frozenset([guard, picked] + list(counter.values()))
 
-    comps = [Component(
-        "P0",
-        (Rule(start, (guard, system.start)), Rule(guard, (guard,))),
-        entry=RcCondition(),
-    )]
-    orig_nts = frozenset(system.nonterminals)
-    comps.append(Component(
-        "Pend",
-        (Rule(guard, ()), Rule(guard, (guard,))),
-        entry=RcCondition(forbid=orig_nts | (y_all - {guard})),
-    ))
+    comps = [_entry_component("P0", (Rule(start, (guard, system.start)),
+                                     Rule(guard, (guard,)))),
+             _entry_component("Pend", (Rule(guard, ()), Rule(guard, (guard,))),
+                              system.nonterminals | (y_all - {guard}))]
     for i, comp in enumerate(system.components, start=1):
         fi = comp.entry.forbid
-        body = tuple(Rule(r.lhs, r.rhs) for r in comp.rules)
-        comps.append(Component(
-            f"Pick{i}",
-            (Rule(guard, (picked,)), Rule(picked, (counter[(i, 0)],))),
-            entry=RcCondition(forbid=fi | (y_all - {guard})),
-        ))
-        comps.append(Component(
-            f"P{i}_0",
-            (Rule(counter[(i, 0)], (counter[(i, 1)],)),) + body,
-            entry=RcCondition(forbid=fi | (y_all - {counter[(i, 0)]})),
-        ))
-        for l in range(1, k):
-            comps.append(Component(
-                f"P{i}_{l}",
-                (Rule(counter[(i, l)], (counter[(i, l + 1)],)),) + body,
-                entry=RcCondition(forbid=y_all - {counter[(i, l)]}),
-            ))
-        comps.append(Component(
-            f"P{i}_{k}",
-            (Rule(counter[(i, k)], (counter[(i, k)],)),) + body,
-            entry=RcCondition(forbid=y_all - {counter[(i, k)]}),
-        ))
-        comps.append(Component(
-            f"P{i}_{k + 1}",
-            (Rule(counter[(i, k)], (guard,)),) + body,
-            entry=RcCondition(forbid=y_all - {counter[(i, k)]}),
-        ))
+        body = _unlabelled(comp.rules)
+        comps.append(_entry_component(
+            f"Pick{i}", _through(guard, picked, (counter[(i, 0)],)),
+            fi | (y_all - {guard})))
+        # level l moves the counter from chain[l] to chain[l + 1]; the
+        # counter stays at k once, then hands back to the guard
+        chain = ([counter[(i, j)] for j in range(k + 1)]
+                 + [counter[(i, k)], guard])
+        for level, (src, dst) in enumerate(zip(chain, chain[1:])):
+            comps.append(_entry_component(
+                f"P{i}_{level}", (Rule(src, (dst,)),) + body,
+                (fi if level == 0 else frozenset()) | (y_all - {src})))
 
     return _Parts("_geq2", system.nonterminals | y_all | {start}, comps,
                   start=start)

@@ -258,6 +258,14 @@ class Mode:
             return (1, self.k)
         return (self.k or 1, None)
 
+    @cached_property
+    def step_count_free(self) -> bool:
+        """True for =1, *, <=k and >=1: one rule application is already a
+        whole activation, so an activation is a sequence of one-step ones
+        and a component has a result exactly when one of its rules
+        applies."""
+        return self.variant != "t" and self.steps[0] == 1
+
     def __str__(self):
         if self.variant in ("t", "*"):
             return self.variant

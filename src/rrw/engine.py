@@ -60,12 +60,16 @@ the only component with an applicable rule, because the search never
 re-activates the producer.
 
 Under component priorities a component blocks a lower one when its own
-activation has a result, so deciding which components may act activates the
-higher ones. That activation becomes the move: the search reuses it instead
-of activating the component again, and each (component, form) is activated
-once. It is the whole relation, computed without a producer, so it holds
-every result that the producer's pruning keeps, and the search filters each
-result through the same ``useful`` test.
+activation has a result. In the step-count-free modes
+(``Mode.step_count_free``: =1, *, <=k, >=1) one rule application is already
+an activation, so a component has a result exactly when one of its rules
+applies, whatever the workspace cuts: there the check reads applicability
+and activates nothing. In the other modes deciding which components may act
+activates the higher ones. That activation becomes the move: the search
+reuses it instead of activating the component again, and each (component,
+form) is activated once. It is the whole relation, computed without a
+producer, so it holds every result that the producer's pruning keeps, and
+the search filters each result through the same ``useful`` test.
 
 Both paths are exact on complete runs. They share their layers, so the
 independent check is the reference oracle of ``equivalence.py``, which
@@ -700,7 +704,11 @@ class _Enumeration:
         fewer greater ones and is decided before any lesser one asks whether
         it blocks. An allowed component is activated only when a lesser one
         asks, and each lesser one stops at the first greater one with a
-        result; a component that is not live or is blocked has none."""
+        result; a component that is not live or is blocked has none. In a
+        step-count-free mode (``Mode.step_count_free``) a component has a
+        result exactly when one of its rules applies, however long the
+        result, so there the check reads applicability and activates
+        nothing."""
         system = self.system
         live = [
             i for i, comp in enumerate(system.components)
@@ -710,15 +718,18 @@ class _Enumeration:
         if not order:
             return dict.fromkeys(live)
         allowed = {}
+
+        def blocks(g):
+            comp = system.components[g]
+            if self.mode.step_count_free:
+                return _has_applicable(comp.effective_conditions(), form)
+            if allowed[g] is None:
+                allowed[g] = self.activation(comp, form)
+            return bool(allowed[g])
+
         for _rank, i in sorted((len(order.greater_than(i)), i) for i in live):
-            for g in order.greater_than(i):
-                if g in allowed:
-                    if allowed[g] is None:
-                        allowed[g] = self.activation(system.components[g],
-                                                     form)
-                    if allowed[g]:
-                        break
-            else:
+            if not any(blocks(g) for g in order.greater_than(i)
+                       if g in allowed):
                 allowed[i] = None
         return dict(sorted(allowed.items()))
 

@@ -192,9 +192,13 @@ class _Oracle:
     def system_step(self, form, mode):
         """The union of the results of every live component that no live,
         unblocked greater component with a result blocks. Each component is
-        decided once, after its greater ones."""
+        decided once, after its greater ones. Under =1, *, <=k and >=1 one
+        application is already an activation, so there a greater component
+        has a result exactly when it is not stuck on the form, whatever the
+        workspace cuts."""
         components = self.system.components
         greater = self._greater
+        free = mode.variant in ("*", "<=") or mode.k == 1
         results = {}  # the live, unblocked components
         for ci in self._ranked:
             comp = components[ci]
@@ -204,7 +208,9 @@ class _Oracle:
                 )
                 if not ok:
                     continue
-            if ci in greater and any(map(results.get, greater[ci])):
+            if ci in greater and any(
+                    not self._stuck(components[g], form) if free
+                    else results[g] for g in greater[ci] if g in results):
                 continue
             results[ci] = self.mode_set(ci, form, mode)
         return dict.fromkeys(f for res in results.values() for f in res)

@@ -256,6 +256,15 @@ def test_frccd_merge_rejects_strong_modes():
             apply_construction("frccd-merge", system, Mode.parse(text))
 
 
+def test_frccd_merge_accepts_exactly_the_step_count_free_modes():
+    # the merge is sound exactly where every activation is a sequence of
+    # one-step activations, which is what Mode.step_count_free names
+    merge = CONSTRUCTIONS["frccd-merge"]
+    for text in MODE_GRID:
+        mode = Mode.parse(text)
+        assert merge.accepts(mode) == mode.step_count_free, text
+
+
 def test_frccd_to_eq2_component_counts():
     system = load_corpus("frccd_pair.rrw")  # n = 2 components
     out_ge, _ = apply_construction("frccd-to-eq2", system, Mode.parse(">=3"))
